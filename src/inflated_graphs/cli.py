@@ -29,6 +29,15 @@ EXIT_PRECONDITION = 3
 
 FIXTURES = ("table1_9cycle", "chain7", "cycle5", "ghz_path3")
 
+# The paper's headline numbers: reproduction name -> (fixture, expected
+# Bell-report entries).
+PAPER_NUMBERS = {
+    "table1": ("table1_9cycle", {"qm": 10, "bound": 8, "ratio": "5/4"}),
+    "chain7": ("chain7", {"qm": 6, "bound": 4, "ratio": "3/2"}),
+    "cycle5": ("cycle5", {"qm": 16, "bound": 14, "ratio": "8/7"}),
+}
+REPRODUCTIONS = (*PAPER_NUMBERS, "chsh4", "small-graphs")
+
 
 class InputError(Exception):
     pass
@@ -175,18 +184,9 @@ def cmd_reproduce(args) -> int:
     started = time.monotonic()
     claims: list[tuple[str, bool]] = []
     name = args.name
-    if name == "table1":
-        _reproduce_fixture(
-            "table1_9cycle", {"qm": 10, "bound": 8, "ratio": "5/4"}, args.cap, claims
-        )
-    elif name == "chain7":
-        _reproduce_fixture(
-            "chain7", {"qm": 6, "bound": 4, "ratio": "3/2"}, args.cap, claims
-        )
-    elif name == "cycle5":
-        _reproduce_fixture(
-            "cycle5", {"qm": 16, "bound": 14, "ratio": "8/7"}, args.cap, claims
-        )
+    if name in PAPER_NUMBERS:
+        fixture, expected = PAPER_NUMBERS[name]
+        _reproduce_fixture(fixture, expected, args.cap, claims)
     elif name == "chsh4":
         g = graph_from_json(
             {"vertices": ["1", "2", "3", "4"],
@@ -217,8 +217,7 @@ def cmd_reproduce(args) -> int:
             )
     else:
         raise InputError(
-            f"unknown reproduction {name!r}; choose from "
-            "table1, chain7, cycle5, chsh4, small-graphs"
+            f"unknown reproduction {name!r}; choose from {', '.join(REPRODUCTIONS)}"
         )
     ok = all(passed for _, passed in claims)
     for label, passed in claims:
@@ -260,11 +259,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("reproduce", help="re-run a bundled end-to-end check")
-    p.add_argument(
-        "name", choices=("table1", "chain7", "cycle5", "chsh4", "small-graphs")
-    )
+    p.add_argument("name", choices=REPRODUCTIONS)
     p.add_argument("--cap", type=int, default=30, help="search-dimension cap")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

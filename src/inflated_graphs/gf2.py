@@ -37,24 +37,6 @@ def rank(rows: list[int]) -> int:
     return len(basis)
 
 
-def in_span(vec: int, rows: list[int]) -> bool:
-    """True iff vec lies in the GF(2) span of rows."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        _insert(basis, row)
-    return _residue(basis, vec) == 0
-
-
-def solve(rows: list[int], rhs: list[int], n_cols: int) -> list[int] | None:
-    """One solution x (as a bitmask) of rows·x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.  Returns [x] for symmetry with callers
-    that may later want the nullspace as well; see :func:`solve_with_nullspace`.
-    """
-    sol = solve_with_nullspace(rows, rhs, n_cols)
-    return None if sol is None else [sol[0]]
-
-
 def solve_with_nullspace(
     rows: list[int], rhs: list[int], n_cols: int
 ) -> tuple[int, list[int]] | None:

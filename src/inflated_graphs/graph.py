@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 INFINITY = float("inf")
@@ -39,6 +39,19 @@ class Graph:
     @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Neighbour bitmask of each vertex, in vertex order, over ``index``."""
+        index = self.index
+        return tuple(
+            sum(1 << index[u] for u in self.neighbors[v]) for v in self.vertices
+        )
+
+    @cached_property
+    def _balls(self) -> dict[tuple[str, int], tuple[str, ...]]:
+        """ball's cache, freed with the graph."""
+        return {}
 
     @cached_property
     def is_connected(self) -> bool:
@@ -95,12 +108,15 @@ def distance(g: Graph, u: str, v: str) -> int | float:
     return INFINITY
 
 
-@lru_cache(maxsize=65536)
 def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:
     """Vertices within distance d of v (inclusive), in canonical order.
 
-    Cached: verification evaluates the same ball once per (pair, vertex).
+    Cached on the graph: verification evaluates the same ball once per
+    (pair, vertex).
     """
+    cached = g._balls.get((v, d))
+    if cached is not None:
+        return cached
     g.require_vertex(v)
     dist = {v: 0}
     queue = deque([v])
@@ -112,7 +128,8 @@ def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:
             if x not in dist:
                 dist[x] = dist[w] + 1
                 queue.append(x)
-    return tuple(sorted(dist, key=g.index.__getitem__))
+    result = g._balls[v, d] = tuple(sorted(dist, key=g.index.__getitem__))
+    return result
 
 
 def chain_vertex_name(edge: tuple[str, str], r: int) -> str:
@@ -129,12 +146,6 @@ class InflatedGraph:
     graph: Graph
     power_vertices: tuple[str, ...]
     chain_index: Mapping[str, tuple[tuple[str, str], int]]
-
-    def chain(self, edge: tuple[str, str]) -> tuple[str, ...]:
-        """Chain vertices of a base edge ordered by position from the smaller
-        endpoint."""
-        edge = edge_key(*edge)
-        return tuple(chain_vertex_name(edge, r) for r in range(1, 2 * self.d + 1))
 
     def is_power(self, v: str) -> bool:
         return v in self._power_set
@@ -154,6 +165,10 @@ def inflate(g: Graph, d: int) -> InflatedGraph:
         u, v = edge
         names = [chain_vertex_name(edge, r) for r in range(1, 2 * d + 1)]
         for name, r in zip(names, range(1, 2 * d + 1)):
+            if name in g.index:
+                raise ValueError(
+                    f"chain vertex {name!r} collides with a base vertex"
+                )
             chain_index[name] = (edge, r)
         path = [u, *names, v]
         new_edges.extend(zip(path, path[1:]))
@@ -167,14 +182,6 @@ def inflate(g: Graph, d: int) -> InflatedGraph:
     )
 
 
-def contract(ig: InflatedGraph) -> Graph:
-    """Undo an inflation using the stored chain bookkeeping."""
-    return Graph(
-        vertices=ig.base.vertices,
-        edges=frozenset({edge for edge, _ in ig.chain_index.values()}),
-    )
-
-
 def graph_to_json(g: Graph) -> dict:
     return {
         "vertices": list(g.vertices),
@@ -183,7 +190,19 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: Mapping) -> Graph:
-    return build_graph(obj.get("edges", []), vertices=obj.get("vertices"))
+    """Parse ``{"vertices": [...], "edges": [[u, v], ...]}``; both keys are
+    optional.  Raises ValueError on any other shape."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("a graph must be a JSON object")
+    edges = obj.get("edges", [])
+    vertices = obj.get("vertices")
+    if not isinstance(edges, (list, tuple)) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 for e in edges
+    ):
+        raise ValueError('graph "edges" must be a list of [u, v] pairs')
+    if vertices is not None and not isinstance(vertices, (list, tuple)):
+        raise ValueError('graph "vertices" must be a list')
+    return build_graph(edges, vertices=vertices)
 
 
 def load_graph(path: str) -> Graph:

@@ -7,7 +7,7 @@ distance-d communication-assisted models on the inflated graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import gf2, pauli
 from .graph import Graph, InflatedGraph, ball, chain_vertex_name, edge_key
@@ -18,7 +18,7 @@ from .paradox import (
     comm_parity_classes,
     verify_paradox,
 )
-from .pauli import PauliString, generator_element, multiply
+from .pauli import PauliString
 
 
 def inflated_measurement(
@@ -34,31 +34,35 @@ def inflated_measurement(
     return letters
 
 
+def _members(ig: InflatedGraph, subset: Iterable[str]) -> frozenset[str]:
+    """Inflated-graph vertices whose generators multiply to the inflated
+    generators of a set of power vertices: each u itself plus the chain
+    vertices of u's chains at even distance from u.  The member sets of
+    distinct power vertices are disjoint."""
+    members = set()
+    for u in subset:
+        if not ig.is_power(u):
+            raise ValueError(f"{u!r} is not a power vertex")
+        members.add(u)
+        for v in ig.base.neighbors[u]:
+            edge = edge_key(u, v)
+            for s in range(1, ig.d + 1):
+                # Position 2s counted from u; canonical names count from the
+                # smaller endpoint.
+                r = 2 * s if edge[0] == u else 2 * ig.d + 1 - 2 * s
+                members.add(chain_vertex_name(edge, r))
+    return frozenset(members)
+
+
 def inflated_generator(ig: InflatedGraph, u: str) -> PauliString:
     """Product of the inflated graph's generators at u and at the chain
     vertices of u's chains at even distance from u."""
-    if u not in ig.power_vertices:
-        raise ValueError(f"{u!r} is not a power vertex")
-    members = [u]
-    for v in ig.base.neighbors[u]:
-        edge = edge_key(u, v)
-        for s in range(1, ig.d + 1):
-            # Position 2s counted from u; canonical names count from the
-            # smaller endpoint.
-            r = 2 * s if edge[0] == u else 2 * ig.d + 1 - 2 * s
-            members.append(chain_vertex_name(edge, r))
-    result = PauliString()
-    for w in members:
-        result = multiply(result, generator_element(ig.graph, w))
-    return result
+    return inflated_stabilizer(ig, {u})
 
 
-def inflated_stabilizer(ig: InflatedGraph, subset: frozenset[str] | set[str]) -> PauliString:
-    """Fold of inflated generators over a base-graph vertex subset."""
-    result = PauliString()
-    for u in sorted(subset):
-        result = multiply(result, inflated_generator(ig, u))
-    return result
+def inflated_stabilizer(ig: InflatedGraph, subset: Iterable[str]) -> PauliString:
+    """Product of the inflated generators of a base-graph vertex subset."""
+    return pauli.subset_to_pauli(ig.graph, _members(ig, subset))
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,7 @@ def shell_stabilizer(ig: InflatedGraph, spec: DecoySpec) -> PauliString:
     Identity at the center vertex; sign always +1.
     """
     spec.validate(ig)
-    shell = multiply(
-        inflated_generator(ig, spec.neighbors[0]),
-        inflated_generator(ig, spec.neighbors[1]),
-    )
+    shell = inflated_stabilizer(ig, spec.neighbors)
     assert shell.letter(spec.center) == "I"
     assert shell.phase == 0
     return shell
@@ -278,6 +279,10 @@ def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:
     return specs
 
 
+# GF(2) row offset of each non-identity (x, z) letter at a vertex.
+_LETTER_ROW = {(1, 0): 0, (1, 1): 1, (0, 1): 2}
+
+
 def find_base_set(g: Graph, max_size: int | None = None) -> MeasurementSet | None:
     """Best-effort search for a full-mask d=0 paradox set on a base graph.
 
@@ -288,48 +293,49 @@ def find_base_set(g: Graph, max_size: int | None = None) -> MeasurementSet | Non
     n = len(g.vertices)
     if n < 3 or n > 16 or not g.is_connected:
         return None
-    subsets = []
-    columns = []
-    for bits in range(1, 1 << n):
-        subset = frozenset(
-            g.vertices[i] for i in range(n) if (bits >> i) & 1
-        )
-        subsets.append(subset)
-        columns.append(pauli.subset_to_pauli(g, subset))
-    # One GF(2) constraint per (vertex, letter) parity, plus the sign row.
-    row_index: dict[tuple[str, str], int] = {}
-    for v in g.vertices:
-        for l in ("X", "Y", "Z"):
-            row_index[(v, l)] = len(row_index)
-    sign_row = len(row_index)
-    n_rows = sign_row + 1
-    rows = [0] * n_rows
-    for j, ps in enumerate(columns):
-        for v, l in ps.letters:
-            rows[row_index[(v, l)]] |= 1 << j
-        if ps.phase == 2:
-            rows[sign_row] |= 1 << j
-    rhs = [0] * n_rows
+    # Column j is the stabilizer element with x bitmask j + 1.  One GF(2)
+    # row per (vertex, letter) parity, plus the sign row.
+    n_columns = (1 << n) - 1
+    sign_row = 3 * n
+    rows = [0] * (sign_row + 1)
+    for x in range(1, 1 << n):
+        z, negative = pauli._stabilizer(g, x)
+        bit = 1 << (x - 1)
+        support = x | z
+        while support:
+            low = support & -support
+            i = low.bit_length() - 1
+            rows[3 * i + _LETTER_ROW[(x >> i) & 1, (z >> i) & 1]] |= bit
+            support ^= low
+        if negative:
+            rows[sign_row] |= bit
+    rhs = [0] * len(rows)
     rhs[sign_row] = 1
-    solution = gf2.solve_with_nullspace(rows, rhs, len(columns))
+    solution = gf2.solve_with_nullspace(rows, rhs, n_columns)
     if solution is None:
         return None
-    x, null_basis = solution
+    chosen_bits, null_basis = solution
     # Greedily shrink the solution: small sets keep later searches cheap.
     improved = True
     while improved:
         improved = False
         for vec in null_basis:
-            candidate = x ^ vec
-            if candidate.bit_count() < x.bit_count():
-                x = candidate
+            candidate = chosen_bits ^ vec
+            if candidate.bit_count() < chosen_bits.bit_count():
+                chosen_bits = candidate
                 improved = True
-    chosen = [j for j in range(len(columns)) if (x >> j) & 1]
+    chosen = [j for j in range(n_columns) if (chosen_bits >> j) & 1]
     if max_size is not None and len(chosen) > max_size:
         return None
     full = frozenset(g.vertices)
     pairs = tuple(
-        MeasurementPair.make(columns[j].as_dict(), full, name=f"M{i + 1}")
-        for i, j in enumerate(chosen)
+        MeasurementPair.make(
+            pauli.subset_to_pauli(
+                g, {v for i, v in enumerate(g.vertices) if ((j + 1) >> i) & 1}
+            ).as_dict(),
+            full,
+            name=f"M{k + 1}",
+        )
+        for k, j in enumerate(chosen)
     )
     return MeasurementSet(graph=g, d=0, pairs=pairs)

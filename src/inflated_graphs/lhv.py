@@ -343,18 +343,6 @@ def expand_rules(g: Graph, rules: Iterable[FlipRule]) -> tuple[FlipRule, ...]:
     return tuple(sorted(expanded, key=lambda r: (r.vertex, r.pattern)))
 
 
-def rules_to_json(rules_by_graph: Mapping[str, Sequence[FlipRule]]) -> list:
-    return [
-        {
-            "graph_id": graph_id,
-            "vertex": rule.vertex,
-            "pattern": dict(rule.pattern),
-        }
-        for graph_id in sorted(rules_by_graph)
-        for rule in rules_by_graph[graph_id]
-    ]
-
-
 def rules_from_json(data: Iterable[Mapping]) -> dict[str, list[FlipRule]]:
     out: dict[str, list[FlipRule]] = {}
     for item in data:

@@ -83,13 +83,6 @@ def excerpt(s: MeasurementSet, pair: MeasurementPair, v: str) -> tuple[str, ...]
     return tuple(pair.letter(u) for u in ball(s.graph, v, s.d))
 
 
-def check_vertex_parity(s: MeasurementSet, v: str) -> bool:
-    """Every non-identity letter occurs an even number of times at v
-    across the measurements (masks ignored)."""
-    counts = Counter(p.letter(v) for p in s.pairs if p.letter(v) != "I")
-    return all(c % 2 == 0 for c in counts.values())
-
-
 def comm_parity_classes(s: MeasurementSet, v: str) -> Counter:
     """Counts of local excerpts at v over pairs whose submeasurement keeps v."""
     counts: Counter = Counter()
@@ -182,6 +175,25 @@ def set_to_json(s: MeasurementSet) -> dict:
 
 
 def set_from_json(obj: Mapping) -> MeasurementSet:
+    """Parse a measurement set; raises ValueError on any other shape."""
+    if not isinstance(obj, Mapping):
+        raise ValueError("a measurement set must be a JSON object")
+    for key in ("graph", "d", "pairs"):
+        if key not in obj:
+            raise ValueError(f"measurement set has no {key!r} key")
+    if not isinstance(obj["d"], int):
+        raise ValueError('measurement set "d" must be an integer')
+    if not isinstance(obj["pairs"], list) or not all(
+        isinstance(p, Mapping)
+        and isinstance(p.get("letters"), Mapping)
+        and isinstance(p.get("mask"), list)
+        and isinstance(p.get("name", ""), str)
+        for p in obj["pairs"]
+    ):
+        raise ValueError(
+            'measurement set "pairs" must be a list of objects with '
+            '"letters" (an object), "mask" (a list) and an optional "name"'
+        )
     graph = graph_from_json(obj["graph"])
     pairs = tuple(
         MeasurementPair.make(
@@ -191,7 +203,7 @@ def set_from_json(obj: Mapping) -> MeasurementSet:
         )
         for p in obj["pairs"]
     )
-    return MeasurementSet(graph=graph, d=int(obj["d"]), pairs=pairs)
+    return MeasurementSet(graph=graph, d=obj["d"], pairs=pairs)
 
 
 def load_measurement_set(path: str) -> MeasurementSet:

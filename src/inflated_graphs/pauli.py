@@ -2,6 +2,14 @@
 
 Phases are tracked exactly as integer exponents of i (mod 4).  Letters are
 stored sparsely: a vertex absent from a string carries the identity.
+
+Arithmetic works on the symplectic form: a letter is a pair of bits (x, z)
+with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z.  The stabilizer element
+of a graph state generated by a vertex subset S (the product of the
+generators X_v Z_N(v) over v in S) has x = S and z = the neighbourhood
+parity of S, and its sign is (-1)**(|E(S)| - #Y/2), where E(S) are the edges
+inside S and #Y counts the vertices with x = z = 1 (Hein, Eisert & Briegel
+2004).  :func:`_stabilizer` is the one place this rule lives.
 """
 
 from __future__ import annotations
@@ -11,30 +19,12 @@ from typing import Mapping
 
 from .graph import Graph
 
-LETTERS = ("I", "X", "Y", "Z")
-
-# (a, b) -> (phase exponent of i, product letter) for single-qubit a*b.
-_MUL = {
-    ("X", "Y"): (1, "Z"),
-    ("Y", "X"): (3, "Z"),
-    ("Y", "Z"): (1, "X"),
-    ("Z", "Y"): (3, "X"),
-    ("Z", "X"): (1, "Y"),
-    ("X", "Z"): (3, "Y"),
-}
+_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER = {xz: l for l, xz in _XZ.items()}
+LETTERS = tuple(_XZ)
 
 _PHASE_TOKEN = {0: "+1", 1: "+i", 2: "-1", 3: "-i"}
 _TOKEN_PHASE = {t: p for p, t in _PHASE_TOKEN.items()}
-
-
-def letter_mul(a: str, b: str) -> tuple[int, str]:
-    if a == "I":
-        return 0, b
-    if b == "I":
-        return 0, a
-    if a == b:
-        return 0, "I"
-    return _MUL[(a, b)]
 
 
 @dataclass(frozen=True)
@@ -80,32 +70,25 @@ class PauliString:
         return _PHASE_TOKEN[self.phase] + (f" {body}" if body else "")
 
 
-IDENTITY = PauliString()
-
-
 def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product with exact phase tracking."""
-    phase = (a.phase + b.phase) % 4
+    """Product with exact phase tracking.
+
+    Per vertex, (x1, z1)(x2, z2) = i**(y1 + y2 - y + 2 z1 x2) (x1^x2, z1^z2),
+    where y = x & z counts the i of a Y: moving Z**z1 past X**x2 costs
+    (-1)**(z1 x2) (Aaronson & Gottesman 2004).
+    """
+    phase = a.phase + b.phase
     letters = a.as_dict()
     for v, lb in b.letters:
-        p, l = letter_mul(letters.get(v, "I"), lb)
-        phase = (phase + p) % 4
-        if l == "I":
-            letters.pop(v, None)
+        x1, z1 = _XZ[letters.get(v, "I")]
+        x2, z2 = _XZ[lb]
+        x, z = x1 ^ x2, z1 ^ z2
+        phase += (x1 & z1) + (x2 & z2) - (x & z) + 2 * (z1 & x2)
+        if x or z:
+            letters[v] = _LETTER[x, z]
         else:
-            letters[v] = l
-    return PauliString(phase=phase, letters=tuple(sorted(letters.items())))
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff the two strings commute as operators."""
-    bd = b.as_dict()
-    anti = 0
-    for v, la in a.letters:
-        lb = bd.get(v, "I")
-        if lb != "I" and lb != la:
-            anti ^= 1
-    return anti == 0
+            letters.pop(v, None)
+    return PauliString(phase=phase % 4, letters=tuple(sorted(letters.items())))
 
 
 def parse(text: str) -> PauliString:
@@ -122,35 +105,54 @@ def parse(text: str) -> PauliString:
     return PauliString.from_dict(letters, phase=_TOKEN_PHASE[parts[0]])
 
 
-def generator_element(g: Graph, v: str) -> PauliString:
-    """X on v, Z on each neighbor of v: the graph-state generator at v."""
-    g.require_vertex(v)
-    letters = {v: "X"}
-    letters.update({u: "Z" for u in g.neighbors[v]})
-    return PauliString.from_dict(letters)
+def _stabilizer(g: Graph, x: int) -> tuple[int, bool]:
+    """The stabilizer element generated by the vertex bitmask x.
+
+    Bitmasks run over ``g.index``.  Returns (z, negative): z is the
+    neighbourhood parity of x, and the element equals minus the letters
+    (x, z) exactly when negative is True.
+    """
+    adjacency = g.adjacency
+    z = 0
+    inner = 0  # twice the number of edges inside x
+    rest = x
+    while rest:
+        low = rest & -rest
+        nbrs = adjacency[low.bit_length() - 1]
+        z ^= nbrs
+        inner += (nbrs & x).bit_count()
+        rest ^= low
+    return z, bool((inner // 2 + (x & z).bit_count() // 2) & 1)
+
+
+def _to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
+    """Bitmasks of a letter assignment over ``g.index``."""
+    index = g.index
+    x = z = 0
+    for v, l in letters.items():
+        g.require_vertex(v)
+        if l not in _XZ:
+            raise ValueError(f"invalid Pauli letter {l!r}")
+        bx, bz = _XZ[l]
+        x |= bx << index[v]
+        z |= bz << index[v]
+    return x, z
 
 
 def subset_to_pauli(g: Graph, subset: frozenset[str] | set[str]) -> PauliString:
-    """Pauli form of the stabilizer element generated by a vertex subset.
-
-    Uses the local rule: with delta marking subset membership and
-    t = (sum of neighboring deltas) mod 4, the local factor at each vertex is
-    i**(delta*t) X**delta Z**t.
-    """
+    """Pauli form of the stabilizer element generated by a vertex subset:
+    the product of the graph-state generators at its vertices."""
+    x = 0
     for v in subset:
         g.require_vertex(v)
-    phase = 0
-    letters: dict[str, str] = {}
-    for u in g.vertices:
-        delta = 1 if u in subset else 0
-        t = sum(1 for w in g.neighbors[u] if w in subset) % 4
-        if delta:
-            letters[u] = "Y" if t % 2 else "X"
-            if t >= 2:
-                phase = (phase + 2) % 4
-        elif t % 2:
-            letters[u] = "Z"
-    return PauliString.from_dict(letters, phase=phase)
+        x |= 1 << g.index[v]
+    z, negative = _stabilizer(g, x)
+    letters = {
+        v: _LETTER[(x >> i) & 1, (z >> i) & 1]
+        for i, v in enumerate(g.vertices)
+        if ((x | z) >> i) & 1
+    }
+    return PauliString.from_dict(letters, phase=2 if negative else 0)
 
 
 def pauli_to_subset(
@@ -159,31 +161,21 @@ def pauli_to_subset(
     """Invert subset_to_pauli for a phaseless Pauli product.
 
     Returns (subset, sign) with subset_to_pauli(subset) == sign * p, or None
-    when p is proportional to no stabilizer element.  The subset is forced
-    letter-by-letter (X and Y imply membership), then consistency is checked.
+    when p is proportional to no stabilizer element.  X and Y mark the
+    subset; the Z part must then be its neighbourhood parity.
     """
-    letters = p.as_dict() if isinstance(p, PauliString) else dict(p)
-    for v in letters:
-        g.require_vertex(v)
-    subset = frozenset(v for v, l in letters.items() if l in ("X", "Y"))
-    phase = 0
-    for u in g.vertices:
-        delta = 1 if u in subset else 0
-        t = sum(1 for w in g.neighbors[u] if w in subset) % 4
-        if delta:
-            expected = "Y" if t % 2 else "X"
-            if t >= 2:
-                phase = (phase + 2) % 4
-        else:
-            expected = "Z" if t % 2 else "I"
-        if letters.get(u, "I") != expected:
-            return None
-    return subset, (1 if phase == 0 else -1)
+    letters = p.as_dict() if isinstance(p, PauliString) else p
+    sign = expectation(g, letters)
+    if not sign:
+        return None
+    return frozenset(v for v, l in letters.items() if l in ("X", "Y")), sign
 
 
 def expectation(g: Graph, m: PauliString | Mapping[str, str]) -> int:
     """Exact graph-state expectation of a Pauli measurement: -1, 0 or +1."""
-    decomposition = pauli_to_subset(g, m)
-    if decomposition is None:
+    letters = m.as_dict() if isinstance(m, PauliString) else m
+    x, z = _to_xz(g, letters)
+    expected, negative = _stabilizer(g, x)
+    if z != expected:
         return 0
-    return decomposition[1]
+    return -1 if negative else 1

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import inflated_graphs as ig
 from inflated_graphs import lhv, pauli, statevector as sv
-from inflated_graphs.cli import load_fixture_set
+from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set
 from inflated_graphs.graph import inflate
 from conftest import random_connected_graph, random_subset
 
@@ -28,6 +28,13 @@ def ghz_path3():
     return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
 
 
+def _matches_paper(report, name):
+    """The report's qm, bound and ratio equal the paper's numbers."""
+    _, expected = PAPER_NUMBERS[name]
+    got = report.to_json()
+    return {key: got[key] for key in expected} == expected
+
+
 def test_criterion_1_nine_cycle_table():
     started = time.monotonic()
     s = load_fixture_set("table1_9cycle")
@@ -37,6 +44,7 @@ def test_criterion_1_nine_cycle_table():
     assert all(sign is not None for sign in cert.stabilizer_signs)
     assert cert.product_is_minus_one is True
     assert ig.feasible(ig.build_system(s)) is False
+    assert _matches_paper(ig.bell_report(s), "table1")
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     print(
@@ -50,10 +58,7 @@ def test_criterion_2_seven_chain_numbers():
     base = ghz_path3()
     result = ig.build_inflated_set(base, inflate(base.graph, 1))
     assert result.certificate.overall
-    rep = ig.bell_report(result.measurement_set)
-    assert rep.qm_value == 6
-    assert rep.classical_bound == 4
-    assert rep.ratio == Fraction(3, 2)
+    assert _matches_paper(ig.bell_report(result.measurement_set), "chain7")
     elapsed = time.monotonic() - started
     assert elapsed < 1.0
     print(
@@ -66,9 +71,7 @@ def test_criterion_3_five_cycle_numbers():
     started = time.monotonic()
     s = load_fixture_set("cycle5")
     assert len(s.pairs) == 16
-    rep = ig.bell_report(s, cap=30)
-    assert rep.qm_value == 16
-    assert rep.classical_bound == 14
+    assert _matches_paper(ig.bell_report(s, cap=30), "cycle5")
     assert ig.feasible(ig.build_system(s)) is False
     elapsed = time.monotonic() - started
     assert elapsed < 10.0

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from inflated_graphs import cli
-from inflated_graphs.cli import load_fixture_set, main
+from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set, main
 from inflated_graphs.paradox import set_to_json
 
 
@@ -48,10 +48,27 @@ def test_inflate_bad_json(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["inflate", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    bad.write_text("[]")
+    assert main(["inflate", str(bad)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_missing_file_is_input_error(capsys):
     assert main(["verify", "/does/not/exist.json"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "build"])
+@pytest.mark.parametrize("shape", ["missing_pairs", "top_level_list"])
+def test_wrong_shape_set_is_input_error(tmp_path, capsys, command, shape):
+    obj = set_to_json(load_fixture_set("ghz_path3"))
+    if shape == "missing_pairs":
+        del obj["pairs"]
+    else:
+        obj = [obj]
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(obj))
+    assert main([command, str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_build_and_verify_and_bound(tmp_path, ghz_file, capsys):
@@ -68,12 +85,7 @@ def test_build_and_verify_and_bound(tmp_path, ghz_file, capsys):
 
     assert main(["bound", out]) == 0
     bound = json.loads(capsys.readouterr().out)
-    assert bound["result"] == {
-        "qm": 6,
-        "bound": 4,
-        "min_violations": 1,
-        "ratio": "3/2",
-    }
+    assert bound["result"] == {**PAPER_NUMBERS["chain7"][1], "min_violations": 1}
 
 
 def test_build_uncertified_base_exits_3(tmp_path, capsys):
@@ -102,8 +114,7 @@ def test_bound_fixtures(capsys):
     import importlib.resources as res
 
     for name, expected in [
-        ("chain7", {"qm": 6, "bound": 4}),
-        ("cycle5", {"qm": 16, "bound": 14}),
+        *PAPER_NUMBERS.values(),
         ("ghz_path3", {"qm": 4, "bound": 2}),
     ]:
         path = str(

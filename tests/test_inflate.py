@@ -146,6 +146,30 @@ def test_find_base_set_on_named_graphs():
         assert cert.overall
 
 
+def test_find_base_set_exact_outputs():
+    # Pair names and letters in canonical vertex order; every mask is full.
+    cases = [
+        ([(1, 2), (2, 3)], ["ZXZ", "YYZ", "ZYY", "YXY"]),
+        ([(1, 2), (1, 3), (2, 3)], ["XZZ", "ZXZ", "ZZX", "XXX"]),
+        ([(1, 2), (2, 3), (3, 4), (1, 4)], ["ZXZI", "YYZZ", "ZYYZ", "YXYI"]),
+        (
+            [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (1, 8),
+             (1, 5), (2, 6)],
+            ["ZXZIIZII", "YYZIZZIZ", "ZYYZIZII", "YXYZZZIZ"],
+        ),
+    ]
+    for edges, expected in cases:
+        g = ig.build_graph(edges)
+        base = ig.find_base_set(g)
+        assert [p.name for p in base.pairs] == [
+            f"M{i + 1}" for i in range(len(expected))
+        ]
+        assert [
+            "".join(p.letter(v) for v in g.vertices) for p in base.pairs
+        ] == expected
+        assert all(p.mask == frozenset(g.vertices) for p in base.pairs)
+
+
 def test_find_base_set_rejects_tiny_graphs():
     assert ig.find_base_set(ig.build_graph([(1, 2)])) is None
 

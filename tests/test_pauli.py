@@ -1,20 +1,15 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflated_graphs import pauli
 from inflated_graphs.graph import build_graph
-from inflated_graphs.pauli import PauliString
+from inflated_graphs.pauli import LETTERS, PauliString
 from conftest import random_connected_graph, random_subset
-
-
-def test_letter_mul_table():
-    assert pauli.letter_mul("X", "Y") == (1, "Z")
-    assert pauli.letter_mul("Y", "X") == (3, "Z")
-    assert pauli.letter_mul("Z", "Z") == (0, "I")
-    assert pauli.letter_mul("I", "Y") == (0, "Y")
 
 
 def test_multiply_phases():
@@ -24,15 +19,24 @@ def test_multiply_phases():
     assert x * y == PauliString.from_dict({"a": "Z"}, phase=1)
     assert y * x == PauliString.from_dict({"a": "Z"}, phase=3)
     assert (x * x).is_identity_letters()
+    assert (z * z).is_identity_letters() and (z * z).phase == 0
+    assert PauliString() * y == y
+    assert y * PauliString() == y
     assert (x * y * z).phase == 1  # XYZ = (iZ)Z = i*identity
-
-
-def test_commutes():
-    a = PauliString.from_dict({"1": "X", "2": "X"})
-    b = PauliString.from_dict({"1": "Z", "2": "Z"})
-    c = PauliString.from_dict({"1": "Z"})
-    assert pauli.commutes(a, b)
-    assert not pauli.commutes(a, c)
+    assert y * z == PauliString.from_dict({"a": "X"}, phase=1)
+    assert z * x == PauliString.from_dict({"a": "Y"}, phase=1)
+    assert x * z == PauliString.from_dict({"a": "Y"}, phase=3)
+    assert (y * y).phase == 0
+    # every single-letter product against its 2x2 matrix
+    mats = {
+        "I": np.eye(2),
+        "X": np.array([[0, 1], [1, 0]]),
+        "Y": np.array([[0, -1j], [1j, 0]]),
+        "Z": np.diag([1, -1]),
+    }
+    for a, b in itertools.product(LETTERS, repeat=2):
+        p = PauliString.from_dict({"a": a}) * PauliString.from_dict({"a": b})
+        assert np.allclose(1j**p.phase * mats[p.letter("a")], mats[a] @ mats[b])
 
 
 def test_parse_and_str_roundtrip():
@@ -46,17 +50,13 @@ def test_parse_and_str_roundtrip():
         pauli.parse("+1 Q@1")
 
 
-def test_generator_element():
-    g = build_graph([(1, 2), (2, 3)])
-    assert str(pauli.generator_element(g, "2")) == "+1 Z@1 X@2 Z@3"
-
-
 def test_subset_to_pauli_examples():
     tri = build_graph([(1, 2), (1, 3), (2, 3)])
     full = pauli.subset_to_pauli(tri, {"1", "2", "3"})
     assert str(full) == "-1 X@1 X@2 X@3"
     path3 = build_graph([(1, 2), (2, 3)])
     assert str(pauli.subset_to_pauli(path3, {"1", "3"})) == "+1 X@1 X@3"
+    assert str(pauli.subset_to_pauli(path3, {"2"})) == "+1 Z@1 X@2 Z@3"
     assert str(pauli.subset_to_pauli(path3, frozenset())) == "+1"
 
 
@@ -67,7 +67,7 @@ def test_subset_matches_generator_product():
         subset = random_subset(rng, g.vertices)
         product = PauliString()
         for v in sorted(subset):
-            product = product * pauli.generator_element(g, v)
+            product = product * pauli.subset_to_pauli(g, {v})
         assert pauli.subset_to_pauli(g, subset) == product
 
 

@@ -25,7 +25,7 @@ def test_norm_and_generator_fixed_points():
         state = sv.graph_state(g)
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
         for v in g.vertices:
-            gen = pauli.generator_element(g, v)
+            gen = pauli.subset_to_pauli(g, {v})
             assert abs(sv.pauli_expectation(state, gen.as_dict()) - 1.0) < 1e-10
 
 
