@@ -20,15 +20,6 @@ def _insert(basis: dict[int, int], vec: int) -> int:
     return 0
 
 
-def _residue(basis: dict[int, int], vec: int) -> int:
-    while vec:
-        top = vec.bit_length() - 1
-        if top not in basis:
-            return vec
-        vec ^= basis[top]
-    return 0
-
-
 def rank(rows: list[int]) -> int:
     """Rank of the row set over GF(2)."""
     basis: dict[int, int] = {}

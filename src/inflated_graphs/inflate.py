@@ -18,7 +18,6 @@ from .paradox import (
     comm_parity_classes,
     verify_paradox,
 )
-from .pauli import PauliString
 
 
 def inflated_measurement(
@@ -54,14 +53,13 @@ def _members(ig: InflatedGraph, subset: Iterable[str]) -> frozenset[str]:
     return frozenset(members)
 
 
-def inflated_generator(ig: InflatedGraph, u: str) -> PauliString:
-    """Product of the inflated graph's generators at u and at the chain
+def inflated_stabilizer(
+    ig: InflatedGraph, subset: Iterable[str]
+) -> tuple[dict[str, str], int]:
+    """Product of the inflated generators of a base-graph vertex subset, as
+    (letters, sign).  The inflated generator of a power vertex u is the
+    product of the inflated graph's generators at u and at the chain
     vertices of u's chains at even distance from u."""
-    return inflated_stabilizer(ig, {u})
-
-
-def inflated_stabilizer(ig: InflatedGraph, subset: Iterable[str]) -> PauliString:
-    """Product of the inflated generators of a base-graph vertex subset."""
     return pauli.subset_to_pauli(ig.graph, _members(ig, subset))
 
 
@@ -92,16 +90,19 @@ class DecoySpec:
                 raise ValueError(f"invalid Pauli letter {s!r}")
 
 
-def shell_stabilizer(ig: InflatedGraph, spec: DecoySpec) -> PauliString:
-    """Product of the inflated generators of the two chosen neighbors.
+def shell_stabilizer(
+    ig: InflatedGraph, spec: DecoySpec
+) -> tuple[dict[str, str], int]:
+    """Product of the inflated generators of the two chosen neighbors, as
+    (letters, sign).
 
     Identity at the center vertex; sign always +1.
     """
     spec.validate(ig)
-    shell = inflated_stabilizer(ig, spec.neighbors)
-    assert shell.letter(spec.center) == "I"
-    assert shell.phase == 0
-    return shell
+    letters, sign = inflated_stabilizer(ig, spec.neighbors)
+    assert spec.center not in letters
+    assert sign == 1
+    return letters, sign
 
 
 def decoy_pair(
@@ -116,15 +117,11 @@ def decoy_pair(
     Uniform X on chains keeps the pair in the same excerpt class as the rows
     it must cancel even when the center has further chains within distance d.
     """
-    spec.validate(ig)
-    shell = shell_stabilizer(ig, spec)
-    base_letters = {
-        v: l for v, l in shell.letters if v not in ig.chain_index
-    }
-    base_letters.pop(spec.center, None)
+    shell, _ = shell_stabilizer(ig, spec)
+    base_letters = {v: l for v, l in shell.items() if v not in ig.chain_index}
     for w in ig.chain_index:
         base_letters[w] = "X"
-    mask = frozenset(v for v, _ in shell.letters)
+    mask = frozenset(shell)
     out = []
     for s in spec.letters:
         letters = dict(base_letters)
@@ -132,7 +129,7 @@ def decoy_pair(
             letters[spec.center] = s
         pair = MeasurementPair.make(letters, mask)
         # The shell must be a submeasurement of the decoy measurement.
-        assert all(pair.letter(v) == l for v, l in shell.letters)
+        assert all(pair.letter(v) == l for v, l in shell.items())
         out.append(pair)
     return out[0], out[1]
 
@@ -160,9 +157,7 @@ class BuildResult:
         }
 
 
-def build_inflated_set(
-    base: MeasurementSet, ig: InflatedGraph, max_rounds: int | None = None
-) -> BuildResult:
+def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     """Inflate a certified base set and append decoy pairs until the excerpt
     parity check passes everywhere; the postcondition is the re-verified
     certificate, not trust in the construction."""
@@ -182,17 +177,14 @@ def build_inflated_set(
     for p in base.pairs:
         decomposition = pauli.pauli_to_subset(base.graph, p.letters_dict)
         assert decomposition is not None  # certified above
-        subset, _ = decomposition
-        stab = inflated_stabilizer(ig, subset)
+        stab, _ = inflated_stabilizer(ig, decomposition[0])
         letters = inflated_measurement(p.letters_dict, ig)
-        mask = frozenset(v for v, _ in stab.letters)
-        pairs.append(MeasurementPair.make(letters, mask, name=p.name))
+        pairs.append(MeasurementPair.make(letters, frozenset(stab), name=p.name))
 
     working = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
     decoy_specs: list[DecoySpec] = []
-    cap = max_rounds if max_rounds is not None else len(ig.graph.vertices)
     iterations = 0
-    while iterations < cap:
+    while iterations < len(ig.graph.vertices):
         iterations += 1
         failures = _failing_classes(working, ig)
         if not failures:
@@ -200,11 +192,8 @@ def build_inflated_set(
         for center in sorted(failures):
             for spec in _plan_decoys(center, failures[center]):
                 decoy_specs.append(spec)
-                working = MeasurementSet(
-                    graph=ig.graph,
-                    d=ig.d,
-                    pairs=working.pairs + decoy_pair(ig, spec),
-                )
+                pairs.extend(decoy_pair(ig, spec))
+        working = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
     else:
         raise RuntimeError(
             "decoy completion did not converge within the iteration cap; "
@@ -283,16 +272,23 @@ def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:
 _LETTER_ROW = {(1, 0): 0, (1, 1): 1, (0, 1): 2}
 
 
-def find_base_set(g: Graph, max_size: int | None = None) -> MeasurementSet | None:
+def find_base_set(g: Graph) -> MeasurementSet | None:
     """Best-effort search for a full-mask d=0 paradox set on a base graph.
 
     Solves, over GF(2), for a collection of stabilizer elements whose letters
     occur in pairs at every vertex and whose signs multiply to -1.  Returns
-    None when no such collection exists.
+    None when no such collection exists, or when the graph has fewer than 3
+    vertices or is disconnected.  Raises ValueError above 16 vertices: the
+    search enumerates all 2^n - 1 stabilizer elements.
     """
     n = len(g.vertices)
-    if n < 3 or n > 16 or not g.is_connected:
+    if n < 3 or not g.is_connected:
         return None
+    if n > 16:
+        raise ValueError(
+            f"find_base_set enumerates all 2^n - 1 stabilizer elements and "
+            f"is limited to 16 vertices; the graph has {n}"
+        )
     # Column j is the stabilizer element with x bitmask j + 1.  One GF(2)
     # row per (vertex, letter) parity, plus the sign row.
     n_columns = (1 << n) - 1
@@ -325,14 +321,12 @@ def find_base_set(g: Graph, max_size: int | None = None) -> MeasurementSet | Non
                 chosen_bits = candidate
                 improved = True
     chosen = [j for j in range(n_columns) if (chosen_bits >> j) & 1]
-    if max_size is not None and len(chosen) > max_size:
-        return None
     full = frozenset(g.vertices)
     pairs = tuple(
         MeasurementPair.make(
             pauli.subset_to_pauli(
                 g, {v for i, v in enumerate(g.vertices) if ((j + 1) >> i) & 1}
-            ).as_dict(),
+            )[0],
             full,
             name=f"M{k + 1}",
         )

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 
 from . import pauli
 from .graph import Graph, ball, graph_from_json, graph_to_json
-from .pauli import PauliString
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,11 @@ def check_product_minus_one(s: MeasurementSet) -> bool:
     Each submeasurement is the plain product of its letters; the phases
     arising from letter multiplication are what carry the overall sign.
     """
-    product = PauliString()
+    product = (0, 0, 0)
     for p in s.pairs:
-        product = product * PauliString.from_dict(p.submeasurement())
-    return product.is_identity_letters() and product.phase == 2
+        x, z = pauli.to_xz(s.graph, p.submeasurement())
+        product = pauli.multiply(product, (x, z, 0))
+    return product == (0, 0, 2)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .graph import Graph
-from .pauli import PauliString
 
 DEFAULT_CAP = 14
 
@@ -73,14 +72,11 @@ class Observable:
 
 
 def observable_from_pauli(
-    letters: Mapping[str, str] | PauliString, coefficient: float = 1.0
+    letters: Mapping[str, str], coefficient: float = 1.0
 ) -> Observable:
     """Pauli product (no phase) as an Observable."""
-    items = (
-        letters.as_dict() if isinstance(letters, PauliString) else dict(letters)
-    )
     return Observable.make(
-        {v: PAULI_MATRICES[l] for v, l in items.items() if l != "I"},
+        {v: PAULI_MATRICES[l] for v, l in letters.items() if l != "I"},
         coefficient=coefficient,
     )
 
@@ -157,11 +153,3 @@ def chsh_operator(theta1: float, theta2: float) -> tuple[Observable, ...]:
         Observable.make({"1": r1, "2": x, "3": x, "4": y}, coefficient=1.0),
         Observable.make({"1": r2, "2": x, "3": x, "4": y}, coefficient=1.0),
     )
-
-
-def dump_amplitudes(sv: StateVector) -> bytes:
-    """Little-endian (re, im) float64 pairs, amplitude-index ordered."""
-    out = np.empty(2 * len(sv.amplitudes), dtype="<f8")
-    out[0::2] = sv.amplitudes.real
-    out[1::2] = sv.amplitudes.imag
-    return out.tobytes()

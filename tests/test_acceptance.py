@@ -157,8 +157,8 @@ def test_criterion_8_property_suite():
     for _ in range(1000):
         g = random_connected_graph(rng, rng.randrange(3, 11))
         subset = random_subset(rng, g.vertices)
-        p = pauli.subset_to_pauli(g, subset)
-        assert pauli.pauli_to_subset(g, p) == (subset, p.sign)
+        letters, sign = pauli.subset_to_pauli(g, subset)
+        assert pauli.pauli_to_subset(g, letters) == (subset, sign)
 
     # (b) pauli vs statevector: exhaustive n <= 5, sampled n <= 10
     for _ in range(3):

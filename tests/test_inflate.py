@@ -35,13 +35,12 @@ def triangle_base():
 def test_inflated_generator_is_stabilizer_element():
     g = ig.build_graph([(1, 2), (2, 3)])
     iginf = inflate(g, 1)
-    f2 = ig.inflated_generator(iginf, "2")
+    f2, sign = ig.inflated_stabilizer(iginf, {"2"})
     # it must be a +1 stabilizer element of the inflated graph
-    decomposition = pauli.pauli_to_subset(iginf.graph, f2.as_dict())
-    assert decomposition is not None
-    assert f2.phase == 0
+    assert pauli.pauli_to_subset(iginf.graph, f2) is not None
+    assert sign == 1
     # the letter at the power vertex itself is X
-    assert f2.letter("2") == "X"
+    assert f2["2"] == "X"
 
 
 def test_inflated_measurement_letters():
@@ -57,14 +56,15 @@ def test_shell_stabilizer_structure():
     for d in (1, 2):
         iginf = inflate(g, d)
         spec = ig.DecoySpec(center="2", neighbors=("1", "3"), letters=("X", "Y"))
-        shell = ig.shell_stabilizer(iginf, spec)
-        assert shell.phase == 0
-        assert shell.letter("2") == "I"
+        shell, sign = ig.shell_stabilizer(iginf, spec)
+        assert sign == 1
+        assert "2" not in shell
         # chain letters: X exactly at odd distance from the center
         for w, (edge, _) in iginf.chain_index.items():
             dist = distance(iginf.graph, w, "2")
-            expected = "X" if dist <= 2 * d and dist % 2 == 1 else shell.letter(w)
-            assert shell.letter(w) == expected
+            letter = shell.get(w, "I")
+            expected = "X" if dist <= 2 * d and dist % 2 == 1 else letter
+            assert letter == expected
 
 
 def test_decoy_pair_shares_shell_submeasurement():
@@ -172,6 +172,17 @@ def test_find_base_set_exact_outputs():
 
 def test_find_base_set_rejects_tiny_graphs():
     assert ig.find_base_set(ig.build_graph([(1, 2)])) is None
+
+
+def test_find_base_set_too_large_raises():
+    # "Too large" must not read as "no such set".
+    def path(n):
+        return ig.build_graph([(i, i + 1) for i in range(1, n)])
+
+    with pytest.raises(ValueError, match="16 vertices"):
+        ig.find_base_set(path(17))
+    base = ig.find_base_set(path(14))
+    assert base is not None and ig.verify_paradox(base).overall
 
 
 def test_build_random_graphs_d1_d2():

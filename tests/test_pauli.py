@@ -2,62 +2,83 @@ import itertools
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflated_graphs import pauli
-from inflated_graphs.graph import build_graph
-from inflated_graphs.pauli import LETTERS, PauliString
+from inflated_graphs.graph import Graph, build_graph
+from inflated_graphs.pauli import LETTERS
 from conftest import random_connected_graph, random_subset
+
+MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.diag([1, -1]),
+}
+
+
+def signed(g, letters, sign=1):
+    """(x, z, phase) triple of a signed letter dict."""
+    return (*pauli.to_xz(g, letters), 0 if sign == 1 else 2)
+
+
+def matrix(n, triple):
+    """Dense matrix of an (x, z, phase) triple on n qubits; vertex i is the
+    i-th Kronecker factor."""
+    x, z, phase = triple
+    out = np.eye(1)
+    for i in range(n):
+        letter = "IXZY"[((x >> i) & 1) + 2 * ((z >> i) & 1)]
+        out = np.kron(out, MATRICES[letter])
+    return 1j**phase * out
 
 
 def test_multiply_phases():
-    x = PauliString.from_dict({"a": "X"})
-    y = PauliString.from_dict({"a": "Y"})
-    z = PauliString.from_dict({"a": "Z"})
-    assert x * y == PauliString.from_dict({"a": "Z"}, phase=1)
-    assert y * x == PauliString.from_dict({"a": "Z"}, phase=3)
-    assert (x * x).is_identity_letters()
-    assert (z * z).is_identity_letters() and (z * z).phase == 0
-    assert PauliString() * y == y
-    assert y * PauliString() == y
-    assert (x * y * z).phase == 1  # XYZ = (iZ)Z = i*identity
-    assert y * z == PauliString.from_dict({"a": "X"}, phase=1)
-    assert z * x == PauliString.from_dict({"a": "Y"}, phase=1)
-    assert x * z == PauliString.from_dict({"a": "Y"}, phase=3)
-    assert (y * y).phase == 0
+    g = Graph(vertices=("a",), edges=frozenset())
+    i, x, y, z = (signed(g, {"a": l}) for l in LETTERS)
+    assert i == (0, 0, 0)
+    assert pauli.multiply(x, y) == (*z[:2], 1)
+    assert pauli.multiply(y, x) == (*z[:2], 3)
+    assert pauli.multiply(x, x) == i
+    assert pauli.multiply(z, z) == i
+    assert pauli.multiply(i, y) == y
+    assert pauli.multiply(y, i) == y
+    assert pauli.multiply(pauli.multiply(x, y), z) == (0, 0, 1)  # XYZ = i
+    assert pauli.multiply(y, z) == (*x[:2], 1)
+    assert pauli.multiply(z, x) == (*y[:2], 1)
+    assert pauli.multiply(x, z) == (*y[:2], 3)
+    assert pauli.multiply(y, y) == i
     # every single-letter product against its 2x2 matrix
-    mats = {
-        "I": np.eye(2),
-        "X": np.array([[0, 1], [1, 0]]),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.diag([1, -1]),
-    }
     for a, b in itertools.product(LETTERS, repeat=2):
-        p = PauliString.from_dict({"a": a}) * PauliString.from_dict({"a": b})
-        assert np.allclose(1j**p.phase * mats[p.letter("a")], mats[a] @ mats[b])
-
-
-def test_parse_and_str_roundtrip():
-    p = pauli.parse("-1 X@1 Z@2")
-    assert p.phase == 2 and p.letter("1") == "X" and p.letter("2") == "Z"
-    assert pauli.parse(str(p)) == p
-    assert str(PauliString()) == "+1"
-    with pytest.raises(ValueError):
-        pauli.parse("X@1")
-    with pytest.raises(ValueError):
-        pauli.parse("+1 Q@1")
+        product = pauli.multiply(signed(g, {"a": a}), signed(g, {"a": b}))
+        assert np.allclose(matrix(1, product), MATRICES[a] @ MATRICES[b])
+    # random signed products on 1-4 vertices against Kronecker products
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randrange(1, 5)
+        a, b = (
+            (rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(4))
+            for _ in range(2)
+        )
+        assert np.allclose(
+            matrix(n, pauli.multiply(a, b)), matrix(n, a) @ matrix(n, b)
+        )
 
 
 def test_subset_to_pauli_examples():
     tri = build_graph([(1, 2), (1, 3), (2, 3)])
-    full = pauli.subset_to_pauli(tri, {"1", "2", "3"})
-    assert str(full) == "-1 X@1 X@2 X@3"
+    assert pauli.subset_to_pauli(tri, {"1", "2", "3"}) == (
+        {"1": "X", "2": "X", "3": "X"},
+        -1,
+    )
     path3 = build_graph([(1, 2), (2, 3)])
-    assert str(pauli.subset_to_pauli(path3, {"1", "3"})) == "+1 X@1 X@3"
-    assert str(pauli.subset_to_pauli(path3, {"2"})) == "+1 Z@1 X@2 Z@3"
-    assert str(pauli.subset_to_pauli(path3, frozenset())) == "+1"
+    assert pauli.subset_to_pauli(path3, {"1", "3"}) == ({"1": "X", "3": "X"}, 1)
+    assert pauli.subset_to_pauli(path3, {"2"}) == (
+        {"1": "Z", "2": "X", "3": "Z"},
+        1,
+    )
+    assert pauli.subset_to_pauli(path3, frozenset()) == ({}, 1)
 
 
 def test_subset_matches_generator_product():
@@ -65,10 +86,12 @@ def test_subset_matches_generator_product():
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(3, 8))
         subset = random_subset(rng, g.vertices)
-        product = PauliString()
+        product = (0, 0, 0)
         for v in sorted(subset):
-            product = product * pauli.subset_to_pauli(g, {v})
-        assert pauli.subset_to_pauli(g, subset) == product
+            product = pauli.multiply(
+                product, signed(g, *pauli.subset_to_pauli(g, {v}))
+            )
+        assert signed(g, *pauli.subset_to_pauli(g, subset)) == product
 
 
 def test_pauli_to_subset_rejects_non_stabilizer():
@@ -83,11 +106,11 @@ def test_roundtrip_random_cases():
     for _ in range(1000):
         g = random_connected_graph(rng, rng.randrange(3, 11))
         subset = random_subset(rng, g.vertices)
-        p = pauli.subset_to_pauli(g, subset)
-        decomposition = pauli.pauli_to_subset(g, p)
+        letters, sign = pauli.subset_to_pauli(g, subset)
+        decomposition = pauli.pauli_to_subset(g, letters)
         assert decomposition is not None
         assert decomposition[0] == subset
-        assert decomposition[1] == p.sign
+        assert decomposition[1] == sign
 
 
 def test_expectation_examples():
@@ -109,6 +132,5 @@ def test_subset_pauli_roundtrip_property(data):
     subset = frozenset(
         v for v in g.vertices if data.draw(st.booleans())
     )
-    p = pauli.subset_to_pauli(g, subset)
-    decomposition = pauli.pauli_to_subset(g, p)
-    assert decomposition == (subset, p.sign)
+    letters, sign = pauli.subset_to_pauli(g, subset)
+    assert pauli.pauli_to_subset(g, letters) == (subset, sign)
