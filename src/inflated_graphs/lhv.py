@@ -1,6 +1,6 @@
 """Classical-model oracles.
 
-Three independent classical baselines live here:
+Four independent classical baselines live here:
 
 * deterministic distance-d strategy feasibility, encoded as a GF(2) linear
   system over per-vertex outputs conditioned on local excerpts,
@@ -18,8 +18,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from . import gf2, pauli
 from .graph import Graph, build_graph, distance
@@ -223,44 +224,62 @@ class BarrettModel:
     flip_rules: tuple[FlipRule, ...] = ()
 
     def __post_init__(self) -> None:
+        self._rule_masks  # compiling the rules validates them
+
+    @cached_property
+    def _rule_masks(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Each rule as (vertex bit, pattern support, pattern x, pattern z)
+        over ``graph.index``."""
+        g = self.graph
+        masks = []
         for rule in self.flip_rules:
-            self.graph.require_vertex(rule.vertex)
-            closed = {rule.vertex, *self.graph.neighbors[rule.vertex]}
-            for v, l in rule.pattern:
+            g.require_vertex(rule.vertex)
+            closed = {rule.vertex, *g.neighbors[rule.vertex]}
+            for v, _ in rule.pattern:
                 if v not in closed:
                     raise ValueError(
                         f"flip rule at {rule.vertex!r} references {v!r} "
-                        "outside its closed neighbourhood"
+                        "twice or outside its closed neighbourhood"
                     )
-                if l not in pauli.LETTERS:
-                    raise ValueError(f"invalid Pauli letter {l!r}")
+                closed.remove(v)
+            letters = dict(rule.pattern)
+            x, z = pauli.to_xz(g, letters)
+            support = sum(1 << g.index[v] for v in letters)
+            masks.append((1 << g.index[rule.vertex], support, x, z))
+        return tuple(masks)
+
+
+def _model_value(model: BarrettModel, x: int, z: int, m: int) -> int:
+    """Exact model expectation of measurement (x, z) under mask m.
+
+    The masked output product is the flip sign times the z-monomial with
+    exponent z & m plus the neighbour parity of x & m; averaging over the
+    uniform z-assignment gives the sign when the exponent vanishes and 0
+    otherwise.  The parity is walked here, not taken from
+    pauli._stabilizer, because check_model compares the two.
+    """
+    adjacency = model.graph.adjacency
+    exponent = z & m
+    rest = x & m
+    while rest:
+        low = rest & -rest
+        exponent ^= adjacency[low.bit_length() - 1]
+        rest ^= low
+    if exponent:
+        return 0
+    negative = False
+    for bit, support, px, pz in model._rule_masks:
+        if m & bit and x & support == px and z & support == pz:
+            negative = not negative
+    return -1 if negative else 1
 
 
 def barrett_expectation(model: BarrettModel, pair: MeasurementPair) -> Fraction:
-    """Exact model expectation of the masked output product.
-
-    The product of outputs is a fixed sign times a monomial in the z
-    variables; averaging over the uniform z-assignment gives the sign when
-    the monomial is trivial and 0 otherwise.
-    """
+    """Exact model expectation of the masked output product."""
     g = model.graph
-    exponents = {v: 0 for v in g.vertices}
-    for v in sorted(pair.mask):
-        g.require_vertex(v)
-        letter = pair.letter(v)
-        if letter in ("Z", "Y"):
-            exponents[v] ^= 1
-        if letter in ("X", "Y"):
-            for u in g.neighbors[v]:
-                exponents[u] ^= 1
-    sign = 1
-    letters = pair.letters_dict
-    for rule in model.flip_rules:
-        if rule.vertex in pair.mask and rule.matches(letters):
-            sign = -sign
-    if any(exponents.values()):
-        return Fraction(0)
-    return Fraction(sign)
+    x, z = pauli.to_xz(g, pair.letters_dict)
+    m, _ = pauli.to_xz(g, dict.fromkeys(pair.mask, "X"))
+    return Fraction(_model_value(model, x, z, m))
 
 
 def barrett_expectation_sampled(
@@ -328,56 +347,30 @@ def automorphisms(g: Graph) -> list[dict[str, str]]:
     return result
 
 
-def expand_rules(g: Graph, rules: Iterable[FlipRule]) -> tuple[FlipRule, ...]:
-    """Close a rule list under the graph's automorphism group."""
-    expanded: set[FlipRule] = set()
-    autos = automorphisms(g)
-    for rule in rules:
-        for mapping in autos:
-            expanded.add(
-                FlipRule.make(
-                    mapping[rule.vertex],
-                    {mapping[v]: l for v, l in rule.pattern},
-                )
-            )
-    return tuple(sorted(expanded, key=lambda r: (r.vertex, r.pattern)))
-
-
-def rules_from_json(data: Iterable[Mapping]) -> dict[str, list[FlipRule]]:
+def load_flip_rules() -> dict[str, list[FlipRule]]:
+    """The bundled flip-rule catalogue, keyed by graph id."""
+    text = (
+        resources.files("inflated_graphs")
+        .joinpath("fixtures/flip_rules.json")
+        .read_text()
+    )
     out: dict[str, list[FlipRule]] = {}
-    for item in data:
+    for item in json.loads(text):
         out.setdefault(str(item["graph_id"]), []).append(
             FlipRule.make(item["vertex"], item["pattern"])
         )
     return out
 
 
-def load_flip_rules(path: str | None = None) -> dict[str, list[FlipRule]]:
-    """Load flip rules from a JSON file, or the bundled catalogue."""
-    if path is None:
-        text = (
-            resources.files("inflated_graphs")
-            .joinpath("fixtures/flip_rules.json")
-            .read_text()
-        )
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    return rules_from_json(json.loads(text))
-
-
-def _all_measurement_pairs(g: Graph):
-    """Every (letters, mask) combination on g, masks over all subsets."""
+def _cases(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """Every (measurement, mask) case on g as bitmasks (x, z, m) over
+    ``g.index``: measurements over IXYZ**n with the first vertex most
+    significant, then masks ascending."""
     n = len(g.vertices)
-    for letter_combo in itertools.product(pauli.LETTERS, repeat=n):
-        letters = {
-            v: l for v, l in zip(g.vertices, letter_combo) if l != "I"
-        }
-        for mask_bits in range(1 << n):
-            mask = frozenset(
-                g.vertices[i] for i in range(n) if (mask_bits >> i) & 1
-            )
-            yield MeasurementPair.make(letters, mask)
+    for letters in itertools.product(pauli.LETTERS, repeat=n):
+        x, z = pauli.to_xz(g, dict(zip(g.vertices, letters)))
+        for m in range(1 << n):
+            yield x, z, m
 
 
 def check_model(model: BarrettModel) -> list[dict]:
@@ -388,14 +381,15 @@ def check_model(model: BarrettModel) -> list[dict]:
     """
     mismatches = []
     g = model.graph
-    for pair in _all_measurement_pairs(g):
-        quantum = pauli.expectation(g, pair.submeasurement())
-        classical = barrett_expectation(model, pair)
+    for x, z, m in _cases(g):
+        expected, negative = pauli._stabilizer(g, x & m)
+        quantum = (-1 if negative else 1) if z & m == expected else 0
+        classical = _model_value(model, x, z, m)
         if classical != quantum:
             mismatches.append(
                 {
-                    "letters": dict(pair.letters),
-                    "mask": sorted(pair.mask),
+                    "letters": dict(sorted(pauli.to_letters(g, x, z).items())),
+                    "mask": sorted(pauli.to_letters(g, m, 0)),
                     "quantum": quantum,
                     "model": str(classical),
                 }
@@ -403,16 +397,13 @@ def check_model(model: BarrettModel) -> list[dict]:
     return mismatches
 
 
-def verify_small_graphs(
-    rules_by_graph: Mapping[str, Sequence[FlipRule]] | None = None,
-) -> dict:
+def verify_small_graphs() -> dict:
     """Check the flip-rule model on every connected graph with 3-4 vertices.
 
     Each graph is scanned over all 4^n measurements times 2^n masks; the
     report lists any mismatch against the exact quantum expectation.
     """
-    if rules_by_graph is None:
-        rules_by_graph = load_flip_rules()
+    rules_by_graph = load_flip_rules()
     report: dict[str, dict] = {}
     for graph_id, g in SMALL_GRAPHS.items():
         rules = tuple(rules_by_graph.get(graph_id, ()))
@@ -438,39 +429,40 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     for which (vertex, closed-neighbourhood pattern) corrections make the
     model match the quantum sign on every stabilizer-proportional
     submeasurement.  Returns None if no rule set exists.
+
+    Candidates are numbered in case order, vertices in ``g.index`` order,
+    so the rule set returned is the same in every process.
     """
-    candidates: dict[tuple[str, tuple[tuple[str, str], ...]], int] = {}
+    closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
+    candidates: dict[tuple[int, int, int], int] = {}
     rows: list[int] = []
     rhs: list[int] = []
-    for pair in _all_measurement_pairs(g):
-        decomposition = pauli.pauli_to_subset(g, pair.submeasurement())
-        if decomposition is None:
+    for x, z, m in _cases(g):
+        expected, negative = pauli._stabilizer(g, x & m)
+        if z & m != expected:
             continue
-        letters = pair.letters_dict
+        measured = (x | z) & m
         row = 0
-        for v in pair.mask:
-            if letters.get(v, "I") == "I":
-                continue
-            closed = (v, *g.neighbors[v])
-            key = (
-                v,
-                tuple(sorted((u, letters.get(u, "I")) for u in closed)),
-            )
-            j = candidates.setdefault(key, len(candidates))
-            row ^= 1 << j
-        rhs.append(0 if decomposition[1] == 1 else 1)
+        for i, c in enumerate(closed):
+            if (measured >> i) & 1:
+                j = candidates.setdefault((i, x & c, z & c), len(candidates))
+                row ^= 1 << j
         rows.append(row)
+        rhs.append(int(negative))
     solution = gf2.solve_with_nullspace(rows, rhs, len(candidates))
     if solution is None:
         return None
-    x, _ = solution
-    rules = [
-        FlipRule(vertex=v, pattern=pattern)
-        for (v, pattern), j in sorted(
-            candidates.items(), key=lambda item: item[1]
-        )
-        if (x >> j) & 1
-    ]
+    chosen, _ = solution
+    rules = []
+    for (i, x, z), j in candidates.items():
+        if (chosen >> j) & 1:
+            v = g.vertices[i]
+            letters = pauli.to_letters(g, x, z)
+            rules.append(
+                FlipRule.make(
+                    v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
+                )
+            )
     return rules
 
 
@@ -557,7 +549,6 @@ def chsh_game(d: int = 1) -> BinaryGame:
     )
 
 
-def binary_game_bound(game: BinaryGame | None = None) -> int:
-    """Classical bound of a binary game; defaults to the 4-path game at
-    distance 1 (bound 2)."""
-    return game_bound(chsh_game(1) if game is None else game)
+def binary_game_bound() -> int:
+    """Classical bound of the 4-path game at distance 1 (bound 2)."""
+    return game_bound(chsh_game(1))

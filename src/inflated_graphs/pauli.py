@@ -6,7 +6,8 @@ a vertex absent from the dict carries the identity.  For arithmetic it is a
 triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
-:func:`to_xz` turns letters into bits.
+:func:`to_xz` turns letters into bits and :func:`to_letters` turns bits back
+into letters.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -85,6 +86,16 @@ def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
     return x, z
 
 
+def to_letters(g: Graph, x: int, z: int) -> dict[str, str]:
+    """Letter assignment of bitmasks over ``g.index``, identity omitted, in
+    vertex order; the inverse of :func:`to_xz`."""
+    return {
+        v: _LETTER[(x >> i) & 1, (z >> i) & 1]
+        for i, v in enumerate(g.vertices)
+        if ((x | z) >> i) & 1
+    }
+
+
 def subset_to_pauli(
     g: Graph, subset: frozenset[str] | set[str]
 ) -> tuple[dict[str, str], int]:
@@ -95,12 +106,7 @@ def subset_to_pauli(
         g.require_vertex(v)
         x |= 1 << g.index[v]
     z, negative = _stabilizer(g, x)
-    letters = {
-        v: _LETTER[(x >> i) & 1, (z >> i) & 1]
-        for i, v in enumerate(g.vertices)
-        if ((x | z) >> i) & 1
-    }
-    return letters, -1 if negative else 1
+    return to_letters(g, x, z), -1 if negative else 1
 
 
 def pauli_to_subset(

@@ -53,18 +53,18 @@ def test_inflated_measurement_letters():
 
 def test_shell_stabilizer_structure():
     g = ig.build_graph([(1, 2), (2, 3)])
-    for d in (1, 2):
+    for d in (1, 2, 3):
         iginf = inflate(g, d)
         spec = ig.DecoySpec(center="2", neighbors=("1", "3"), letters=("X", "Y"))
         shell, sign = ig.shell_stabilizer(iginf, spec)
         assert sign == 1
-        assert "2" not in shell
-        # chain letters: X exactly at odd distance from the center
-        for w, (edge, _) in iginf.chain_index.items():
-            dist = distance(iginf.graph, w, "2")
-            letter = shell.get(w, "I")
-            expected = "X" if dist <= 2 * d and dist % 2 == 1 else letter
-            assert letter == expected
+        # X on the two neighbors and on the chain vertices at odd distance
+        # from the center; identity everywhere else
+        expected = {"1": "X", "3": "X"}
+        for w in iginf.chain_index:
+            if distance(iginf.graph, w, "2") % 2 == 1:
+                expected[w] = "X"
+        assert shell == expected
 
 
 def test_decoy_pair_shares_shell_submeasurement():

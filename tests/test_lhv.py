@@ -1,10 +1,15 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import lhv
+from inflated_graphs import lhv, statevector
 from inflated_graphs.cli import load_fixture_set
 
 
@@ -138,9 +143,7 @@ def test_barrett_generator_prediction():
 
 def test_barrett_triangle_flip():
     g = ig.build_graph([(1, 2), (1, 3), (2, 3)])
-    rules = lhv.expand_rules(
-        g, [lhv.FlipRule.make("1", {"1": "X", "2": "X", "3": "X"})]
-    )
+    rules = tuple(lhv.load_flip_rules()["triangle"])
     model = lhv.BarrettModel(graph=g, flip_rules=rules)
     pair = ig.MeasurementPair.make({"1": "X", "2": "X", "3": "X"}, {"1", "2", "3"})
     assert lhv.barrett_expectation(model, pair) == -1  # matches quantum
@@ -158,20 +161,20 @@ def test_barrett_non_stabilizer_is_zero():
 def test_barrett_analytic_matches_explicit_average():
     rng = random.Random(41)
     rules_by_graph = lhv.load_flip_rules()
-    for gid in ("path3", "star4", "diamond4"):
-        g = lhv.SMALL_GRAPHS[gid]
-        model = lhv.BarrettModel(
-            graph=g, flip_rules=tuple(rules_by_graph[gid])
-        )
-        for _ in range(40):
-            letters = {
-                v: rng.choice("IXYZ") for v in g.vertices
-            }
-            mask = frozenset(v for v in g.vertices if rng.random() < 0.6)
-            pair = ig.MeasurementPair.make(letters, mask)
-            assert lhv.barrett_expectation(
-                model, pair
-            ) == lhv.barrett_expectation_sampled(model, pair)
+    for gid, g in lhv.SMALL_GRAPHS.items():
+        bundled = rules_by_graph[gid]
+        for flip_rules in (
+            tuple(bundled),
+            tuple(r for r in bundled if rng.random() < 0.5),
+        ):
+            model = lhv.BarrettModel(graph=g, flip_rules=flip_rules)
+            for _ in range(40):
+                letters = {v: rng.choice("IXYZ") for v in g.vertices}
+                mask = frozenset(v for v in g.vertices if rng.random() < 0.6)
+                pair = ig.MeasurementPair.make(letters, mask)
+                assert lhv.barrett_expectation(
+                    model, pair
+                ) == lhv.barrett_expectation_sampled(model, pair)
 
 
 def test_flip_rule_neighborhood_validation():
@@ -180,6 +183,13 @@ def test_flip_rule_neighborhood_validation():
         lhv.BarrettModel(
             graph=g,
             flip_rules=(lhv.FlipRule.make("1", {"1": "X", "3": "Z"}),),
+        )
+    with pytest.raises(ValueError, match="twice"):
+        lhv.BarrettModel(
+            graph=g,
+            flip_rules=(
+                lhv.FlipRule("2", (("1", "Z"), ("2", "X"), ("2", "Y"))),
+            ),
         )
 
 
@@ -200,12 +210,73 @@ def test_triangle_without_flips_fails_only_on_negative_pattern():
     assert sorted(mismatches[0]["mask"]) == ["1", "2", "3"]
 
 
+def test_check_model_matches_letter_scan():
+    """check_model's mismatch list equals a scan over letter dicts that
+    reads the model from explicit averaging and the quantum value from the
+    statevector."""
+    rules_by_graph = lhv.load_flip_rules()
+    for gid in ("path3", "triangle"):
+        g = lhv.SMALL_GRAPHS[gid]
+        state = statevector.graph_state(g)
+        n = len(g.vertices)
+        cases = []
+        for combo in itertools.product("IXYZ", repeat=n):
+            for bits in range(1 << n):
+                pair = ig.MeasurementPair.make(
+                    dict(zip(g.vertices, combo)),
+                    {v for i, v in enumerate(g.vertices) if (bits >> i) & 1},
+                )
+                quantum = round(
+                    statevector.pauli_expectation(state, pair.submeasurement())
+                )
+                cases.append((pair, quantum))
+        bundled = rules_by_graph[gid]
+        for k in range(len(bundled) + 1):
+            for flip_rules in itertools.combinations(bundled, k):
+                model = lhv.BarrettModel(graph=g, flip_rules=flip_rules)
+                expected = []
+                for pair, quantum in cases:
+                    value = lhv.barrett_expectation_sampled(model, pair)
+                    if value != quantum:
+                        expected.append(
+                            {
+                                "letters": dict(pair.letters),
+                                "mask": sorted(pair.mask),
+                                "quantum": quantum,
+                                "model": str(value),
+                            }
+                        )
+                assert lhv.check_model(model) == expected
+
+
 def test_search_flip_rules_rediscovers_valid_sets():
     for gid in ("path3", "triangle", "star4"):
         g = lhv.SMALL_GRAPHS[gid]
         rules = lhv.search_flip_rules(g)
         assert rules is not None
         assert lhv.check_model(lhv.BarrettModel(graph=g, flip_rules=tuple(rules))) == []
+
+
+def test_search_flip_rules_ignores_hash_seed():
+    src = str(Path(lhv.__file__).resolve().parents[1])
+    code = (
+        "from inflated_graphs import lhv\n"
+        "for gid, g in lhv.SMALL_GRAPHS.items():\n"
+        "    print(gid, lhv.search_flip_rules(g))\n"
+    )
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_automorphisms_counts():
