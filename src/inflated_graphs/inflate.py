@@ -15,7 +15,6 @@ from .paradox import (
     MeasurementPair,
     MeasurementSet,
     ParadoxCertificate,
-    comm_parity_classes,
     verify_paradox,
 )
 
@@ -129,7 +128,7 @@ def decoy_pair(
             letters[spec.center] = s
         pair = MeasurementPair.make(letters, mask)
         # The shell must be a submeasurement of the decoy measurement.
-        assert all(pair.letter(v) == l for v, l in shell.items())
+        assert all(pair.letters_dict.get(v) == l for v, l in shell.items())
         out.append(pair)
     return out[0], out[1]
 
@@ -186,7 +185,8 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     iterations = 0
     while iterations < len(ig.graph.vertices):
         iterations += 1
-        failures = _failing_classes(working, ig)
+        certificate = verify_paradox(working)
+        failures = _failing_classes(working, ig, certificate)
         if not failures:
             break
         for center in sorted(failures):
@@ -197,10 +197,9 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     else:
         raise RuntimeError(
             "decoy completion did not converge within the iteration cap; "
-            f"remaining failures: {_failing_classes(working, ig)}"
+            f"odd excerpt classes left: {verify_paradox(working).odd_classes}"
         )
 
-    certificate = verify_paradox(working)
     if not certificate.overall:
         raise RuntimeError(
             "constructed set failed re-verification: "
@@ -215,34 +214,31 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
 
 
 def _failing_classes(
-    s: MeasurementSet, ig: InflatedGraph
+    s: MeasurementSet, ig: InflatedGraph, certificate: ParadoxCertificate
 ) -> dict[str, set[tuple[str, str]]]:
-    """Odd excerpt-parity classes, grouped by the power vertex whose letter
-    distinguishes them.
+    """The certificate's odd excerpt classes, grouped by the power vertex
+    whose letter distinguishes them.
 
     Returns center -> set of (far power vertex, letter at center).  Failures
     only ever sit on chain vertices whose excerpt contains exactly one power
     vertex; anything else means the base set was not certified.
     """
     failures: dict[str, set[tuple[str, str]]] = {}
-    for w in s.graph.vertices:
-        odd = [e for e, c in comm_parity_classes(s, w).items() if c % 2]
-        if not odd:
-            continue
+    for w, odd in certificate.odd_classes.items():
         if w not in ig.chain_index:
             raise RuntimeError(f"unexpected excerpt-parity failure at power vertex {w!r}")
-        local = ball(s.graph, w, s.d)
-        powers = [u for u in local if ig.is_power(u)]
+        powers = [u for u in ball(s.graph, w, s.d) if ig.is_power(u)]
         if len(powers) != 1:
             raise RuntimeError(
                 f"excerpt-parity failure at {w!r} with power ball {powers!r}"
             )
         center = powers[0]
-        pos = local.index(center)
         edge, _ = ig.chain_index[w]
         far = edge[0] if edge[1] == center else edge[1]
-        for e in odd:
-            failures.setdefault(center, set()).add((far, e[pos]))
+        for ks in odd:
+            # Every pair of a class shows the same letter on the ball.
+            letter = s.pairs[ks[0]].letters_dict.get(center, "I")
+            failures.setdefault(center, set()).add((far, letter))
     return failures
 
 

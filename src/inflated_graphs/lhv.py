@@ -28,14 +28,14 @@ from .paradox import (
     MeasurementPair,
     MeasurementSet,
     check_stabilizer_signs,
-    excerpt,
+    excerpt_classes,
 )
 
 # ---------------------------------------------------------------------------
 # Deterministic strategy systems over GF(2)
 # ---------------------------------------------------------------------------
 
-StrategyVariable = tuple[str, tuple[str, ...]]  # (vertex, local excerpt)
+StrategyVariable = tuple[str, tuple[int, int]]  # (vertex, excerpt class key)
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,11 @@ class StrategySystem:
     """GF(2) encoding of deterministic distance-d strategies.
 
     Variable (v, e) is the log-domain output bit of vertex v when its local
-    excerpt is e.  Row k collects the variables of pair k's masked-in,
-    non-identity vertices; its right-hand bit is 1 iff the pair's stabilizer
-    sign is -1.  A deterministic strategy reproduces every sign iff the
-    system is solvable.
+    excerpt is e: one variable per excerpt class of
+    :func:`paradox.excerpt_classes`.  Row k collects the variables of the
+    classes that hold pair k; its right-hand bit is 1 iff the pair's
+    stabilizer sign is -1.  A deterministic strategy reproduces every sign
+    iff the system is solvable.
     """
 
     variables: tuple[StrategyVariable, ...]
@@ -61,30 +62,18 @@ class StrategySystem:
 def build_system(s: MeasurementSet) -> StrategySystem:
     """Encode a measurement set as a strategy-feasibility system."""
     signs = check_stabilizer_signs(s)
-    supports: list[list[StrategyVariable]] = []
-    var_set: set[StrategyVariable] = set()
-    for p, sign in zip(s.pairs, signs):
-        if sign is None:
-            raise ValueError(
-                f"pair {p.name or s.pairs.index(p)} has no stabilizer sign"
-            )
-        support = [
-            (v, excerpt(s, p, v))
-            for v in sorted(p.mask)
-            if p.letter(v) != "I"
-        ]
-        supports.append(support)
-        var_set.update(support)
-    variables = tuple(sorted(var_set))
-    index = {var: j for j, var in enumerate(variables)}
-    rows = []
-    for support in supports:
-        row = 0
-        for var in support:
-            row ^= 1 << index[var]
-        rows.append(row)
+    if None in signs:
+        k = signs.index(None)
+        raise ValueError(f"pair {s.pairs[k].name or k} has no stabilizer sign")
+    variables: list[StrategyVariable] = []
+    rows = [0] * len(s.pairs)
+    for v in s.graph.vertices:
+        for key, ks in excerpt_classes(s, v).items():
+            for k in ks:
+                rows[k] |= 1 << len(variables)
+            variables.append((v, key))
     rhs = tuple(0 if sign == 1 else 1 for sign in signs)
-    return StrategySystem(variables=variables, rows=tuple(rows), rhs=rhs)
+    return StrategySystem(variables=tuple(variables), rows=tuple(rows), rhs=rhs)
 
 
 def feasible(sys: StrategySystem) -> bool:
@@ -301,7 +290,7 @@ def barrett_expectation_sampled(
         z = {v: -1 if (bits >> i) & 1 else 1 for i, v in enumerate(g.vertices)}
         product = flip_sign
         for v in pair.mask:
-            letter = pair.letter(v)
+            letter = letters.get(v, "I")
             if letter == "I":
                 continue
             x = 1
@@ -362,11 +351,19 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
     return out
 
 
+MAX_FLIP_VERTICES = 7  # 8**n cases: about 3 s at 7 vertices, 30 s at 8
+
+
 def _cases(g: Graph) -> Iterator[tuple[int, int, int]]:
     """Every (measurement, mask) case on g as bitmasks (x, z, m) over
     ``g.index``: measurements over IXYZ**n with the first vertex most
     significant, then masks ascending."""
     n = len(g.vertices)
+    if n > MAX_FLIP_VERTICES:
+        raise ValueError(
+            f"the flip-model scan walks all 8^n cases and is limited to "
+            f"{MAX_FLIP_VERTICES} vertices; the graph has {n}"
+        )
     for letters in itertools.product(pauli.LETTERS, repeat=n):
         x, z = pauli.to_xz(g, dict(zip(g.vertices, letters)))
         for m in range(1 << n):
@@ -377,7 +374,8 @@ def check_model(model: BarrettModel) -> list[dict]:
     """Exhaustively compare the model to the quantum expectation.
 
     Returns one record per (measurement, mask) mismatch; empty means the
-    model reproduces every Pauli measurement on the graph exactly.
+    model reproduces every Pauli measurement on the graph exactly.  Raises
+    ValueError above MAX_FLIP_VERTICES vertices.
     """
     mismatches = []
     g = model.graph
@@ -428,7 +426,8 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     """Rediscover a valid flip-rule set for a graph by solving, over GF(2),
     for which (vertex, closed-neighbourhood pattern) corrections make the
     model match the quantum sign on every stabilizer-proportional
-    submeasurement.  Returns None if no rule set exists.
+    submeasurement.  Returns None if no rule set exists; raises ValueError
+    above MAX_FLIP_VERTICES vertices.
 
     Candidates are numbered in case order, vertices in ``g.index`` order,
     so the rule set returned is the same in every process.

@@ -4,19 +4,24 @@ A scenario is a set of (measurement, submeasurement) pairs on a graph state
 together with a communication distance d.  The three checks are:
 
 * excerpt parity: at every vertex, measurements whose submeasurement keeps
-  that vertex group into even-sized classes by their local excerpt,
+  that vertex group into even-sized classes by their local excerpt (their
+  letters on the vertex's distance-d ball),
 * stabilizer signs: every submeasurement is proportional to a stabilizer
   element with a definite sign,
 * sign product: the signed submeasurements multiply to minus identity.
 
 A set passing all three cannot be reproduced by any deterministic classical
 model whose per-vertex outputs see measurement settings up to distance d.
+
+A :class:`MeasurementSet` compiles its pairs once into (x, z, mask) bitmasks
+over ``graph.index``; the checks, and :func:`excerpt_classes`, the one excerpt
+grouping, work on those.  A certificate names its odd excerpt classes as a
+witness kept out of its JSON form.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -43,16 +48,9 @@ class MeasurementPair:
                 raise ValueError(f"invalid Pauli letter {l!r}")
         return MeasurementPair(letters=items, mask=frozenset(mask), name=name)
 
-    def letter(self, v: str) -> str:
-        return self.letters_dict.get(v, "I")
-
     @cached_property
     def letters_dict(self) -> dict[str, str]:
         return dict(self.letters)
-
-    def submeasurement(self) -> dict[str, str]:
-        """Letters restricted to the mask; identity elsewhere."""
-        return {v: l for v, l in self.letters if v in self.mask}
 
 
 @dataclass(frozen=True)
@@ -70,39 +68,42 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if self.d < 0:
             raise ValueError("communication distance d must be >= 0")
+        self.pair_bits  # compiling the pairs validates vertices and letters
+
+    @cached_property
+    def pair_bits(self) -> tuple[tuple[int, int, int], ...]:
+        """Each pair as (x, z, mask) bitmasks over ``graph.index``."""
+        bits = []
         for p in self.pairs:
-            for v, _ in p.letters:
-                self.graph.require_vertex(v)
-            for v in p.mask:
-                self.graph.require_vertex(v)
+            x, z = pauli.to_xz(self.graph, p.letters_dict)
+            m, _ = pauli.to_xz(self.graph, dict.fromkeys(p.mask, "X"))
+            bits.append((x, z, m))
+        return tuple(bits)
 
 
-def excerpt(s: MeasurementSet, pair: MeasurementPair, v: str) -> tuple[str, ...]:
-    """Letters of the pair's measurement over ball(v, d), canonically ordered."""
-    return tuple(pair.letter(u) for u in ball(s.graph, v, s.d))
-
-
-def comm_parity_classes(s: MeasurementSet, v: str) -> Counter:
-    """Counts of local excerpts at v over pairs whose submeasurement keeps v."""
-    counts: Counter = Counter()
-    for p in s.pairs:
-        if v in p.mask and p.letter(v) != "I":
-            counts[excerpt(s, p, v)] += 1
-    return counts
-
-
-def check_comm_parity(s: MeasurementSet, v: str) -> bool:
-    """Communication-aware parity at v: each excerpt class has even size."""
-    return all(c % 2 == 0 for c in comm_parity_classes(s, v).values())
+def excerpt_classes(
+    s: MeasurementSet, v: str
+) -> dict[tuple[int, int], list[int]]:
+    """Indices of the pairs whose submeasurement keeps v with a non-identity
+    letter, grouped by their local excerpt: the letters on ball(v, d), keyed
+    as (x & B, z & B) with B the bitmask of the ball."""
+    index = s.graph.index
+    b = sum(1 << index[u] for u in ball(s.graph, v, s.d))
+    bit = 1 << index[v]
+    classes: dict[tuple[int, int], list[int]] = {}
+    for k, (x, z, m) in enumerate(s.pair_bits):
+        if m & bit and (x | z) & bit:
+            classes.setdefault((x & b, z & b), []).append(k)
+    return classes
 
 
 def check_stabilizer_signs(s: MeasurementSet) -> list[int | None]:
     """Per pair, the sign of its submeasurement as a stabilizer element,
     or None when it is proportional to no stabilizer element."""
     signs: list[int | None] = []
-    for p in s.pairs:
-        decomposition = pauli.pauli_to_subset(s.graph, p.submeasurement())
-        signs.append(None if decomposition is None else decomposition[1])
+    for x, z, m in s.pair_bits:
+        expected, negative = pauli._stabilizer(s.graph, x & m)
+        signs.append(None if z & m != expected else -1 if negative else 1)
     return signs
 
 
@@ -113,19 +114,21 @@ def check_product_minus_one(s: MeasurementSet) -> bool:
     arising from letter multiplication are what carry the overall sign.
     """
     product = (0, 0, 0)
-    for p in s.pairs:
-        x, z = pauli.to_xz(s.graph, p.submeasurement())
-        product = pauli.multiply(product, (x, z, 0))
+    for x, z, m in s.pair_bits:
+        product = pauli.multiply(product, (x & m, z & m, 0))
     return product == (0, 0, 2)
 
 
 @dataclass(frozen=True)
 class ParadoxCertificate:
-    """Per-vertex and per-pair verification record for one measurement set."""
+    """Per-vertex and per-pair verification record for one measurement set;
+    odd_classes, not in to_json, maps each failing vertex to the pair
+    indices of its odd excerpt classes."""
 
     parity_ok: Mapping[str, bool]
     stabilizer_signs: tuple[int | None, ...]
     product_is_minus_one: bool
+    odd_classes: Mapping[str, tuple[tuple[int, ...], ...]]
 
     @property
     def overall(self) -> bool:
@@ -134,9 +137,6 @@ class ParadoxCertificate:
             and all(sign is not None for sign in self.stabilizer_signs)
             and self.product_is_minus_one
         )
-
-    def failing_vertices(self) -> list[str]:
-        return [v for v, ok in self.parity_ok.items() if not ok]
 
     def to_json(self) -> dict:
         return {
@@ -149,13 +149,16 @@ class ParadoxCertificate:
 
 def verify_paradox(s: MeasurementSet) -> ParadoxCertificate:
     """Run all three checks; overall=True certifies the paradox at distance d."""
-    parity_ok = {v: check_comm_parity(s, v) for v in s.graph.vertices}
-    signs = tuple(check_stabilizer_signs(s))
-    product = check_product_minus_one(s)
+    odd_classes = {}
+    for v in s.graph.vertices:
+        classes = excerpt_classes(s, v).values()
+        if odd := tuple(tuple(ks) for ks in classes if len(ks) % 2):
+            odd_classes[v] = odd
     return ParadoxCertificate(
-        parity_ok=parity_ok,
-        stabilizer_signs=signs,
-        product_is_minus_one=product,
+        parity_ok={v: v not in odd_classes for v in s.graph.vertices},
+        stabilizer_signs=tuple(check_stabilizer_signs(s)),
+        product_is_minus_one=check_product_minus_one(s),
+        odd_classes=odd_classes,
     )
 
 

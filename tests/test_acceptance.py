@@ -17,17 +17,6 @@ from inflated_graphs.graph import inflate
 from conftest import random_connected_graph, random_subset
 
 
-def ghz_path3():
-    g = ig.build_graph([(1, 2), (2, 3)])
-    pairs = tuple(
-        ig.MeasurementPair.make(
-            dict(zip("123", letters)), frozenset("123"), name=f"M{i + 1}"
-        )
-        for i, letters in enumerate(["YXY", "YYZ", "ZYY", "ZXZ"])
-    )
-    return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
-
-
 def _matches_paper(report, name):
     """The report's qm, bound and ratio equal the paper's numbers."""
     _, expected = PAPER_NUMBERS[name]
@@ -55,7 +44,7 @@ def test_criterion_1_nine_cycle_table():
 
 def test_criterion_2_seven_chain_numbers():
     started = time.monotonic()
-    base = ghz_path3()
+    base = load_fixture_set("ghz_path3")
     result = ig.build_inflated_set(base, inflate(base.graph, 1))
     assert result.certificate.overall
     assert _matches_paper(ig.bell_report(result.measurement_set), "chain7")
@@ -82,7 +71,7 @@ def test_criterion_3_five_cycle_numbers():
 
 
 def test_criterion_4_ghz_baseline():
-    rep = ig.bell_report(ghz_path3())
+    rep = ig.bell_report(load_fixture_set("ghz_path3"))
     assert rep.qm_value == 4
     assert rep.classical_bound == 2
     assert rep.ratio == Fraction(2, 1)
@@ -123,7 +112,7 @@ def test_criterion_6_small_graph_model():
 
 def test_criterion_7_monotonicity():
     checked = 0
-    for base in (ghz_path3(), _triangle_base()):
+    for base in (load_fixture_set("ghz_path3"), _triangle_base()):
         base_rep = ig.bell_report(base)
         for d in (1, 2):
             result = ig.build_inflated_set(base, inflate(base.graph, d))

@@ -10,17 +10,6 @@ from inflated_graphs.graph import distance, inflate
 from conftest import random_connected_graph
 
 
-def ghz_path3():
-    g = ig.build_graph([(1, 2), (2, 3)])
-    pairs = tuple(
-        ig.MeasurementPair.make(
-            dict(zip("123", letters)), frozenset("123"), name=f"M{i + 1}"
-        )
-        for i, letters in enumerate(["YXY", "YYZ", "ZYY", "ZXZ"])
-    )
-    return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
-
-
 def triangle_base():
     g = ig.build_graph([(1, 2), (1, 3), (2, 3)])
     pairs = tuple(
@@ -73,14 +62,16 @@ def test_decoy_pair_shares_shell_submeasurement():
     spec = ig.DecoySpec(center="1", neighbors=("2", "3"), letters=("X", "Z"))
     m1, m2 = ig.decoy_pair(iginf, spec)
     assert m1.mask == m2.mask
-    assert m1.letter("1") == "X" and m2.letter("1") == "Z"
+    l1, l2 = m1.letters_dict, m2.letters_dict
+    assert l1["1"] == "X" and l2["1"] == "Z"
     # equal letters everywhere except the center
     for v in iginf.graph.vertices:
         if v != "1":
-            assert m1.letter(v) == m2.letter(v)
+            assert l1.get(v, "I") == l2.get(v, "I")
     # the shared submeasurement is a +1 stabilizer element
     for m in (m1, m2):
-        decomposition = pauli.pauli_to_subset(iginf.graph, m.submeasurement())
+        sub = {v: l for v, l in m.letters_dict.items() if v in m.mask}
+        decomposition = pauli.pauli_to_subset(iginf.graph, sub)
         assert decomposition is not None and decomposition[1] == 1
 
 
@@ -96,7 +87,8 @@ def test_decoy_spec_validation():
 
 
 def test_build_reproduces_chain7_fixture():
-    result = ig.build_inflated_set(ghz_path3(), inflate(ghz_path3().graph, 1))
+    base = load_fixture_set("ghz_path3")
+    result = ig.build_inflated_set(base, inflate(base.graph, 1))
     fixture = load_fixture_set("chain7")
     built = [(p.letters, p.mask) for p in result.measurement_set.pairs]
     expected = [(p.letters, p.mask) for p in fixture.pairs]
@@ -116,7 +108,7 @@ def test_build_reproduces_table1_fixture():
 
 
 def test_build_requires_certified_full_mask_base():
-    base = ghz_path3()
+    base = load_fixture_set("ghz_path3")
     iginf = inflate(base.graph, 1)
     broken = ig.MeasurementSet(graph=base.graph, d=0, pairs=base.pairs[:3])
     with pytest.raises(ValueError, match="not certified"):
@@ -165,7 +157,8 @@ def test_find_base_set_exact_outputs():
             f"M{i + 1}" for i in range(len(expected))
         ]
         assert [
-            "".join(p.letter(v) for v in g.vertices) for p in base.pairs
+            "".join(p.letters_dict.get(v, "I") for v in g.vertices)
+            for p in base.pairs
         ] == expected
         assert all(p.mask == frozenset(g.vertices) for p in base.pairs)
 

@@ -13,19 +13,8 @@ from inflated_graphs import lhv, statevector
 from inflated_graphs.cli import load_fixture_set
 
 
-def ghz_path3():
-    g = ig.build_graph([(1, 2), (2, 3)])
-    pairs = tuple(
-        ig.MeasurementPair.make(
-            dict(zip("123", letters)), frozenset("123"), name=f"M{i + 1}"
-        )
-        for i, letters in enumerate(["YXY", "YYZ", "ZYY", "ZXZ"])
-    )
-    return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
-
-
 def test_build_system_shape_ghz():
-    sys = ig.build_system(ghz_path3())
+    sys = ig.build_system(load_fixture_set("ghz_path3"))
     assert len(sys.rows) == 4
     # two letters occur per vertex at d=0 -> six variables
     assert sys.n_variables == 6
@@ -65,7 +54,7 @@ def test_empty_system_feasible():
 
 
 def test_min_violations_fixtures():
-    assert ig.min_violations(ig.build_system(ghz_path3())) == 1
+    assert ig.min_violations(ig.build_system(load_fixture_set("ghz_path3"))) == 1
     assert ig.min_violations(ig.build_system(load_fixture_set("chain7"))) == 1
     assert ig.min_violations(ig.build_system(load_fixture_set("cycle5"))) == 1
 
@@ -104,7 +93,7 @@ def test_min_violations_cap():
 
 
 def test_bell_reports():
-    assert ig.bell_report(ghz_path3()).to_json() == {
+    assert ig.bell_report(load_fixture_set("ghz_path3")).to_json() == {
         "qm": 4,
         "bound": 2,
         "min_violations": 1,
@@ -226,9 +215,10 @@ def test_check_model_matches_letter_scan():
                     dict(zip(g.vertices, combo)),
                     {v for i, v in enumerate(g.vertices) if (bits >> i) & 1},
                 )
-                quantum = round(
-                    statevector.pauli_expectation(state, pair.submeasurement())
-                )
+                sub = {
+                    v: l for v, l in pair.letters_dict.items() if v in pair.mask
+                }
+                quantum = round(statevector.pauli_expectation(state, sub))
                 cases.append((pair, quantum))
         bundled = rules_by_graph[gid]
         for k in range(len(bundled) + 1):
@@ -277,6 +267,16 @@ def test_search_flip_rules_ignores_hash_seed():
         )
         outputs.add(run.stdout)
     assert len(outputs) == 1
+
+
+def test_flip_scans_refuse_more_than_seven_vertices():
+    # 8**8 cases would take about 30 s per scan; both refuse up front.
+    assert lhv.MAX_FLIP_VERTICES == 7
+    path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
+    with pytest.raises(ValueError, match="limited to 7 vertices"):
+        lhv.check_model(lhv.BarrettModel(graph=path8))
+    with pytest.raises(ValueError, match="limited to 7 vertices"):
+        lhv.search_flip_rules(path8)
 
 
 def test_automorphisms_counts():

@@ -1,33 +1,27 @@
 import json
+import random
 
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import paradox
+from inflated_graphs import gf2, lhv, paradox, pauli
 from inflated_graphs.cli import load_fixture_set
+from inflated_graphs.graph import ball, inflate
+from conftest import random_connected_graph
 
-
-def ghz_path3():
-    g = ig.build_graph([(1, 2), (2, 3)])
-    pairs = tuple(
-        ig.MeasurementPair.make(
-            dict(zip("123", letters)), frozenset("123"), name=f"M{i + 1}"
-        )
-        for i, letters in enumerate(["YXY", "YYZ", "ZYY", "ZXZ"])
-    )
-    return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
+FIXTURES = ("table1_9cycle", "chain7", "cycle5", "ghz_path3")
 
 
 def test_ghz_set_verifies():
-    cert = ig.verify_paradox(ghz_path3())
+    cert = ig.verify_paradox(load_fixture_set("ghz_path3"))
     assert cert.overall
     assert cert.stabilizer_signs == (-1, 1, 1, 1)
     assert cert.product_is_minus_one
-    assert cert.failing_vertices() == []
+    assert cert.odd_classes == {}
 
 
 def test_mutated_letter_breaks_certificate():
-    s = ghz_path3()
+    s = load_fixture_set("ghz_path3")
     letters = dict(s.pairs[0].letters)
     letters["1"] = "X"  # YXY -> XXY
     mutated = ig.MeasurementSet(
@@ -43,10 +37,129 @@ def test_mutated_letter_breaks_certificate():
 
 def test_excerpt_is_ball_restricted():
     s = load_fixture_set("chain7")
-    pair = s.pairs[0]
-    e = paradox.excerpt(s, pair, "2")
+    g = s.graph
     # d=1 ball around the middle power vertex has three vertices
-    assert len(e) == 3
+    local = ball(g, "2", 1)
+    assert len(local) == 3
+    b = sum(1 << g.index[u] for u in local)
+    classes = paradox.excerpt_classes(s, "2")
+    for (x, z), ks in classes.items():
+        assert (x | z) & ~b == 0
+        for k in ks:
+            letters = s.pairs[k].letters_dict
+            on_ball = {u: letters[u] for u in local if u in letters}
+            assert pauli.to_xz(g, on_ball) == (x, z)
+    # the four inflated base pairs keep the power vertex; the decoys' shell
+    # has identity there
+    assert sorted(k for ks in classes.values() for k in ks) == [0, 1, 2, 3]
+
+
+def test_missing_decoy_pair_names_odd_classes():
+    s = load_fixture_set("chain7")
+    assert [p.name for p in s.pairs[4:]] == ["D1", "D2"]
+    broken = ig.MeasurementSet(graph=s.graph, d=s.d, pairs=s.pairs[:5])
+    cert = ig.verify_paradox(broken)
+    # D1 is left alone at the two ends; at the middle chain vertices the
+    # pair D2 cancelled (M3 on 1@(2,3), M2 on 2@(1,2)) is left alone.
+    assert cert.odd_classes == {
+        "1": ((4,),),
+        "1@(2,3)": ((2,),),
+        "2@(1,2)": ((1,),),
+        "3": ((4,),),
+    }
+    assert [v for v, ok in cert.parity_ok.items() if not ok] == list(
+        cert.odd_classes
+    )
+    assert set(cert.to_json()) == {
+        "parity_ok",
+        "stabilizer_signs",
+        "product_is_minus_one",
+        "overall",
+    }
+
+
+def _reference_classes(s, v):
+    """The letter-tuple excerpt grouping that excerpt_classes replaced."""
+    groups = {}
+    for k, p in enumerate(s.pairs):
+        letters = p.letters_dict
+        if v in p.mask and letters.get(v, "I") != "I":
+            excerpt = tuple(letters.get(u, "I") for u in ball(s.graph, v, s.d))
+            groups.setdefault(excerpt, []).append(k)
+    return groups
+
+
+def _reference_system(s):
+    """A strategy system on the reference grouping, or None when some pair
+    has no stabilizer sign."""
+    signs = [
+        pauli.expectation(
+            s.graph, {v: l for v, l in p.letters_dict.items() if v in p.mask}
+        )
+        for p in s.pairs
+    ]
+    if 0 in signs:
+        return None
+    variables = []
+    rows = [0] * len(s.pairs)
+    for v in s.graph.vertices:
+        for excerpt, ks in _reference_classes(s, v).items():
+            for k in ks:
+                rows[k] |= 1 << len(variables)
+            variables.append((v, excerpt))
+    rhs = tuple(int(sign == -1) for sign in signs)
+    return lhv.StrategySystem(tuple(variables), tuple(rows), rhs)
+
+
+def _mutate(rng, s):
+    """s with one letter of one pair changed."""
+    k = rng.randrange(len(s.pairs))
+    p = s.pairs[k]
+    v = rng.choice(s.graph.vertices)
+    letters = dict(p.letters)
+    letters[v] = rng.choice([l for l in "IXYZ" if l != letters.get(v, "I")])
+    pairs = list(s.pairs)
+    pairs[k] = ig.MeasurementPair.make(letters, p.mask, name=p.name)
+    return ig.MeasurementSet(graph=s.graph, d=s.d, pairs=tuple(pairs))
+
+
+def test_excerpt_classes_match_letter_reference():
+    """excerpt_classes, the certificate's witness and the strategy system
+    agree with the letter-tuple grouping on fixtures, built sets and
+    one-letter mutations of both."""
+    rng = random.Random(11)
+    sets = [load_fixture_set(name) for name in FIXTURES]
+    for d in (1, 2, 3):
+        for _ in range(4):
+            g = random_connected_graph(rng, rng.randint(3, 6))
+            built = ig.build_inflated_set(ig.find_base_set(g), inflate(g, d))
+            sets.append(built.measurement_set)
+    sets += [_mutate(rng, s) for s in sets for _ in range(4)]
+    odd_seen = 0
+    for s in sets:
+        reference = {v: _reference_classes(s, v) for v in s.graph.vertices}
+        for v, groups in reference.items():
+            got = paradox.excerpt_classes(s, v)
+            assert sorted(got.values()) == sorted(groups.values()), v
+        odd = {
+            v: tuple(tuple(ks) for ks in groups.values() if len(ks) % 2)
+            for v, groups in reference.items()
+        }
+        odd = {v: classes for v, classes in odd.items() if classes}
+        assert ig.verify_paradox(s).odd_classes == odd
+        odd_seen += bool(odd)
+        expected = _reference_system(s)
+        if expected is None:
+            with pytest.raises(ValueError, match="no stabilizer sign"):
+                ig.build_system(s)
+            continue
+        system = ig.build_system(s)
+        assert system.n_variables == expected.n_variables
+        assert system.rhs == expected.rhs
+        assert gf2.rank(list(system.rows)) == gf2.rank(list(expected.rows))
+        assert ig.feasible(system) == ig.feasible(expected)
+        assert ig.min_violations(system) == ig.min_violations(expected)
+    assert odd_seen >= 10
 
 
 def test_masks_must_reference_known_vertices():
@@ -66,7 +179,7 @@ def test_negative_d_rejected():
 
 
 def test_json_roundtrip(tmp_path):
-    s = ghz_path3()
+    s = load_fixture_set("ghz_path3")
     path = tmp_path / "s.json"
     paradox.save_measurement_set(s, str(path))
     loaded = paradox.load_measurement_set(str(path))
@@ -79,12 +192,13 @@ def test_json_roundtrip(tmp_path):
 
 def test_certificate_soundness_cross_oracle():
     # overall=True must imply no perfect deterministic strategy exists.
-    for s in (ghz_path3(), load_fixture_set("cycle5"), load_fixture_set("chain7")):
+    for name in ("ghz_path3", "cycle5", "chain7"):
+        s = load_fixture_set(name)
         assert ig.verify_paradox(s).overall
         assert not ig.feasible(ig.build_system(s))
 
 
 def test_bundled_fixtures_verify():
-    for name in ("table1_9cycle", "chain7", "cycle5", "ghz_path3"):
+    for name in FIXTURES:
         cert = ig.verify_paradox(load_fixture_set(name))
         assert cert.overall, name
