@@ -154,7 +154,7 @@ def cmd_bound(args) -> int:
     obj, digest = _read_json(args.set)
     s = set_from_json(obj)
     try:
-        rep = bell_report(s, cap=args.cap)
+        rep = bell_report(s)
     except ValueError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -167,14 +167,14 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_fixture(name: str, expected: dict, cap: int, claims: list) -> None:
+def _reproduce_fixture(name: str, expected: dict, claims: list) -> None:
     s = set_from_json(json.loads(_fixture_text(name)))
     cert = verify_paradox(s)
     claims.append((f"{name}: certificate overall", cert.overall))
     claims.append(
         (f"{name}: no perfect classical strategy", not feasible(build_system(s)))
     )
-    rep = bell_report(s, cap=cap)
+    rep = bell_report(s)
     for key, want in expected.items():
         got = rep.to_json()[key]
         claims.append((f"{name}: {key} = {want}", got == want))
@@ -186,7 +186,7 @@ def cmd_reproduce(args) -> int:
     name = args.name
     if name in PAPER_NUMBERS:
         fixture, expected = PAPER_NUMBERS[name]
-        _reproduce_fixture(fixture, expected, args.cap, claims)
+        _reproduce_fixture(fixture, expected, claims)
     elif name == "chsh4":
         g = graph_from_json(
             {"vertices": ["1", "2", "3", "4"],
@@ -255,12 +255,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="exact classical Bell bound of a set")
     p.add_argument("set", help="measurement-set JSON file")
-    p.add_argument("--cap", type=int, default=30, help="search-dimension cap")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("reproduce", help="re-run a bundled end-to-end check")
     p.add_argument("name", choices=REPRODUCTIONS)
-    p.add_argument("--cap", type=int, default=30, help="search-dimension cap")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

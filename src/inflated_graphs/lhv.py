@@ -84,12 +84,17 @@ def feasible(sys: StrategySystem) -> bool:
     )
 
 
-def min_violations(sys: StrategySystem, cap: int = 30) -> int:
+def min_violations(sys: StrategySystem) -> int:
     """Minimum number of unsatisfied rows over all strategies.
 
-    The residual vectors reachable by varying the strategy form a coset of
-    the column space of the system matrix; the search enumerates that span.
-    Raises ValueError when its dimension exceeds the cap.
+    The residual vectors reachable by varying the strategy form the coset
+    rhs + span(columns) of the system matrix, so this is the coset's minimum
+    weight.  :func:`gf2.span_min_weight` finds it exactly by an
+    information-set search: it visits coset vectors by increasing weight on
+    several systematic forms of the span and stops once the best weight
+    found is at or below the weight every unvisited vector must have.
+    Raises ValueError ("too large") when that would take more than
+    ``gf2.MAX_COSET_STEPS`` steps.
     """
     n_rows = len(sys.rows)
     columns = []
@@ -103,7 +108,7 @@ def min_violations(sys: StrategySystem, cap: int = 30) -> int:
     for k, b in enumerate(sys.rhs):
         if b:
             target |= 1 << k
-    return gf2.span_min_weight(columns, target, cap=cap)
+    return gf2.span_min_weight(columns, target)
 
 
 def min_violations_brute_force(sys: StrategySystem) -> int:
@@ -155,9 +160,7 @@ class BellReport:
         }
 
 
-def bell_report(
-    s: MeasurementSet, cap: int = 30, decoy_pairs: int | None = None
-) -> BellReport:
+def bell_report(s: MeasurementSet, decoy_pairs: int | None = None) -> BellReport:
     """Sum-of-correlators Bell expression for the set.
 
     The quantum value is the pair count (every signed submeasurement has
@@ -165,7 +168,7 @@ def bell_report(
     per unavoidable violation.
     """
     sys = build_system(s)
-    mv = min_violations(sys, cap=cap)
+    mv = min_violations(sys)
     qm = len(s.pairs)
     bound = qm - 2 * mv
     ratio = Fraction(qm, bound) if bound > 0 else None

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from inflated_graphs import cli
+from inflated_graphs import cli, gf2
 from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set, main
 from inflated_graphs.paradox import set_to_json
 
@@ -124,6 +124,19 @@ def test_bound_fixtures(capsys):
         report = json.loads(capsys.readouterr().out)
         for key, want in expected.items():
             assert report["result"][key] == want
+
+
+def test_bound_over_step_budget_exits_3(ghz_file, monkeypatch, capsys):
+    monkeypatch.setattr(gf2, "MAX_COSET_STEPS", 0)
+    assert main(["bound", ghz_file]) == 3
+    err = capsys.readouterr().err
+    assert "precondition failure" in err and "too large" in err
+
+
+def test_bound_has_no_cap_option(ghz_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", ghz_file, "--cap", "30"])
+    assert exc.value.code == 2
 
 
 def test_reproduce_all_names(capsys):

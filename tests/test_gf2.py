@@ -72,11 +72,40 @@ def test_span_min_weight_matches_brute_force():
         )
 
 
-def test_span_min_weight_cap():
-    vectors = [1 << i for i in range(5)]
-    with pytest.raises(ValueError, match="too large"):
-        gf2.span_min_weight(vectors, 0, cap=4)
-    assert gf2.span_min_weight(vectors, 0b10101, cap=5) == 0
+def test_span_min_weight_budget_names_search_state():
+    # A random 200-row, rank-100 coset: the search refuses the round that
+    # would take it past MAX_COSET_STEPS and says how far it got.
+    rng = random.Random(1)
+    vectors = [rng.getrandbits(200) for _ in range(100)]
+    assert gf2.rank(vectors) == 100
+    with pytest.raises(
+        ValueError,
+        match=(
+            r"too large: coset search over a span of dimension 100 with 3 "
+            r"information sets would pass its budget of 16777216 steps in "
+            r"round 5 \(best weight found 28, lower bound reached 9\)"
+        ),
+    ):
+        gf2.span_min_weight(vectors, rng.getrandbits(200))
+
+
+@pytest.mark.parametrize("budget, passes", [(44, True), (43, False)])
+def test_span_min_weight_budget_is_checked_before_each_round(
+    monkeypatch, budget, passes
+):
+    # v_i = e_i + e_{6+i} and target e_0 + ... + e_5: every coset vector has
+    # weight 6.  Two disjoint information sets reach the bound 2w at w = 3,
+    # after rounds 0, 1 and 2, which cost 2 * (1 + 6 + 15) = 44 steps.
+    vectors = [(1 << i) | (1 << (6 + i)) for i in range(6)]
+    monkeypatch.setattr(gf2, "MAX_COSET_STEPS", budget)
+    if passes:
+        assert gf2.span_min_weight(vectors, 0b111111) == 6
+    else:
+        with pytest.raises(
+            ValueError,
+            match=r"round 2 \(best weight found 6, lower bound reached 4\)",
+        ):
+            gf2.span_min_weight(vectors, 0b111111)
 
 
 @given(

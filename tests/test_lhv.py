@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import lhv, statevector
+from inflated_graphs import gf2, lhv, statevector
 from inflated_graphs.cli import load_fixture_set
 
 
@@ -74,7 +74,82 @@ def test_min_violations_agrees_with_brute_force():
         assert ig.feasible(sys) == (direct == 0)
 
 
-def test_min_violations_cap():
+def system_from_columns(columns, n_rows, rhs):
+    """Strategy system whose variable j has column columns[j] (bit k set
+    iff row k holds the variable)."""
+    return lhv.StrategySystem(
+        variables=tuple((f"v{j}", ("X",)) for j in range(len(columns))),
+        rows=tuple(
+            sum(((col >> k) & 1) << j for j, col in enumerate(columns))
+            for k in range(n_rows)
+        ),
+        rhs=tuple((rhs >> k) & 1 for k in range(n_rows)),
+    )
+
+
+def coset_enumeration(sys):
+    """Test-local oracle: the minimum weight of rhs + span(columns), by a
+    Gray-code walk over a basis of the columns."""
+    columns = [
+        sum(((row >> j) & 1) << k for k, row in enumerate(sys.rows))
+        for j in range(sys.n_variables)
+    ]
+    basis = []  # distinct leading bits, largest first
+    for col in columns:
+        for b in basis:
+            col = min(col, col ^ b)
+        if col:
+            basis.append(col)
+            basis.sort(reverse=True)
+    current = sum(b << k for k, b in enumerate(sys.rhs))
+    best = current.bit_count()
+    for i in range(1, 1 << len(basis)):
+        current ^= basis[(i & -i).bit_length() - 1]
+        best = min(best, current.bit_count())
+    return best
+
+
+def test_min_violations_matches_independent_oracles():
+    rng = random.Random(2024)
+    cases = []
+    # (variables, rows): small systems; systems with fewer than twice as
+    # many rows as variables, whose information sets must overlap; spans up
+    # to 20 with high min_violations; and systems taller than 64 rows.
+    shapes = [(rng.randrange(0, 11), rng.randrange(1, 24)) for _ in range(40)]
+    for _ in range(80):
+        n_vars = rng.randrange(6, 17)
+        shapes.append((n_vars, rng.randrange(n_vars + 2, 2 * n_vars + 6)))
+    shapes += [(12, 30), (14, 36), (16, 40), (16, 46), (18, 48), (20, 52), (20, 56)]
+    shapes += [(10, 70), (12, 80), (14, 90), (9, 100)]
+    for index, (n_vars, n_rows) in enumerate(shapes):
+        columns = [rng.getrandbits(n_rows) for _ in range(n_vars)]
+        if index < 120 and columns and rng.random() < 0.3:
+            columns[rng.randrange(n_vars)] = 0  # a variable in no row
+        if index < 120 and len(columns) > 1 and rng.random() < 0.3:
+            columns[0] = columns[-1]  # two variables in the same rows
+        cases.append(system_from_columns(columns, n_rows, rng.getrandbits(n_rows)))
+    # An empty span, all-zero columns, and rhs inside the span.
+    cases.append(system_from_columns([], 9, 0b101101001))
+    cases.append(system_from_columns([0, 0, 0], 7, 0b1100110))
+    for n_rows in (12, 40, 90):
+        columns = [rng.getrandbits(n_rows) for _ in range(8)]
+        rhs = columns[1] ^ columns[4] ^ columns[6]
+        cases.append(system_from_columns(columns + columns[:2], n_rows, rhs))
+
+    seen = []
+    for sys in cases:
+        got = ig.min_violations(sys)
+        assert got == coset_enumeration(sys)
+        if sys.n_variables <= 10:
+            assert got == lhv.min_violations_brute_force(sys)
+        seen.append((got, len(sys.rows), gf2.rank(list(sys.rows))))
+    assert max(got for got, rows, _ in seen if rows <= 64) >= 10
+    assert max(rows for _, rows, _ in seen) > 64
+    assert max(span for _, _, span in seen) == 20
+    assert sum(got == 0 for got, _, _ in seen) >= 3
+
+
+def test_min_violations_budget(monkeypatch):
     def independent_system(k):
         return lhv.StrategySystem(
             variables=tuple((f"v{j}", ("X",)) for j in range(k)),
@@ -82,14 +157,14 @@ def test_min_violations_cap():
             rhs=tuple(1 for _ in range(k)),
         )
 
-    # 31 independent rows exceed the default cap of 30
-    with pytest.raises(ValueError, match="too large"):
-        ig.min_violations(independent_system(31), cap=30)
-    # raising the cap unlocks the search (small instance for speed)
-    small = independent_system(8)
-    with pytest.raises(ValueError, match="too large"):
-        ig.min_violations(small, cap=7)
-    assert ig.min_violations(small, cap=8) == 0
+    # Span dimension 31 was refused by the old dimension cap; the coset
+    # search sees the reduced rhs vanish in round 0.
+    assert ig.min_violations(independent_system(31)) == 0
+    # Every nonempty span costs at least one step, so a budget of 0 refuses
+    # it before round 0.
+    monkeypatch.setattr(gf2, "MAX_COSET_STEPS", 0)
+    with pytest.raises(ValueError, match=r"too large.*round 0"):
+        ig.min_violations(independent_system(31))
 
 
 def test_bell_reports():
