@@ -50,12 +50,11 @@ def rank(rows: list[int]) -> int:
     return len(basis)
 
 
-def solve_with_nullspace(
-    rows: list[int], rhs: list[int], n_cols: int
-) -> tuple[int, list[int]] | None:
+def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
     """Solve rows·x = rhs over GF(2).
 
-    Returns (particular solution, nullspace basis) or None if inconsistent.
+    Returns the solution whose free variables are all 0, or None if the
+    system is inconsistent.
     """
     # Augment each row with its rhs bit at position n_cols.
     col_mask = (1 << n_cols) - 1
@@ -78,20 +77,11 @@ def solve_with_nullspace(
         for other in echelon:
             if other != col and (echelon[other] >> col) & 1:
                 echelon[other] ^= row
-    particular = 0
+    solution = 0
     for col, row in echelon.items():
         if (row >> n_cols) & 1:
-            particular |= 1 << col
-    null_basis = []
-    for col in range(n_cols):
-        if col in echelon:
-            continue
-        vec = 1 << col
-        for pivot, row in echelon.items():
-            if (row >> col) & 1:
-                vec |= 1 << pivot
-        null_basis.append(vec)
-    return particular, null_basis
+            solution |= 1 << col
+    return solution
 
 
 def span_min_weight(vectors: list[int], target: int) -> int:

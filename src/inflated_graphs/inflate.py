@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import gf2, pauli
+from . import pauli
 from .graph import Graph, InflatedGraph, ball, chain_vertex_name, edge_key
 from .paradox import (
     MeasurementPair,
@@ -264,68 +264,64 @@ def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:
     return specs
 
 
-# GF(2) row offset of each non-identity (x, z) letter at a vertex.
-_LETTER_ROW = {(1, 0): 0, (1, 1): 1, (0, 1): 2}
-
-
 def find_base_set(g: Graph) -> MeasurementSet | None:
-    """Best-effort search for a full-mask d=0 paradox set on a base graph.
+    """A full-mask d=0 paradox set on a connected graph: three-party GHZ
+    correlations embedded through one connected vertex triple (Gühne, Tóth,
+    Hyllus & Briegel, PRL 95, 120405, 2005).  Returns None when the graph
+    has fewer than 3 vertices or is disconnected.
 
-    Solves, over GF(2), for a collection of stabilizer elements whose letters
-    occur in pairs at every vertex and whose signs multiply to -1.  Returns
-    None when no such collection exists, or when the graph has fewer than 3
-    vertices or is disconnected.  Raises ValueError above 16 vertices: the
-    search enumerates all 2^n - 1 stabilizer elements.
+    The triple T = {a, b, c} is the connected one (at least two edges among
+    its vertices) whose bitmask over ``g.index`` is smallest: smallest top
+    index c, then b, then a.  The pairs are the stabilizer elements K_S,
+    with full masks, of S = {a}, {b}, {c}, T when T is a triangle and of
+    S = {v}, {v, u}, {v, w}, T when T is an induced path u - v - w (u < w);
+    they come in ascending bitmask order and are named M1..M4.
+
+    Why the set certifies: every vertex lies in an even number of the S, so
+    the x and the z = ΓS parts of the four elements cancel vertex by
+    vertex.  Outside T the letters are Z or I, so Z occurs there an even
+    number of times; on T the letters are those of the triangle or the
+    ghz_path3 fixture.  The sign of K_S depends only on the subgraph induced
+    on T, so the four signs multiply to -1 as on the bare triangle or path.
     """
-    n = len(g.vertices)
-    if n < 3 or not g.is_connected:
+    if len(g.vertices) < 3 or not g.is_connected:
         return None
-    if n > 16:
-        raise ValueError(
-            f"find_base_set enumerates all 2^n - 1 stabilizer elements and "
-            f"is limited to 16 vertices; the graph has {n}"
-        )
-    # Column j is the stabilizer element with x bitmask j + 1.  One GF(2)
-    # row per (vertex, letter) parity, plus the sign row.
-    n_columns = (1 << n) - 1
-    sign_row = 3 * n
-    rows = [0] * (sign_row + 1)
-    for x in range(1, 1 << n):
-        z, negative = pauli._stabilizer(g, x)
-        bit = 1 << (x - 1)
-        support = x | z
-        while support:
-            low = support & -support
-            i = low.bit_length() - 1
-            rows[3 * i + _LETTER_ROW[(x >> i) & 1, (z >> i) & 1]] |= bit
-            support ^= low
-        if negative:
-            rows[sign_row] |= bit
-    rhs = [0] * len(rows)
-    rhs[sign_row] = 1
-    solution = gf2.solve_with_nullspace(rows, rhs, n_columns)
-    if solution is None:
-        return None
-    chosen_bits, null_basis = solution
-    # Greedily shrink the solution: small sets keep later searches cheap.
-    improved = True
-    while improved:
-        improved = False
-        for vec in null_basis:
-            candidate = chosen_bits ^ vec
-            if candidate.bit_count() < chosen_bits.bit_count():
-                chosen_bits = candidate
-                improved = True
-    chosen = [j for j in range(n_columns) if (chosen_bits >> j) & 1]
+    adjacency = g.adjacency
+    triple = _first_connected_triple(adjacency)
+    assert triple is not None  # a connected graph on 3+ vertices has one
+    a, b, c = triple
+    t = (1 << a) | (1 << b) | (1 << c)
+    ends = [u for u in triple if (adjacency[u] & t).bit_count() == 1]
+    if ends:
+        (v,) = (u for u in triple if u not in ends)
+        xs = [1 << v, (1 << v) | (1 << ends[0]), (1 << v) | (1 << ends[1]), t]
+    else:
+        xs = [1 << a, 1 << b, 1 << c, t]
     full = frozenset(g.vertices)
     pairs = tuple(
         MeasurementPair.make(
-            pauli.subset_to_pauli(
-                g, {v for i, v in enumerate(g.vertices) if ((j + 1) >> i) & 1}
-            )[0],
+            pauli.to_letters(g, x, pauli._stabilizer(g, x)[0]),
             full,
             name=f"M{k + 1}",
         )
-        for k, j in enumerate(chosen)
+        for k, x in enumerate(xs)
     )
     return MeasurementSet(graph=g, d=0, pairs=pairs)
+
+
+def _first_connected_triple(
+    adjacency: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    """Indices a < b < c of the connected triple with the smallest bitmask:
+    for each top c and middle b, the smallest a joined to b or c when b and
+    c are adjacent, else joined to both."""
+    for c in range(2, len(adjacency)):
+        for b in range(1, c):
+            if (adjacency[b] >> c) & 1:
+                lower = adjacency[b] | adjacency[c]
+            else:
+                lower = adjacency[b] & adjacency[c]
+            lower &= (1 << b) - 1
+            if lower:
+                return (lower & -lower).bit_length() - 1, b, c
+    return None

@@ -24,12 +24,7 @@ from typing import Iterator, Mapping
 
 from . import gf2, pauli
 from .graph import Graph, build_graph, distance
-from .paradox import (
-    MeasurementPair,
-    MeasurementSet,
-    check_stabilizer_signs,
-    excerpt_classes,
-)
+from .paradox import MeasurementPair, MeasurementSet
 
 # ---------------------------------------------------------------------------
 # Deterministic strategy systems over GF(2)
@@ -44,7 +39,7 @@ class StrategySystem:
 
     Variable (v, e) is the log-domain output bit of vertex v when its local
     excerpt is e: one variable per excerpt class of
-    :func:`paradox.excerpt_classes`.  Row k collects the variables of the
+    ``MeasurementSet.excerpt_classes``.  Row k collects the variables of the
     classes that hold pair k; its right-hand bit is 1 iff the pair's
     stabilizer sign is -1.  A deterministic strategy reproduces every sign
     iff the system is solvable.
@@ -61,14 +56,14 @@ class StrategySystem:
 
 def build_system(s: MeasurementSet) -> StrategySystem:
     """Encode a measurement set as a strategy-feasibility system."""
-    signs = check_stabilizer_signs(s)
+    signs = s.stabilizer_signs
     if None in signs:
         k = signs.index(None)
         raise ValueError(f"pair {s.pairs[k].name or k} has no stabilizer sign")
     variables: list[StrategyVariable] = []
     rows = [0] * len(s.pairs)
-    for v in s.graph.vertices:
-        for key, ks in excerpt_classes(s, v).items():
+    for v, classes in s.excerpt_classes.items():
+        for key, ks in classes.items():
             for k in ks:
                 rows[k] |= 1 << len(variables)
             variables.append((v, key))
@@ -78,10 +73,7 @@ def build_system(s: MeasurementSet) -> StrategySystem:
 
 def feasible(sys: StrategySystem) -> bool:
     """True iff some deterministic strategy satisfies every row."""
-    return (
-        gf2.solve_with_nullspace(list(sys.rows), list(sys.rhs), sys.n_variables)
-        is not None
-    )
+    return gf2.solve(list(sys.rows), list(sys.rhs), sys.n_variables) is not None
 
 
 def min_violations(sys: StrategySystem) -> int:
@@ -451,10 +443,9 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
                 row ^= 1 << j
         rows.append(row)
         rhs.append(int(negative))
-    solution = gf2.solve_with_nullspace(rows, rhs, len(candidates))
-    if solution is None:
+    chosen = gf2.solve(rows, rhs, len(candidates))
+    if chosen is None:
         return None
-    chosen, _ = solution
     rules = []
     for (i, x, z), j in candidates.items():
         if (chosen >> j) & 1:

@@ -14,9 +14,10 @@ A set passing all three cannot be reproduced by any deterministic classical
 model whose per-vertex outputs see measurement settings up to distance d.
 
 A :class:`MeasurementSet` compiles its pairs once into (x, z, mask) bitmasks
-over ``graph.index``; the checks, and :func:`excerpt_classes`, the one excerpt
-grouping, work on those.  A certificate names its odd excerpt classes as a
-witness kept out of its JSON form.
+over ``graph.index`` and derives from them, once per set, its excerpt classes
+(the one excerpt grouping) and its stabilizer signs; the certificate and the
+strategy system both read those.  A certificate names its odd excerpt
+classes as a witness kept out of its JSON form.
 """
 
 from __future__ import annotations
@@ -80,31 +81,33 @@ class MeasurementSet:
             bits.append((x, z, m))
         return tuple(bits)
 
+    @cached_property
+    def excerpt_classes(self) -> dict[str, dict[tuple[int, int], list[int]]]:
+        """Per vertex v, the indices of the pairs whose submeasurement keeps
+        v with a non-identity letter, grouped by their local excerpt: the
+        letters on ball(v, d), keyed as (x & B, z & B) with B the bitmask of
+        the ball."""
+        index = self.graph.index
+        out = {}
+        for v in self.graph.vertices:
+            b = sum(1 << index[u] for u in ball(self.graph, v, self.d))
+            bit = 1 << index[v]
+            classes: dict[tuple[int, int], list[int]] = {}
+            for k, (x, z, m) in enumerate(self.pair_bits):
+                if m & bit and (x | z) & bit:
+                    classes.setdefault((x & b, z & b), []).append(k)
+            out[v] = classes
+        return out
 
-def excerpt_classes(
-    s: MeasurementSet, v: str
-) -> dict[tuple[int, int], list[int]]:
-    """Indices of the pairs whose submeasurement keeps v with a non-identity
-    letter, grouped by their local excerpt: the letters on ball(v, d), keyed
-    as (x & B, z & B) with B the bitmask of the ball."""
-    index = s.graph.index
-    b = sum(1 << index[u] for u in ball(s.graph, v, s.d))
-    bit = 1 << index[v]
-    classes: dict[tuple[int, int], list[int]] = {}
-    for k, (x, z, m) in enumerate(s.pair_bits):
-        if m & bit and (x | z) & bit:
-            classes.setdefault((x & b, z & b), []).append(k)
-    return classes
-
-
-def check_stabilizer_signs(s: MeasurementSet) -> list[int | None]:
-    """Per pair, the sign of its submeasurement as a stabilizer element,
-    or None when it is proportional to no stabilizer element."""
-    signs: list[int | None] = []
-    for x, z, m in s.pair_bits:
-        expected, negative = pauli._stabilizer(s.graph, x & m)
-        signs.append(None if z & m != expected else -1 if negative else 1)
-    return signs
+    @cached_property
+    def stabilizer_signs(self) -> tuple[int | None, ...]:
+        """Per pair, the sign of its submeasurement as a stabilizer element,
+        or None when it is proportional to no stabilizer element."""
+        signs: list[int | None] = []
+        for x, z, m in self.pair_bits:
+            expected, negative = pauli._stabilizer(self.graph, x & m)
+            signs.append(None if z & m != expected else -1 if negative else 1)
+        return tuple(signs)
 
 
 def check_product_minus_one(s: MeasurementSet) -> bool:
@@ -150,13 +153,12 @@ class ParadoxCertificate:
 def verify_paradox(s: MeasurementSet) -> ParadoxCertificate:
     """Run all three checks; overall=True certifies the paradox at distance d."""
     odd_classes = {}
-    for v in s.graph.vertices:
-        classes = excerpt_classes(s, v).values()
-        if odd := tuple(tuple(ks) for ks in classes if len(ks) % 2):
+    for v, classes in s.excerpt_classes.items():
+        if odd := tuple(tuple(ks) for ks in classes.values() if len(ks) % 2):
             odd_classes[v] = odd
     return ParadoxCertificate(
         parity_ok={v: v not in odd_classes for v in s.graph.vertices},
-        stabilizer_signs=tuple(check_stabilizer_signs(s)),
+        stabilizer_signs=s.stabilizer_signs,
         product_is_minus_one=check_product_minus_one(s),
         odd_classes=odd_classes,
     )

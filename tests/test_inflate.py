@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import inflated_graphs as ig
 from inflated_graphs import inflate as infl_mod
-from inflated_graphs import pauli
+from inflated_graphs import pauli, statevector
 from inflated_graphs.cli import load_fixture_set
 from inflated_graphs.graph import distance, inflate
 from conftest import random_connected_graph
@@ -167,27 +168,108 @@ def test_find_base_set_rejects_tiny_graphs():
     assert ig.find_base_set(ig.build_graph([(1, 2)])) is None
 
 
-def test_find_base_set_too_large_raises():
-    # "Too large" must not read as "no such set".
+def test_find_base_set_has_no_vertex_limit():
+    # The construction is local to one vertex triple, so graph size is no
+    # limit: paths far past the old 16-vertex enumeration, and a random
+    # 60-vertex graph.
     def path(n):
         return ig.build_graph([(i, i + 1) for i in range(1, n)])
 
-    with pytest.raises(ValueError, match="16 vertices"):
-        ig.find_base_set(path(17))
-    base = ig.find_base_set(path(14))
-    assert base is not None and ig.verify_paradox(base).overall
+    rng = random.Random(60)
+    for g in (path(17), path(40), random_connected_graph(rng, 60)):
+        base = ig.find_base_set(g)
+        assert base is not None and len(base.pairs) == 4
+        assert ig.verify_paradox(base).overall
+
+
+def _reference_find_base_set(g):
+    """The 2^n stabilizer-column GF(2) search that find_base_set replaced,
+    on its own stabilizer letters, elimination and null space: columns are
+    the stabilizer elements K_S in bitmask order of S, rows the parity of
+    each (vertex, letter) and of the sign; the fully reduced solution is
+    shrunk greedily along the null basis.  Returns the pairs as (name,
+    letters, mask) triples, or None when the system has no solution."""
+    vertices = g.vertices
+    n = len(vertices)
+    full = frozenset(vertices)
+    columns = []
+    for bits in range(1, 1 << n):
+        members = {v for i, v in enumerate(vertices) if (bits >> i) & 1}
+        letters = {}
+        for v in vertices:
+            z = sum(u in members for u in g.neighbors[v]) % 2
+            letter = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}.get((v in members, z))
+            if letter:
+                letters[v] = letter
+        inner = sum(u in members for v in members for u in g.neighbors[v]) // 2
+        ys = sum(l == "Y" for l in letters.values())
+        columns.append((letters, (inner - ys // 2) % 2))
+    # Augmented rows, right-hand bit at position m: one per (vertex,
+    # letter) parity, whose right-hand side is 0, and the sign row.
+    m = len(columns)
+    rows = [
+        sum(1 << j for j, (ls, _) in enumerate(columns) if ls.get(v) == l)
+        for v in vertices
+        for l in "XYZ"
+    ]
+    rows.append(sum(1 << j for j, (_, neg) in enumerate(columns) if neg) | 1 << m)
+    # Gauss-Jordan elimination, pivots in ascending column order.
+    pivots = {}  # column -> fully reduced row
+    for col in range(m):
+        hit = next((r for r in rows if (r >> col) & 1), None)
+        if hit is None:
+            continue
+        rows.remove(hit)
+        rows = [r ^ hit if (r >> col) & 1 else r for r in rows]
+        pivots = {c: r ^ hit if (r >> col) & 1 else r for c, r in pivots.items()}
+        pivots[col] = hit
+    if 1 << m in rows:
+        return None
+    chosen = sum(1 << c for c, r in pivots.items() if (r >> m) & 1)
+    null_basis = [
+        (1 << f) | sum(1 << c for c, r in pivots.items() if (r >> f) & 1)
+        for f in range(m)
+        if f not in pivots
+    ]
+    improved = True
+    while improved:
+        improved = False
+        for vec in null_basis:
+            if (chosen ^ vec).bit_count() < chosen.bit_count():
+                chosen ^= vec
+                improved = True
+    picked = [j for j in range(m) if (chosen >> j) & 1]
+    return [
+        (f"M{k + 1}", columns[j][0], full) for k, j in enumerate(picked)
+    ]
+
+
+def test_find_base_set_matches_reference_search():
+    rng = random.Random(7)
+    graphs = [random_connected_graph(rng, 3 + i % 8) for i in range(200)]
+    for n in range(3, 13):
+        graphs.append(ig.build_graph(list(itertools.combinations(range(1, n + 1), 2))))
+        graphs.append(ig.build_graph([(i, i + 1) for i in range(1, n)]))
+        graphs.append(ig.build_graph([(1, j) for j in range(2, n + 1)]))
+    for g in graphs:
+        base = ig.find_base_set(g)
+        got = [(p.name, p.letters_dict, p.mask) for p in base.pairs]
+        assert got == _reference_find_base_set(g), g
+        if len(g.vertices) <= 10:
+            state = statevector.graph_state(g)
+            signs = ig.verify_paradox(base).stabilizer_signs
+            for p, sign in zip(base.pairs, signs):
+                value = statevector.pauli_expectation(state, p.letters_dict)
+                assert abs(value - sign) < 1e-9
 
 
 def test_build_random_graphs_d1_d2():
     rng = random.Random(23)
-    done = 0
-    while done < 10:
+    for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(3, 6))
         base = ig.find_base_set(g)
-        if base is None:
-            continue
+        assert base is not None
         for d in (1, 2):
             result = ig.build_inflated_set(base, inflate(g, d))
             assert result.certificate.overall
             assert not ig.feasible(ig.build_system(result.measurement_set))
-        done += 1

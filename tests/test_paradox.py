@@ -42,7 +42,7 @@ def test_excerpt_is_ball_restricted():
     local = ball(g, "2", 1)
     assert len(local) == 3
     b = sum(1 << g.index[u] for u in local)
-    classes = paradox.excerpt_classes(s, "2")
+    classes = s.excerpt_classes["2"]
     for (x, z), ks in classes.items():
         assert (x | z) & ~b == 0
         for k in ks:
@@ -139,7 +139,7 @@ def test_excerpt_classes_match_letter_reference():
     for s in sets:
         reference = {v: _reference_classes(s, v) for v in s.graph.vertices}
         for v, groups in reference.items():
-            got = paradox.excerpt_classes(s, v)
+            got = s.excerpt_classes[v]
             assert sorted(got.values()) == sorted(groups.values()), v
         odd = {
             v: tuple(tuple(ks) for ks in groups.values() if len(ks) % 2)
@@ -160,6 +160,29 @@ def test_excerpt_classes_match_letter_reference():
         assert ig.feasible(system) == ig.feasible(expected)
         assert ig.min_violations(system) == ig.min_violations(expected)
     assert odd_seen >= 10
+
+
+def test_excerpt_classes_and_signs_computed_once_per_set(monkeypatch):
+    # The certificate, the strategy system and the Bell report of one set
+    # walk each vertex's ball and derive each pair's sign once between them.
+    s = load_fixture_set("chain7")
+    calls = {"ball": 0, "sign": 0}
+    real_ball, real_stabilizer = paradox.ball, pauli._stabilizer
+
+    def counting_ball(*args):
+        calls["ball"] += 1
+        return real_ball(*args)
+
+    def counting_stabilizer(*args):
+        calls["sign"] += 1
+        return real_stabilizer(*args)
+
+    monkeypatch.setattr(paradox, "ball", counting_ball)
+    monkeypatch.setattr(pauli, "_stabilizer", counting_stabilizer)
+    assert ig.verify_paradox(s).overall
+    assert not ig.feasible(ig.build_system(s))
+    assert ig.bell_report(s).min_violations == 1
+    assert calls == {"ball": len(s.graph.vertices), "sign": len(s.pairs)}
 
 
 def test_masks_must_reference_known_vertices():
