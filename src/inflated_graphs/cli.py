@@ -226,6 +226,17 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --d: an integer >= 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inflated-graphs",
@@ -238,14 +249,18 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inflate", help="replace each edge by a chain of 2d vertices")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--d", type=int, default=1, help="communication distance")
+    p.add_argument(
+        "--d", type=_positive_int, default=1, help="communication distance"
+    )
     p.add_argument("--out", help="output prefix (writes .json and .dot)")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_inflate)
 
     p = sub.add_parser("build", help="inflate a certified base set and add decoys")
     p.add_argument("base_set", help="d=0 measurement-set JSON file")
-    p.add_argument("--d", type=int, default=1, help="communication distance")
+    p.add_argument(
+        "--d", type=_positive_int, default=1, help="communication distance"
+    )
     p.add_argument("--out", help="output measurement-set JSON file")
     p.set_defaults(func=cmd_build)
 

@@ -1,4 +1,4 @@
-"""Simple undirected graphs, distances, and the chain-inflation construction.
+"""Simple undirected graphs, distance balls, and the chain-inflation construction.
 
 Vertices are opaque strings.  Chain vertices created by :func:`inflate` are
 named ``"r@(u,v)"`` where ``(u,v)`` is the base edge oriented from the smaller
@@ -12,8 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
-
-INFINITY = float("inf")
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -87,25 +85,6 @@ def build_graph(
         seen.add(key)
         vset.update(key)
     return Graph(vertices=tuple(sorted(vset)), edges=frozenset(seen))
-
-
-def distance(g: Graph, u: str, v: str) -> int | float:
-    """Shortest-path edge count between u and v; INFINITY if disconnected."""
-    g.require_vertex(u)
-    g.require_vertex(v)
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        w = queue.popleft()
-        for x in g.neighbors[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                if x == v:
-                    return dist[x]
-                queue.append(x)
-    return INFINITY
 
 
 def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:

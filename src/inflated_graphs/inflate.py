@@ -1,16 +1,18 @@
 """Constructive pipeline: inflated measurements, inflated and shell
-stabilizers, decoy measurements, and the completion loop that turns any
+stabilizers, and decoy measurements.  The decoys are planned from a parity
+table read off the base set, so one re-verification turns any
 local-model-refuting set on a base graph into a certified set refuting
 distance-d communication-assisted models on the inflated graph.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import pauli
-from .graph import Graph, InflatedGraph, ball, chain_vertex_name, edge_key
+from .graph import Graph, InflatedGraph, chain_vertex_name, edge_key
 from .paradox import (
     MeasurementPair,
     MeasurementSet,
@@ -139,12 +141,17 @@ class BuildResult:
 
     measurement_set: MeasurementSet
     decoy_specs: list[DecoySpec]
-    iterations: int
     certificate: ParadoxCertificate
 
     @property
     def decoy_count(self) -> int:
         return 2 * len(self.decoy_specs)
+
+    @property
+    def iterations(self) -> int:
+        """Verification rounds of the completion: the inflated pairs, then
+        the pairs with decoys when any were needed."""
+        return 1 + bool(self.decoy_specs)
 
     def report(self) -> dict:
         return {
@@ -157,9 +164,17 @@ class BuildResult:
 
 
 def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
-    """Inflate a certified base set and append decoy pairs until the excerpt
-    parity check passes everywhere; the postcondition is the re-verified
-    certificate, not trust in the construction."""
+    """Inflate a certified base set and append the decoy pairs that make
+    every excerpt class even; the postcondition is the re-verified
+    certificate, not trust in the construction.
+
+    The odd classes are read off the base set.  A chain vertex at odd
+    distance p <= d from power vertex c, on the chain to base neighbor f,
+    keeps an inflated pair exactly when f is in the pair's base subset S,
+    and its excerpt there is the pair's letter at c; every other vertex
+    inherits the even d=0 parity.  So center c's odd (f, letter) cells are
+    the parity of the base pairs with f in S and that letter at c.
+    """
     if ig.base != base.graph:
         raise ValueError("inflated graph was not built from the base set's graph")
     if base.d != 0:
@@ -173,73 +188,34 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
         raise ValueError("base set is not certified at d=0")
 
     pairs = []
+    odd: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     for p in base.pairs:
         decomposition = pauli.pauli_to_subset(base.graph, p.letters_dict)
         assert decomposition is not None  # certified above
-        stab, _ = inflated_stabilizer(ig, decomposition[0])
+        subset = decomposition[0]
+        stab, _ = inflated_stabilizer(ig, subset)
         letters = inflated_measurement(p.letters_dict, ig)
         pairs.append(MeasurementPair.make(letters, frozenset(stab), name=p.name))
+        for f in subset:
+            for c in base.graph.neighbors[f]:
+                odd[c] ^= {(f, p.letters_dict.get(c, "I"))}
 
-    working = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
-    decoy_specs: list[DecoySpec] = []
-    iterations = 0
-    while iterations < len(ig.graph.vertices):
-        iterations += 1
-        certificate = verify_paradox(working)
-        failures = _failing_classes(working, ig, certificate)
-        if not failures:
-            break
-        for center in sorted(failures):
-            for spec in _plan_decoys(center, failures[center]):
-                decoy_specs.append(spec)
-                pairs.extend(decoy_pair(ig, spec))
-        working = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
-    else:
-        raise RuntimeError(
-            "decoy completion did not converge within the iteration cap; "
-            f"odd excerpt classes left: {verify_paradox(working).odd_classes}"
-        )
-
+    decoy_specs = []
+    for center in sorted(odd):
+        for spec in _plan_decoys(center, odd[center]):
+            decoy_specs.append(spec)
+            pairs.extend(decoy_pair(ig, spec))
+    built = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
+    certificate = verify_paradox(built)
     if not certificate.overall:
         raise RuntimeError(
             "constructed set failed re-verification: "
-            f"{certificate.to_json()}"
+            f"{certificate.to_json()}; odd excerpt classes: "
+            f"{certificate.odd_classes}"
         )
     return BuildResult(
-        measurement_set=working,
-        decoy_specs=decoy_specs,
-        iterations=iterations,
-        certificate=certificate,
+        measurement_set=built, decoy_specs=decoy_specs, certificate=certificate
     )
-
-
-def _failing_classes(
-    s: MeasurementSet, ig: InflatedGraph, certificate: ParadoxCertificate
-) -> dict[str, set[tuple[str, str]]]:
-    """The certificate's odd excerpt classes, grouped by the power vertex
-    whose letter distinguishes them.
-
-    Returns center -> set of (far power vertex, letter at center).  Failures
-    only ever sit on chain vertices whose excerpt contains exactly one power
-    vertex; anything else means the base set was not certified.
-    """
-    failures: dict[str, set[tuple[str, str]]] = {}
-    for w, odd in certificate.odd_classes.items():
-        if w not in ig.chain_index:
-            raise RuntimeError(f"unexpected excerpt-parity failure at power vertex {w!r}")
-        powers = [u for u in ball(s.graph, w, s.d) if ig.is_power(u)]
-        if len(powers) != 1:
-            raise RuntimeError(
-                f"excerpt-parity failure at {w!r} with power ball {powers!r}"
-            )
-        center = powers[0]
-        edge, _ = ig.chain_index[w]
-        far = edge[0] if edge[1] == center else edge[1]
-        for ks in odd:
-            # Every pair of a class shows the same letter on the ball.
-            letter = s.pairs[ks[0]].letters_dict.get(center, "I")
-            failures.setdefault(center, set()).add((far, letter))
-    return failures
 
 
 def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:

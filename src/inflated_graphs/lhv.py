@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterator, Mapping
 
 from . import gf2, pauli
-from .graph import Graph, build_graph, distance
+from .graph import Graph, ball, build_graph
 from .paradox import MeasurementPair, MeasurementSet
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,6 @@ class BellReport:
     classical_bound: int
     min_violations: int
     ratio: Fraction | None
-    decoy_pairs: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -144,15 +143,10 @@ class BellReport:
                 if self.ratio is not None
                 else None
             ),
-            **(
-                {"decoy_pairs": self.decoy_pairs}
-                if self.decoy_pairs is not None
-                else {}
-            ),
         }
 
 
-def bell_report(s: MeasurementSet, decoy_pairs: int | None = None) -> BellReport:
+def bell_report(s: MeasurementSet) -> BellReport:
     """Sum-of-correlators Bell expression for the set.
 
     The quantum value is the pair count (every signed submeasurement has
@@ -169,7 +163,6 @@ def bell_report(s: MeasurementSet, decoy_pairs: int | None = None) -> BellReport
         classical_bound=bound,
         min_violations=mv,
         ratio=ratio,
-        decoy_pairs=decoy_pairs,
     )
 
 
@@ -520,9 +513,9 @@ def chsh_game(d: int = 1) -> BinaryGame:
     visible = []
     for v in vertices:
         idxs = []
-        if distance(g, v, "1") <= d:
+        if "1" in ball(g, v, d):
             idxs.append(0)
-        if distance(g, v, "4") <= d:
+        if "4" in ball(g, v, d):
             idxs.append(1)
         visible.append((v, tuple(idxs)))
     settings = ((0, 0), (1, 0), (0, 1), (1, 1))

@@ -186,7 +186,7 @@ def set_from_json(obj: Mapping) -> MeasurementSet:
     for key in ("graph", "d", "pairs"):
         if key not in obj:
             raise ValueError(f"measurement set has no {key!r} key")
-    if not isinstance(obj["d"], int):
+    if not isinstance(obj["d"], int) or isinstance(obj["d"], bool):
         raise ValueError('measurement set "d" must be an integer')
     if not isinstance(obj["pairs"], list) or not all(
         isinstance(p, Mapping)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .graph import Graph
 
-DEFAULT_CAP = 14
+# Largest graph a dense state is built for: 2**14 complex amplitudes.
+CAP = 14
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -81,11 +82,11 @@ def observable_from_pauli(
     )
 
 
-def graph_state(g: Graph, cap: int = DEFAULT_CAP) -> StateVector:
+def graph_state(g: Graph) -> StateVector:
     """|+>^n with a controlled-Z applied across every edge."""
     n = len(g.vertices)
-    if n > cap:
-        raise ValueError(f"graph has {n} vertices; cap is {cap}")
+    if n > CAP:
+        raise ValueError(f"graph has {n} vertices; cap is {CAP}")
     dim = 1 << n
     amplitudes = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     idx = np.arange(dim)

@@ -58,17 +58,28 @@ def test_missing_file_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "bound", "build"])
-@pytest.mark.parametrize("shape", ["missing_pairs", "top_level_list"])
+@pytest.mark.parametrize("shape", ["missing_pairs", "top_level_list", "d_true"])
 def test_wrong_shape_set_is_input_error(tmp_path, capsys, command, shape):
     obj = set_to_json(load_fixture_set("ghz_path3"))
     if shape == "missing_pairs":
         del obj["pairs"]
+    elif shape == "d_true":
+        obj["d"] = True  # a bool is an int to Python, but not a distance
     else:
         obj = [obj]
     path = tmp_path / "wrong.json"
     path.write_text(json.dumps(obj))
     assert main([command, str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["inflate", "build"])
+@pytest.mark.parametrize("d", ["0", "-1", "one"])
+def test_bad_distance_flag_is_usage_error(triangle_file, ghz_file, command, d):
+    path = triangle_file if command == "inflate" else ghz_file
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--d", d])
+    assert exc.value.code == 2
 
 
 def test_build_and_verify_and_bound(tmp_path, ghz_file, capsys):

@@ -1,14 +1,18 @@
+import importlib
 import itertools
 import random
 
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import inflate as infl_mod
 from inflated_graphs import pauli, statevector
 from inflated_graphs.cli import load_fixture_set
-from inflated_graphs.graph import distance, inflate
+from inflated_graphs.graph import inflate
 from conftest import random_connected_graph
+
+# The package attribute "inflate" is the construction function, not the
+# module.
+infl_mod = importlib.import_module("inflated_graphs.inflate")
 
 
 def triangle_base():
@@ -51,8 +55,9 @@ def test_shell_stabilizer_structure():
         # X on the two neighbors and on the chain vertices at odd distance
         # from the center; identity everywhere else
         expected = {"1": "X", "3": "X"}
-        for w in iginf.chain_index:
-            if distance(iginf.graph, w, "2") % 2 == 1:
+        for w, (edge, r) in iginf.chain_index.items():
+            # r counts from edge[0]; the chain is 2d + 1 edges long.
+            if (r if edge[0] == "2" else 2 * d + 1 - r) % 2 == 1:
                 expected[w] = "X"
         assert shell == expected
 
@@ -273,3 +278,80 @@ def test_build_random_graphs_d1_d2():
             result = ig.build_inflated_set(base, inflate(g, d))
             assert result.certificate.overall
             assert not ig.feasible(ig.build_system(result.measurement_set))
+
+
+def test_build_verifies_base_and_result_once_each(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s.d)
+        return ig.verify_paradox(s)
+
+    monkeypatch.setattr(infl_mod, "verify_paradox", counting)
+    for base, d in ((load_fixture_set("ghz_path3"), 2), (triangle_base(), 1)):
+        calls.clear()
+        result = ig.build_inflated_set(base, inflate(base.graph, d))
+        assert result.certificate.overall
+        assert calls == [0, d]
+
+
+def _reference_build(base, iginf):
+    """The decoy-completion fixpoint that build_inflated_set replaced:
+    verify the working set, map each odd excerpt class to its power vertex
+    and far branch, append the planned decoys, and repeat until every class
+    is even.  Returns (pairs, decoy specs, rounds, certificate)."""
+    pairs = []
+    for p in base.pairs:
+        subset, _ = pauli.pauli_to_subset(base.graph, p.letters_dict)
+        stab, _ = ig.inflated_stabilizer(iginf, subset)
+        letters = ig.inflated_measurement(p.letters_dict, iginf)
+        pairs.append(ig.MeasurementPair.make(letters, frozenset(stab), name=p.name))
+    specs = []
+    rounds = 0
+    while True:
+        rounds += 1
+        assert rounds <= len(iginf.graph.vertices), "did not converge"
+        working = ig.MeasurementSet(graph=iginf.graph, d=iginf.d, pairs=tuple(pairs))
+        certificate = ig.verify_paradox(working)
+        failures = {}
+        for w, odd in certificate.odd_classes.items():
+            assert w in iginf.chain_index
+            powers = [u for u in ig.ball(iginf.graph, w, iginf.d) if iginf.is_power(u)]
+            assert len(powers) == 1
+            center = powers[0]
+            edge, _ = iginf.chain_index[w]
+            far = edge[0] if edge[1] == center else edge[1]
+            for ks in odd:
+                letter = pairs[ks[0]].letters_dict.get(center, "I")
+                failures.setdefault(center, set()).add((far, letter))
+        if not failures:
+            return working.pairs, specs, rounds, certificate
+        for center in sorted(failures):
+            for spec in infl_mod._plan_decoys(center, failures[center]):
+                specs.append(spec)
+                pairs.extend(ig.decoy_pair(iginf, spec))
+
+
+def test_build_matches_reference_fixpoint():
+    rng = random.Random(8)
+    cases = [
+        (random_connected_graph(rng, 3 + i % 9), 1 + i % 3) for i in range(210)
+    ]
+    bases = [(load_fixture_set("ghz_path3"), d) for d in (1, 2, 3)]
+    bases += [(triangle_base(), d) for d in (1, 2, 3)]
+    bases += [(ig.find_base_set(g), d) for g, d in cases]
+    for base, d in bases:
+        iginf = inflate(base.graph, d)
+        result = ig.build_inflated_set(base, iginf)
+        pairs, specs, rounds, certificate = _reference_build(base, iginf)
+        assert ig.set_to_json(result.measurement_set) == ig.set_to_json(
+            ig.MeasurementSet(graph=iginf.graph, d=d, pairs=pairs)
+        )
+        assert result.decoy_specs == specs
+        assert result.report() == {
+            "pairs": len(pairs),
+            "decoy_pairs": len(specs),
+            "decoy_measurements": 2 * len(specs),
+            "iterations": rounds,
+            "certificate": certificate.to_json(),
+        }

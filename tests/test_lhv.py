@@ -180,10 +180,9 @@ def test_bell_reports():
         "min_violations": 1,
         "ratio": "3/2",
     }
-    rep = ig.bell_report(load_fixture_set("cycle5"), decoy_pairs=0)
+    rep = ig.bell_report(load_fixture_set("cycle5"))
     assert rep.qm_value == 16 and rep.classical_bound == 14
     assert rep.ratio == Fraction(8, 7)
-    assert rep.to_json()["decoy_pairs"] == 0
 
 
 def test_odd_violations_for_certified_sets():
