@@ -70,16 +70,12 @@ def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
                 row = 0
         if row:
             return None  # reduced to 0 = 1
-    # Back-substitute to fully reduced form (higher pivots first; every
-    # non-pivot bit of a row sits above its own pivot column).
+    # Back-substitute, higher pivots first: every other bit of a row sits
+    # above its pivot, so those variables are already fixed (free ones at 0).
+    solution = 0
     for col in sorted(echelon, reverse=True):
         row = echelon[col]
-        for other in echelon:
-            if other != col and (echelon[other] >> col) & 1:
-                echelon[other] ^= row
-    solution = 0
-    for col, row in echelon.items():
-        if (row >> n_cols) & 1:
+        if ((row >> n_cols) ^ (row & solution).bit_count()) & 1:
             solution |= 1 << col
     return solution
 

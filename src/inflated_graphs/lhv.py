@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from . import gf2, pauli
 from .graph import Graph, ball, build_graph
@@ -233,7 +235,8 @@ def _model_value(model: BarrettModel, x: int, z: int, m: int) -> int:
     exponent z & m plus the neighbour parity of x & m; averaging over the
     uniform z-assignment gives the sign when the exponent vanishes and 0
     otherwise.  The parity is walked here, not taken from
-    pauli._stabilizer, because check_model compares the two.
+    pauli._stabilizer, so the model stays independent of the rule it is
+    compared with; :func:`check_model` reads the same parities off a table.
     """
     adjacency = model.graph.adjacency
     exponent = z & m
@@ -244,11 +247,19 @@ def _model_value(model: BarrettModel, x: int, z: int, m: int) -> int:
         rest ^= low
     if exponent:
         return 0
+    return -1 if _flipped(model, x, z, m) else 1
+
+
+def _flipped(model: BarrettModel, x, z, m):
+    """Whether an odd number of the model's rules fire on case (x, z, m):
+    a rule fires when the mask holds its vertex and the letters match its
+    pattern.  Works on ints and elementwise on numpy arrays alike."""
     negative = False
     for bit, support, px, pz in model._rule_masks:
-        if m & bit and x & support == px and z & support == pz:
-            negative = not negative
-    return -1 if negative else 1
+        negative = negative ^ (
+            (m & bit != 0) & (x & support == px) & (z & support == pz)
+        )
+    return negative
 
 
 def barrett_expectation(model: BarrettModel, pair: MeasurementPair) -> Fraction:
@@ -339,47 +350,92 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
     return out
 
 
-MAX_FLIP_VERTICES = 7  # 8**n cases: about 3 s at 7 vertices, 30 s at 8
+# The flip-model scans hold numpy arrays over all 8^n cases.  At 7 vertices
+# (2.1 M cases) a scan takes 0.04-0.4 s and the process peaks at 50 MB RSS
+# (a 7-path with two chords) to 106 MB (K7) on a 2-core x86_64 machine; 8
+# vertices would need eight times the arrays (8^8 = 16.8 M cases), so the
+# cap guards memory.
+MAX_FLIP_VERTICES = 7
 
 
-def _cases(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """Every (measurement, mask) case on g as bitmasks (x, z, m) over
-    ``g.index``: measurements over IXYZ**n with the first vertex most
-    significant, then masks ascending."""
+def _cases(g: Graph) -> tuple[np.ndarray, ...]:
+    """Every (measurement, mask) case on g as uint8 bitmask arrays x, z, m
+    over ``g.index``, in the order measurements over IXYZ**n with the first
+    vertex most significant, then masks ascending; and the stabilizer table
+    of :func:`pauli._stabilizer` over all 2^n vertex subsets, as arrays
+    stab_z and stab_negative indexed by the subset's bitmask.  A case is
+    stabilizer-proportional iff z & m == stab_z[x & m]."""
     n = len(g.vertices)
     if n > MAX_FLIP_VERTICES:
         raise ValueError(
             f"the flip-model scan walks all 8^n cases and is limited to "
             f"{MAX_FLIP_VERTICES} vertices; the graph has {n}"
         )
-    for letters in itertools.product(pauli.LETTERS, repeat=n):
-        x, z = pauli.to_xz(g, dict(zip(g.vertices, letters)))
-        for m in range(1 << n):
-            yield x, z, m
+    # Letter digit d of vertex i (0..3 for I, X, Y, Z) has x = d ^ (d >> 1)
+    # and z = d >> 1 in its low bit.
+    codes = np.arange(4**n)
+    x_of = np.zeros(4**n, np.uint8)
+    z_of = np.zeros(4**n, np.uint8)
+    for i in range(n):
+        d = (codes >> (2 * (n - 1 - i))) & 3
+        x_of |= (((d ^ (d >> 1)) & 1) << i).astype(np.uint8)
+        z_of |= ((d >> 1) << i).astype(np.uint8)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
+    return (
+        np.repeat(x_of, 1 << n),
+        np.repeat(z_of, 1 << n),
+        np.tile(masks, 4**n),
+        np.array([z for z, _ in stabilizers], np.uint8),
+        np.array([negative for _, negative in stabilizers], bool),
+    )
+
+
+def _subset_table(values: Iterable[int], n: int, combine: np.ufunc) -> np.ndarray:
+    """Entry s combines values[i] over the bits i of s (by the bitwise
+    ufunc combine), for all 2^n bitmasks s."""
+    table = np.zeros(1 << n, np.uint8)
+    for i, value in enumerate(values):
+        table[1 << i : 2 << i] = combine(table[: 1 << i], value)
+    return table
+
+
+def _expectations(vanishes: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """Per case as int8: the sign where the z-exponent vanishes, else 0."""
+    signs = np.where(negative, np.int8(-1), np.int8(1))
+    return np.where(vanishes, signs, np.int8(0))
 
 
 def check_model(model: BarrettModel) -> list[dict]:
     """Exhaustively compare the model to the quantum expectation.
 
-    Returns one record per (measurement, mask) mismatch; empty means the
-    model reproduces every Pauli measurement on the graph exactly.  Raises
-    ValueError above MAX_FLIP_VERTICES vertices.
+    Scans all 4^n measurements times 2^n masks of :func:`_cases` at once.
+    The quantum value is read off the stabilizer table at x & m; the model
+    value comes from its own neighbour-parity table built from
+    ``g.adjacency``, never from pauli._stabilizer, so the two stay
+    independent routes.  Returns one record per (measurement, mask)
+    mismatch, in case order; empty means the model reproduces every Pauli
+    measurement on the graph exactly.  Raises ValueError above
+    MAX_FLIP_VERTICES vertices.
     """
-    mismatches = []
     g = model.graph
-    for x, z, m in _cases(g):
-        expected, negative = pauli._stabilizer(g, x & m)
-        quantum = (-1 if negative else 1) if z & m == expected else 0
-        classical = _model_value(model, x, z, m)
-        if classical != quantum:
-            mismatches.append(
-                {
-                    "letters": dict(sorted(pauli.to_letters(g, x, z).items())),
-                    "mask": sorted(pauli.to_letters(g, m, 0)),
-                    "quantum": quantum,
-                    "model": str(classical),
-                }
-            )
+    x, z, m, stab_z, stab_negative = _cases(g)
+    subset = x & m
+    zm = z & m
+    quantum = _expectations(zm == stab_z[subset], stab_negative[subset])
+    parity = _subset_table(g.adjacency, len(g.vertices), np.bitwise_xor)
+    classical = _expectations(zm == parity[subset], _flipped(model, x, z, m))
+    mismatches = []
+    for k in np.flatnonzero(classical != quantum).tolist():
+        letters = pauli.to_letters(g, int(x[k]), int(z[k]))
+        mismatches.append(
+            {
+                "letters": dict(sorted(letters.items())),
+                "mask": sorted(pauli.to_letters(g, int(m[k]), 0)),
+                "quantum": int(quantum[k]),
+                "model": str(int(classical[k])),
+            }
+        )
     return mismatches
 
 
@@ -417,33 +473,69 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     submeasurement.  Returns None if no rule set exists; raises ValueError
     above MAX_FLIP_VERTICES vertices.
 
-    Candidates are numbered in case order, vertices in ``g.index`` order,
-    so the rule set returned is the same in every process.
+    The stabilizer cases are picked out of the :func:`_cases` table.  Each
+    gives one row: the candidates (vertex i, x & closed_i, z & closed_i) of
+    its measured vertices, right-hand side 1 iff its sign is negative.
+    Candidates are numbered by first appearance in case order, vertices in
+    ``g.index`` order, so the rule set returned is the same in every
+    process.  Duplicate rows are dropped.
     """
+    n = len(g.vertices)
+    x, z, m, stab_z, stab_negative = _cases(g)
+    subset = x & m
+    stabilizer = np.flatnonzero(z & m == stab_z[subset])
+    x, z, m = x[stabilizer], z[stabilizer], m[stabilizer]
+    negative = stab_negative[subset[stabilizer]]
+    measured = (x | z) & m
     closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
-    candidates: dict[tuple[int, int, int], int] = {}
-    rows: list[int] = []
-    rhs: list[int] = []
-    for x, z, m in _cases(g):
-        expected, negative = pauli._stabilizer(g, x & m)
-        if z & m != expected:
-            continue
-        measured = (x | z) & m
-        row = 0
-        for i, c in enumerate(closed):
-            if (measured >> i) & 1:
-                j = candidates.setdefault((i, x & c, z & c), len(candidates))
-                row ^= 1 << j
-        rows.append(row)
-        rhs.append(int(negative))
-    chosen = gf2.solve(rows, rhs, len(candidates))
+
+    def key(i: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Index of candidate (vertex i, x & closed_i, z & closed_i)."""
+        c = closed[i]
+        return (i << 2 * n) | ((x & c).astype(np.int32) << n) | (z & c)
+
+    # First case holding each candidate; keys of different vertices differ,
+    # so laying the keys out by (first case, vertex) gives their order of
+    # first appearance.
+    first = np.full(n << 2 * n, x.size)
+    for i in range(n):
+        held = np.flatnonzero(measured & (1 << i))
+        np.minimum.at(first, key(i, x[held], z[held]), held)
+    seen = np.flatnonzero(first < x.size)
+    layout = np.full((x.size, n), -1, np.int32)
+    layout[first[seen], seen >> 2 * n] = seen
+    order = layout[layout >= 0]
+    number = np.full(n << 2 * n, -1)
+    number[order] = np.arange(order.size)
+
+    # A row is determined by the measured set and the letters on the union
+    # of its closed neighbourhoods, and determines them.  These fix
+    # x & m = x & measured, hence the sign: copies of a row agree, and one
+    # is kept.
+    union = _subset_table(closed, n, np.bitwise_or)[measured]
+    row_key = (
+        (measured.astype(np.int32) << 2 * n)
+        | ((x & union).astype(np.int32) << n)
+        | (z & union)
+    )
+    rhs = np.full(1 << 3 * n, -1, np.int8)
+    rhs[row_key] = negative
+    distinct = np.flatnonzero(rhs >= 0)
+    low = (1 << n) - 1
+    measured, x, z = distinct >> 2 * n, (distinct >> n) & low, distinct & low
+    rows = np.zeros(distinct.size, object)
+    for i in range(n):
+        held = np.flatnonzero(measured & (1 << i))
+        j = number[key(i, x[held], z[held])]
+        rows[held] += np.left_shift(1, j.astype(object))
+    chosen = gf2.solve(rows.tolist(), rhs[distinct].tolist(), order.size)
     if chosen is None:
         return None
     rules = []
-    for (i, x, z), j in candidates.items():
+    for j, k in enumerate(order.tolist()):
         if (chosen >> j) & 1:
-            v = g.vertices[i]
-            letters = pauli.to_letters(g, x, z)
+            v = g.vertices[k >> 2 * n]
+            letters = pauli.to_letters(g, (k >> n) & low, k & low)
             rules.append(
                 FlipRule.make(
                     v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}

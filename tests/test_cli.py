@@ -151,7 +151,7 @@ def test_bound_has_no_cap_option(ghz_file):
 
 
 def test_reproduce_all_names(capsys):
-    for name in ("table1", "chain7", "cycle5", "chsh4", "small-graphs"):
+    for name in cli.REPRODUCTIONS:
         assert main(["reproduce", name]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out

@@ -54,6 +54,59 @@ def test_solve_particular_and_nullspace_satisfy():
             assert ((row & x).bit_count() & 1) == b
 
 
+def full_rref_solve(rows, rhs, n_cols):
+    """Test-local copy of the solve that one-pass back-substitution
+    replaced: forward elimination, then full reduction of every row."""
+    col_mask = (1 << n_cols) - 1
+    echelon = {}
+    for row, b in zip(rows, rhs):
+        row |= b << n_cols
+        while row & col_mask:
+            col = ((row & col_mask) & -(row & col_mask)).bit_length() - 1
+            if col in echelon:
+                row ^= echelon[col]
+            else:
+                echelon[col] = row
+                row = 0
+        if row:
+            return None
+    for col in sorted(echelon, reverse=True):
+        row = echelon[col]
+        for other in echelon:
+            if other != col and (echelon[other] >> col) & 1:
+                echelon[other] ^= row
+    solution = 0
+    for col, row in echelon.items():
+        if (row >> n_cols) & 1:
+            solution |= 1 << col
+    return solution
+
+
+def test_solve_matches_full_reduction():
+    # Consistent systems (rhs taken from a planted solution) and random
+    # ones, with zero rows and repeated rows mixed in; wide systems too.
+    rng = random.Random(3)
+    outcomes = set()
+    for trial in range(600):
+        n_cols = rng.randrange(1, 12) if trial < 500 else rng.randrange(60, 200)
+        n_rows = rng.randrange(0, 2 * n_cols + 3)
+        rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        if rows and rng.random() < 0.5:
+            rows += [0] * rng.randrange(1, 4)
+        if rows and rng.random() < 0.5:
+            rows += rng.choices(rows, k=rng.randrange(1, 4))
+        rng.shuffle(rows)
+        if rng.random() < 0.5:
+            planted = rng.getrandbits(n_cols)
+            rhs = [(row & planted).bit_count() & 1 for row in rows]
+        else:
+            rhs = [rng.randrange(2) for _ in rows]
+        got = gf2.solve(rows, rhs, n_cols)
+        assert got == full_rref_solve(rows, rhs, n_cols)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_span_min_weight_matches_brute_force():
     rng = random.Random(11)
     for _ in range(100):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import gf2, lhv, statevector
+from conftest import random_connected_graph
+from inflated_graphs import gf2, lhv, pauli, statevector
 from inflated_graphs.cli import load_fixture_set
 
 
@@ -321,6 +322,110 @@ def test_search_flip_rules_rediscovers_valid_sets():
         assert lhv.check_model(lhv.BarrettModel(graph=g, flip_rules=tuple(rules))) == []
 
 
+def scalar_cases(g):
+    """Test-local copy of the per-case generator the case table replaced:
+    IXYZ**n with the first vertex most significant, then masks ascending."""
+    n = len(g.vertices)
+    for letters in itertools.product(pauli.LETTERS, repeat=n):
+        x, z = pauli.to_xz(g, dict(zip(g.vertices, letters)))
+        for m in range(1 << n):
+            yield x, z, m
+
+
+def scalar_check_model(model):
+    """Test-local copy of the per-case check_model loop."""
+    mismatches = []
+    g = model.graph
+    for x, z, m in scalar_cases(g):
+        expected, negative = pauli._stabilizer(g, x & m)
+        quantum = (-1 if negative else 1) if z & m == expected else 0
+        classical = lhv._model_value(model, x, z, m)
+        if classical != quantum:
+            mismatches.append(
+                {
+                    "letters": dict(sorted(pauli.to_letters(g, x, z).items())),
+                    "mask": sorted(pauli.to_letters(g, m, 0)),
+                    "quantum": quantum,
+                    "model": str(classical),
+                }
+            )
+    return mismatches
+
+
+def scalar_search_flip_rules(g):
+    """Test-local copy of the per-case search_flip_rules loop."""
+    closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
+    candidates = {}
+    rows = []
+    rhs = []
+    for x, z, m in scalar_cases(g):
+        expected, negative = pauli._stabilizer(g, x & m)
+        if z & m != expected:
+            continue
+        measured = (x | z) & m
+        row = 0
+        for i, c in enumerate(closed):
+            if (measured >> i) & 1:
+                j = candidates.setdefault((i, x & c, z & c), len(candidates))
+                row ^= 1 << j
+        rows.append(row)
+        rhs.append(int(negative))
+    chosen = gf2.solve(rows, rhs, len(candidates))
+    if chosen is None:
+        return None
+    rules = []
+    for (i, x, z), j in candidates.items():
+        if (chosen >> j) & 1:
+            v = g.vertices[i]
+            letters = pauli.to_letters(g, x, z)
+            rules.append(
+                lhv.FlipRule.make(
+                    v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
+                )
+            )
+    return rules
+
+
+def test_flip_scans_match_scalar_loops():
+    """The case-table scans return exactly what the per-case loops did,
+    order included: rule sets, and mismatch lists for the rules found, the
+    bundled rules and random subsets of both (which leave mismatches)."""
+    rng = random.Random(9)
+    bundled = lhv.load_flip_rules()
+    graphs = list(lhv.SMALL_GRAPHS.items())
+    graphs.append((None, ig.build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])))
+    for n in [3] * 10 + [4] * 14 + [5] * 14 + [6] * 2:
+        graphs.append((None, random_connected_graph(rng, n)))
+    nonempty = no_rules = 0
+    for gid, g in graphs:
+        rules = lhv.search_flip_rules(g)
+        assert rules == scalar_search_flip_rules(g)
+        no_rules += rules is None
+        rule_sets = [tuple(rules or ()), tuple(bundled.get(gid, ()))]
+        rule_sets += [tuple(r for r in rs if rng.random() < 0.5) for rs in rule_sets]
+        if len(g.vertices) == 6:
+            rule_sets = rule_sets[2:3]  # the scalar loop takes ~1 s a scan
+        for flip_rules in dict.fromkeys(rule_sets):
+            model = lhv.BarrettModel(graph=g, flip_rules=flip_rules)
+            mismatches = lhv.check_model(model)
+            assert mismatches == scalar_check_model(model)
+            nonempty += bool(mismatches)
+    assert nonempty >= 20 and no_rules >= 1
+
+
+def test_paper_smallest_linear_graph():
+    """The 6-path has an exact flip-rule model; the 7-path, the paper's
+    smallest linear example, and the 5-cycle have none."""
+    path6 = ig.build_graph([(i, i + 1) for i in range(1, 6)])
+    rules = lhv.search_flip_rules(path6)
+    assert rules is not None
+    assert lhv.check_model(lhv.BarrettModel(graph=path6, flip_rules=tuple(rules))) == []
+    path7 = ig.build_graph([(i, i + 1) for i in range(1, 7)])
+    assert lhv.search_flip_rules(path7) is None
+    cycle5 = ig.build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    assert lhv.search_flip_rules(cycle5) is None
+
+
 def test_search_flip_rules_ignores_hash_seed():
     src = str(Path(lhv.__file__).resolve().parents[1])
     code = (
@@ -344,7 +449,8 @@ def test_search_flip_rules_ignores_hash_seed():
 
 
 def test_flip_scans_refuse_more_than_seven_vertices():
-    # 8**8 cases would take about 30 s per scan; both refuse up front.
+    # 8**8 = 16.8 M cases would need eight times the arrays of a 7-vertex
+    # scan, which peaks at 50-106 MB RSS; both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
