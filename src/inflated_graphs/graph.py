@@ -3,12 +3,16 @@
 Vertices are opaque strings.  Chain vertices created by :func:`inflate` are
 named ``"r@(u,v)"`` where ``(u,v)`` is the base edge oriented from the smaller
 to the larger label and ``r`` counts positions starting next to ``u``.
+
+A vertex set is also an int bitmask over ``Graph.index``.  Distance balls are
+grown on such masks from the ``Graph.adjacency`` rows, stopping at the
+fixpoint, and cached per radius by :meth:`Graph.ball_masks`, which
+:func:`ball` reads; ``is_connected`` grows one vertex's ball the same way.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -47,21 +51,67 @@ class Graph:
         )
 
     @cached_property
-    def _balls(self) -> dict[tuple[str, int], tuple[str, ...]]:
-        """ball's cache, freed with the graph."""
+    def _ball_masks_by_radius(self) -> dict[int, tuple[int, ...]]:
+        """ball_masks' cache, freed with the graph."""
         return {}
+
+    def ball_masks(self, d: int) -> tuple[int, ...]:
+        """Bitmask over ``index`` of each vertex's distance-d ball (the
+        vertices within distance d, inclusive), in vertex order.
+
+        Computed once per radius and cached on the graph.  Growth stops at
+        the fixpoint, so a radius past the diameter costs what the diameter
+        costs.
+        """
+        masks = self._ball_masks_by_radius.get(d)
+        if masks is None:
+            if d < 0:
+                raise ValueError("ball radius must be >= 0")
+            adjacency = self.adjacency
+            masks = tuple(_grow(adjacency, 1 << i, d) for i in range(len(adjacency)))
+            self._ball_masks_by_radius[d] = masks
+        return masks
 
     @cached_property
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(ball(self, self.vertices[0], len(self.vertices))) == len(
-            self.vertices
-        )
+        # One vertex's ball alone: ball_masks(n) would grow all n of them.
+        n = len(self.vertices)
+        return not n or _grow(self.adjacency, 1, n) == (1 << n) - 1
+
+    def bits_of(self, vertices: Iterable[str]) -> int:
+        """Bitmask over ``index`` of a vertex collection."""
+        index = self.index
+        bits = 0
+        for v in vertices:
+            i = index.get(v)
+            if i is None:
+                raise ValueError(f"unknown vertex {v!r}")
+            bits |= 1 << i
+        return bits
 
     def require_vertex(self, v: str) -> None:
         if v not in self.index:
             raise ValueError(f"unknown vertex {v!r}")
+
+
+def _grow(adjacency: tuple[int, ...], ball: int, d: int) -> int:
+    """The vertex bitmask ``ball`` grown by d steps along ``adjacency``.
+
+    Each step ORs the adjacency rows of the frontier (the vertices the last
+    step added); an empty frontier is the fixpoint and ends the growth.
+    """
+    frontier = ball
+    for _ in range(d):
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
 
 
 def build_graph(
@@ -88,27 +138,11 @@ def build_graph(
 
 
 def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:
-    """Vertices within distance d of v (inclusive), in canonical order.
-
-    Cached on the graph: verification evaluates the same ball once per
-    (pair, vertex).
-    """
-    cached = g._balls.get((v, d))
-    if cached is not None:
-        return cached
+    """Vertices within distance d of v (inclusive), in canonical order: the
+    members of v's mask in :meth:`Graph.ball_masks`."""
     g.require_vertex(v)
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        w = queue.popleft()
-        if dist[w] == d:
-            continue
-        for x in g.neighbors[w]:
-            if x not in dist:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    result = g._balls[v, d] = tuple(sorted(dist, key=g.index.__getitem__))
-    return result
+    mask = g.ball_masks(d)[g.index[v]]
+    return tuple(u for i, u in enumerate(g.vertices) if (mask >> i) & 1)
 
 
 def chain_vertex_name(edge: tuple[str, str], r: int) -> str:

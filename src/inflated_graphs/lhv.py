@@ -223,7 +223,7 @@ class BarrettModel:
                 closed.remove(v)
             letters = dict(rule.pattern)
             x, z = pauli.to_xz(g, letters)
-            support = sum(1 << g.index[v] for v in letters)
+            support = g.bits_of(letters)
             masks.append((1 << g.index[rule.vertex], support, x, z))
         return tuple(masks)
 
@@ -266,8 +266,7 @@ def barrett_expectation(model: BarrettModel, pair: MeasurementPair) -> Fraction:
     """Exact model expectation of the masked output product."""
     g = model.graph
     x, z = pauli.to_xz(g, pair.letters_dict)
-    m, _ = pauli.to_xz(g, dict.fromkeys(pair.mask, "X"))
-    return Fraction(_model_value(model, x, z, m))
+    return Fraction(_model_value(model, x, z, g.bits_of(pair.mask)))
 
 
 def barrett_expectation_sampled(

@@ -28,7 +28,9 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import pauli
-from .graph import Graph, ball, graph_from_json, graph_to_json
+from .graph import Graph, graph_from_json, graph_to_json
+
+_NON_IDENTITY = ("X", "Y", "Z")
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,16 @@ class MeasurementPair:
     def make(
         letters: Mapping[str, str], mask: Iterable[str], name: str = ""
     ) -> "MeasurementPair":
-        items = tuple(sorted((v, l) for v, l in letters.items() if l != "I"))
-        for _, l in items:
-            if l not in pauli.LETTERS:
+        items = []
+        for v, l in letters.items():
+            # Tuple membership compares by equality, so an unhashable letter
+            # is rejected here with ValueError rather than TypeError.
+            if l in _NON_IDENTITY:
+                items.append((v, l))
+            elif l != "I":
                 raise ValueError(f"invalid Pauli letter {l!r}")
-        return MeasurementPair(letters=items, mask=frozenset(mask), name=name)
+        items.sort()
+        return MeasurementPair(letters=tuple(items), mask=frozenset(mask), name=name)
 
     @cached_property
     def letters_dict(self) -> dict[str, str]:
@@ -74,12 +81,10 @@ class MeasurementSet:
     @cached_property
     def pair_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Each pair as (x, z, mask) bitmasks over ``graph.index``."""
-        bits = []
-        for p in self.pairs:
-            x, z = pauli.to_xz(self.graph, p.letters_dict)
-            m, _ = pauli.to_xz(self.graph, dict.fromkeys(p.mask, "X"))
-            bits.append((x, z, m))
-        return tuple(bits)
+        g = self.graph
+        return tuple(
+            (*pauli.to_xz(g, p.letters_dict), g.bits_of(p.mask)) for p in self.pairs
+        )
 
     @cached_property
     def excerpt_classes(self) -> dict[str, dict[tuple[int, int], list[int]]]:
@@ -87,17 +92,18 @@ class MeasurementSet:
         v with a non-identity letter, grouped by their local excerpt: the
         letters on ball(v, d), keyed as (x & B, z & B) with B the bitmask of
         the ball."""
-        index = self.graph.index
-        out = {}
-        for v in self.graph.vertices:
-            b = sum(1 << index[u] for u in ball(self.graph, v, self.d))
-            bit = 1 << index[v]
-            classes: dict[tuple[int, int], list[int]] = {}
-            for k, (x, z, m) in enumerate(self.pair_bits):
-                if m & bit and (x | z) & bit:
-                    classes.setdefault((x & b, z & b), []).append(k)
-            out[v] = classes
-        return out
+        g = self.graph
+        balls = g.ball_masks(self.d)
+        classes: list[dict[tuple[int, int], list[int]]] = [{} for _ in balls]
+        for k, (x, z, m) in enumerate(self.pair_bits):
+            kept = m & (x | z)
+            while kept:
+                low = kept & -kept
+                i = low.bit_length() - 1
+                b = balls[i]
+                classes[i].setdefault((x & b, z & b), []).append(k)
+                kept ^= low
+        return dict(zip(g.vertices, classes))
 
     @cached_property
     def stabilizer_signs(self) -> tuple[int | None, ...]:

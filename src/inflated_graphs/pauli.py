@@ -77,12 +77,16 @@ def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
     index = g.index
     x = z = 0
     for v, l in letters.items():
-        g.require_vertex(v)
-        if l not in _XZ:
+        i = index.get(v)
+        if i is None:
+            raise ValueError(f"unknown vertex {v!r}")
+        xz = _XZ.get(l)
+        if xz is None:
             raise ValueError(f"invalid Pauli letter {l!r}")
-        bx, bz = _XZ[l]
-        x |= bx << index[v]
-        z |= bz << index[v]
+        if xz[0]:
+            x |= 1 << i
+        if xz[1]:
+            z |= 1 << i
     return x, z
 
 
@@ -101,10 +105,7 @@ def subset_to_pauli(
 ) -> tuple[dict[str, str], int]:
     """The stabilizer element generated by a vertex subset (the product of
     the graph-state generators at its vertices) as (letters, sign)."""
-    x = 0
-    for v in subset:
-        g.require_vertex(v)
-        x |= 1 << g.index[v]
+    x = g.bits_of(subset)
     z, negative = _stabilizer(g, x)
     return to_letters(g, x, z), -1 if negative else 1
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 from inflated_graphs import build_graph
 
@@ -26,3 +27,19 @@ def random_connected_graph(rng: random.Random, n: int):
 
 def random_subset(rng: random.Random, items):
     return frozenset(v for v in items if rng.random() < 0.5)
+
+
+def bfs_ball(g, v: str, d: int) -> tuple[str, ...]:
+    """Vertices within distance d of v by breadth-first search, in vertex
+    order: the reference for ``Graph.ball_masks`` and ``ball``."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        w = queue.popleft()
+        if dist[w] == d:
+            continue
+        for u in g.neighbors[w]:
+            if u not in dist:
+                dist[u] = dist[w] + 1
+                queue.append(u)
+    return tuple(sorted(dist, key=g.index.__getitem__))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -119,6 +120,49 @@ def test_verify_mutated_fixture_exits_1(tmp_path, capsys):
     assert main(["verify", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["overall"] is False
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ("letter", [1]),
+        ("letter", {"a": 1}),
+        ("letter", None),
+        ("letter", 1),
+        ("letter", "W"),
+        ("letter vertex", "X"),
+        ("mask vertex", None),
+    ],
+)
+def test_malformed_letters_and_vertices_are_input_errors(
+    tmp_path, capsys, where, value
+):
+    # A leaked TypeError would exit 1 with a traceback, which reads as
+    # "verified false".
+    obj = set_to_json(load_fixture_set("ghz_path3"))
+    pair = obj["pairs"][0]
+    if where == "letter":
+        pair["letters"]["1"] = value
+    elif where == "letter vertex":
+        pair["letters"]["9"] = value
+    else:
+        pair["mask"].append("9")
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    assert "input error:" in capsys.readouterr().err
+
+
+def test_distance_past_the_diameter_stops_at_the_fixpoint(tmp_path, capsys):
+    obj = set_to_json(load_fixture_set("ghz_path3"))
+    obj["d"] = 10**9
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(obj))
+    for command, code in (("verify", 1), ("bound", 0)):
+        started = time.perf_counter()
+        assert main([command, str(path)]) == code
+        assert time.perf_counter() - started < 1.0, command
+    capsys.readouterr()
 
 
 def test_bound_fixtures(capsys):

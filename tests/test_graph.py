@@ -1,8 +1,11 @@
 import json
+import random
+import time
 
 import pytest
 
 from inflated_graphs import graph as gr
+from conftest import bfs_ball, random_connected_graph
 
 
 def test_edge_key_orients_smaller_first():
@@ -36,6 +39,45 @@ def test_distance_and_ball():
 def test_distance_disconnected_is_infinite():
     g = gr.build_graph([(1, 2)], vertices=[3])
     assert "3" not in gr.ball(g, "1", len(g.vertices))
+
+
+def test_ball_masks_match_bfs():
+    """ball_masks, ball and is_connected agree with a breadth-first search
+    on random connected graphs, their inflations and a disconnected graph,
+    at radii 0..4 and one far past the diameter."""
+    rng = random.Random(5)
+    graphs = [gr.build_graph([(1, 2), (3, 4), (4, 5)], vertices=[6])]
+    for n in range(2, 15):
+        g = random_connected_graph(rng, n)
+        graphs.append(g)
+        graphs += [gr.inflate(g, d).graph for d in (1, 2, 3)]
+    for g in graphs:
+        for d in (0, 1, 2, 3, 4, 10**9):
+            masks = g.ball_masks(d)
+            assert len(masks) == len(g.vertices)
+            for v, mask in zip(g.vertices, masks):
+                expected = bfs_ball(g, v, d)
+                assert mask == sum(1 << g.index[u] for u in expected), (v, d)
+                assert gr.ball(g, v, d) == expected
+        component = bfs_ball(g, g.vertices[0], 10**9)
+        assert g.is_connected == (len(component) == len(g.vertices))
+    assert not graphs[0].is_connected
+
+
+def test_is_connected_grows_one_ball():
+    # Growing every vertex's ball instead would take seconds on this path.
+    g = gr.build_graph([(i, i + 1) for i in range(1, 2000)])
+    started = time.perf_counter()
+    assert g.is_connected
+    assert time.perf_counter() - started < 0.2
+
+
+def test_ball_rejects_negative_radius_and_unknown_vertex():
+    g = gr.build_graph([(1, 2)])
+    with pytest.raises(ValueError, match="radius"):
+        g.ball_masks(-1)
+    with pytest.raises(ValueError, match="unknown vertex"):
+        gr.ball(g, "9", 1)
 
 
 def test_inflate_triangle_gives_nine_cycle():

@@ -8,7 +8,7 @@ import inflated_graphs as ig
 from inflated_graphs import pauli, statevector
 from inflated_graphs.cli import load_fixture_set
 from inflated_graphs.graph import inflate
-from conftest import random_connected_graph
+from conftest import bfs_ball, random_connected_graph
 
 # The package attribute "inflate" is the construction function, not the
 # module.
@@ -316,7 +316,7 @@ def _reference_build(base, iginf):
         failures = {}
         for w, odd in certificate.odd_classes.items():
             assert w in iginf.chain_index
-            powers = [u for u in ig.ball(iginf.graph, w, iginf.d) if iginf.is_power(u)]
+            powers = [u for u in bfs_ball(iginf.graph, w, iginf.d) if iginf.is_power(u)]
             assert len(powers) == 1
             center = powers[0]
             edge, _ = iginf.chain_index[w]

@@ -4,10 +4,10 @@ import random
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import gf2, lhv, paradox, pauli
+from inflated_graphs import gf2, graph, lhv, paradox, pauli
 from inflated_graphs.cli import load_fixture_set
-from inflated_graphs.graph import ball, inflate
-from conftest import random_connected_graph
+from inflated_graphs.graph import inflate
+from conftest import bfs_ball, random_connected_graph
 
 FIXTURES = ("table1_9cycle", "chain7", "cycle5", "ghz_path3")
 
@@ -39,7 +39,7 @@ def test_excerpt_is_ball_restricted():
     s = load_fixture_set("chain7")
     g = s.graph
     # d=1 ball around the middle power vertex has three vertices
-    local = ball(g, "2", 1)
+    local = bfs_ball(g, "2", 1)
     assert len(local) == 3
     b = sum(1 << g.index[u] for u in local)
     classes = s.excerpt_classes["2"]
@@ -84,7 +84,7 @@ def _reference_classes(s, v):
     for k, p in enumerate(s.pairs):
         letters = p.letters_dict
         if v in p.mask and letters.get(v, "I") != "I":
-            excerpt = tuple(letters.get(u, "I") for u in ball(s.graph, v, s.d))
+            excerpt = tuple(letters.get(u, "I") for u in bfs_ball(s.graph, v, s.d))
             groups.setdefault(excerpt, []).append(k)
     return groups
 
@@ -162,22 +162,58 @@ def test_excerpt_classes_match_letter_reference():
     assert odd_seen >= 10
 
 
+def _reference_excerpt_classes(s):
+    """The per-vertex grouping excerpt_classes replaced: each vertex's ball
+    summed into a bitmask, then every pair tested against the vertex."""
+    index = s.graph.index
+    out = {}
+    for v in s.graph.vertices:
+        b = sum(1 << index[u] for u in bfs_ball(s.graph, v, s.d))
+        bit = 1 << index[v]
+        classes = {}
+        for k, (x, z, m) in enumerate(s.pair_bits):
+            if m & bit and (x | z) & bit:
+                classes.setdefault((x & b, z & b), []).append(k)
+        out[v] = classes
+    return out
+
+
+def test_excerpt_classes_match_per_vertex_grouping():
+    """excerpt_classes equals the per-vertex ball grouping, in the order of
+    vertices, classes and pair indices, on 216 built sets."""
+    rng = random.Random(12)
+    checked = 0
+    for i in range(216):
+        g = random_connected_graph(rng, 3 + i % 6)
+        s = ig.build_inflated_set(
+            ig.find_base_set(g), inflate(g, 1 + i % 3)
+        ).measurement_set
+        reference = _reference_excerpt_classes(s)
+        got = s.excerpt_classes
+        assert list(got) == list(reference)
+        for v, classes in reference.items():
+            assert list(got[v].items()) == list(classes.items()), v
+        checked += 1
+    assert checked >= 200
+
+
 def test_excerpt_classes_and_signs_computed_once_per_set(monkeypatch):
     # The certificate, the strategy system and the Bell report of one set
-    # walk each vertex's ball and derive each pair's sign once between them.
+    # compute its ball masks once (one growth per vertex) and derive each
+    # pair's sign once between them.
     s = load_fixture_set("chain7")
     calls = {"ball": 0, "sign": 0}
-    real_ball, real_stabilizer = paradox.ball, pauli._stabilizer
+    real_grow, real_stabilizer = graph._grow, pauli._stabilizer
 
-    def counting_ball(*args):
+    def counting_grow(*args):
         calls["ball"] += 1
-        return real_ball(*args)
+        return real_grow(*args)
 
     def counting_stabilizer(*args):
         calls["sign"] += 1
         return real_stabilizer(*args)
 
-    monkeypatch.setattr(paradox, "ball", counting_ball)
+    monkeypatch.setattr(graph, "_grow", counting_grow)
     monkeypatch.setattr(pauli, "_stabilizer", counting_stabilizer)
     assert ig.verify_paradox(s).overall
     assert not ig.feasible(ig.build_system(s))
