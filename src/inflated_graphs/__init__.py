@@ -33,11 +33,7 @@ from .inflate import (
     BuildResult,
     DecoySpec,
     build_inflated_set,
-    decoy_pair,
     find_base_set,
-    inflated_measurement,
-    inflated_stabilizer,
-    shell_stabilizer,
 )
 from .lhv import (
     BarrettModel,
@@ -98,11 +94,7 @@ __all__ = [
     "BuildResult",
     "DecoySpec",
     "build_inflated_set",
-    "decoy_pair",
     "find_base_set",
-    "inflated_measurement",
-    "inflated_stabilizer",
-    "shell_stabilizer",
     "BarrettModel",
     "BellReport",
     "BinaryGame",

@@ -89,6 +89,12 @@ class Graph:
             bits |= 1 << i
         return bits
 
+    def vertices_of(self, bits: int) -> tuple[str, ...]:
+        """The vertices of a bitmask over ``index``, in vertex order; the
+        inverse of :meth:`bits_of`."""
+        digits = format(bits, f"0{len(self.vertices)}b")[::-1]
+        return tuple(v for v, b in zip(self.vertices, digits) if b == "1")
+
     def require_vertex(self, v: str) -> None:
         if v not in self.index:
             raise ValueError(f"unknown vertex {v!r}")
@@ -141,8 +147,7 @@ def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:
     """Vertices within distance d of v (inclusive), in canonical order: the
     members of v's mask in :meth:`Graph.ball_masks`."""
     g.require_vertex(v)
-    mask = g.ball_masks(d)[g.index[v]]
-    return tuple(u for i, u in enumerate(g.vertices) if (mask >> i) & 1)
+    return g.vertices_of(g.ball_masks(d)[g.index[v]])
 
 
 def chain_vertex_name(edge: tuple[str, str], r: int) -> str:
@@ -159,13 +164,6 @@ class InflatedGraph:
     graph: Graph
     power_vertices: tuple[str, ...]
     chain_index: Mapping[str, tuple[tuple[str, str], int]]
-
-    def is_power(self, v: str) -> bool:
-        return v in self._power_set
-
-    @cached_property
-    def _power_set(self) -> frozenset[str]:
-        return frozenset(self.power_vertices)
 
 
 def inflate(g: Graph, d: int) -> InflatedGraph:

@@ -3,13 +3,19 @@ stabilizers, and decoy measurements.  The decoys are planned from a parity
 table read off the base set, so one re-verification turns any
 local-model-refuting set on a base graph into a certified set refuting
 distance-d communication-assisted models on the inflated graph.
+
+Every pair is built as (x, z, mask) bitmasks over the inflated graph's
+index and becomes letters once, at the end.  A base mask is lifted by
+OR-ing, per base vertex, its power-vertex bit or the member mask of its
+inflated generator (the vertex plus its chain vertices at even distance);
+"X on every chain vertex" is the OR of the chain mask.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Sequence
 
 from . import pauli
 from .graph import Graph, InflatedGraph, chain_vertex_name, edge_key
@@ -19,49 +25,6 @@ from .paradox import (
     ParadoxCertificate,
     verify_paradox,
 )
-
-
-def inflated_measurement(
-    m: Mapping[str, str], ig: InflatedGraph
-) -> dict[str, str]:
-    """Copy base letters onto power vertices; X on every chain vertex."""
-    for v in m:
-        if m[v] != "I":
-            ig.base.require_vertex(v)
-    letters = {v: l for v, l in m.items() if l != "I"}
-    for w in ig.chain_index:
-        letters[w] = "X"
-    return letters
-
-
-def _members(ig: InflatedGraph, subset: Iterable[str]) -> frozenset[str]:
-    """Inflated-graph vertices whose generators multiply to the inflated
-    generators of a set of power vertices: each u itself plus the chain
-    vertices of u's chains at even distance from u.  The member sets of
-    distinct power vertices are disjoint."""
-    members = set()
-    for u in subset:
-        if not ig.is_power(u):
-            raise ValueError(f"{u!r} is not a power vertex")
-        members.add(u)
-        for v in ig.base.neighbors[u]:
-            edge = edge_key(u, v)
-            for s in range(1, ig.d + 1):
-                # Position 2s counted from u; canonical names count from the
-                # smaller endpoint.
-                r = 2 * s if edge[0] == u else 2 * ig.d + 1 - 2 * s
-                members.add(chain_vertex_name(edge, r))
-    return frozenset(members)
-
-
-def inflated_stabilizer(
-    ig: InflatedGraph, subset: Iterable[str]
-) -> tuple[dict[str, str], int]:
-    """Product of the inflated generators of a base-graph vertex subset, as
-    (letters, sign).  The inflated generator of a power vertex u is the
-    product of the inflated graph's generators at u and at the chain
-    vertices of u's chains at even distance from u."""
-    return pauli.subset_to_pauli(ig.graph, _members(ig, subset))
 
 
 @dataclass(frozen=True)
@@ -89,50 +52,6 @@ class DecoySpec:
         for s in self.letters:
             if s not in pauli.LETTERS:
                 raise ValueError(f"invalid Pauli letter {s!r}")
-
-
-def shell_stabilizer(
-    ig: InflatedGraph, spec: DecoySpec
-) -> tuple[dict[str, str], int]:
-    """Product of the inflated generators of the two chosen neighbors, as
-    (letters, sign).
-
-    Identity at the center vertex; sign always +1.
-    """
-    spec.validate(ig)
-    letters, sign = inflated_stabilizer(ig, spec.neighbors)
-    assert spec.center not in letters
-    assert sign == 1
-    return letters, sign
-
-
-def decoy_pair(
-    ig: InflatedGraph, spec: DecoySpec
-) -> tuple[MeasurementPair, MeasurementPair]:
-    """Two measurements differing only at the center vertex and sharing the
-    shell stabilizer as their common submeasurement.
-
-    Both measurements carry X on every chain vertex of the graph (the shell's
-    chain letters are all X or identity, so it stays a submeasurement); on
-    power vertices other than the center they carry the shell's letters.
-    Uniform X on chains keeps the pair in the same excerpt class as the rows
-    it must cancel even when the center has further chains within distance d.
-    """
-    shell, _ = shell_stabilizer(ig, spec)
-    base_letters = {v: l for v, l in shell.items() if v not in ig.chain_index}
-    for w in ig.chain_index:
-        base_letters[w] = "X"
-    mask = frozenset(shell)
-    out = []
-    for s in spec.letters:
-        letters = dict(base_letters)
-        if s != "I":
-            letters[spec.center] = s
-        pair = MeasurementPair.make(letters, mask)
-        # The shell must be a submeasurement of the decoy measurement.
-        assert all(pair.letters_dict.get(v) == l for v, l in shell.items())
-        out.append(pair)
-    return out[0], out[1]
 
 
 @dataclass
@@ -163,6 +82,75 @@ class BuildResult:
         }
 
 
+def _spread(bits: int, table: Sequence[int]) -> int:
+    """OR of table[i] over the set bits i of a base-graph bitmask."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= table[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:
+    """Per base vertex u, in base index order, the bitmask over the inflated
+    graph's index of the vertices whose generators multiply to u's inflated
+    generator: u itself plus the chain vertices of u's chains at even
+    distance from u.  The masks of distinct base vertices are disjoint."""
+    index = ig.graph.index
+    masks = []
+    for u in ig.base.vertices:
+        mask = 1 << index[u]
+        for v in ig.base.neighbors[u]:
+            edge = edge_key(u, v)
+            for s in range(1, ig.d + 1):
+                # Position 2s counted from u; canonical names count from the
+                # smaller endpoint.
+                r = 2 * s if edge[0] == u else 2 * ig.d + 1 - 2 * s
+                mask |= 1 << index[chain_vertex_name(edge, r)]
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _pair(g: Graph, x: int, z: int, mask: int, name: str = "") -> MeasurementPair:
+    """A pair given as bitmasks over ``g.index``, in letters."""
+    return MeasurementPair.make(
+        pauli.to_letters(g, x, z), g.vertices_of(mask), name=name
+    )
+
+
+def _decoy_pairs(
+    ig: InflatedGraph, members: tuple[int, ...], chain: int, spec: DecoySpec
+) -> tuple[MeasurementPair, MeasurementPair]:
+    """Two measurements differing only at the center vertex and sharing the
+    shell stabilizer, the product of the two neighbors' inflated
+    generators, as their common submeasurement.
+
+    Both measurements carry X on every chain vertex of the graph (the shell's
+    chain letters are all X or identity, so it stays a submeasurement); on
+    power vertices other than the center they carry the shell's letters.
+    Uniform X on chains keeps the pair in the same excerpt class as the rows
+    it must cancel even when the center has further chains within distance d.
+    """
+    spec.validate(ig)
+    g = ig.graph
+    b1, b2 = (ig.base.index[v] for v in spec.neighbors)
+    shell_x = members[b1] | members[b2]
+    shell_z, negative = pauli._stabilizer(g, shell_x)
+    shell = shell_x | shell_z
+    assert not (shell >> g.index[spec.center]) & 1  # identity at the center
+    assert not negative  # sign +1
+    assert not shell_z & chain  # X or identity on the chains
+    x, z = shell_x | chain, shell_z
+    out = []
+    for s in spec.letters:
+        cx, cz = pauli.to_xz(g, {spec.center: s})
+        # The shell must be a submeasurement of the decoy measurement.
+        assert ((x | cx) & shell, (z | cz) & shell) == (shell_x, shell_z)
+        out.append(_pair(g, x | cx, z | cz, shell))
+    return out[0], out[1]
+
+
 def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     """Inflate a certified base set and append the decoy pairs that make
     every excerpt class even; the postcondition is the re-verified
@@ -181,22 +169,34 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
         raise ValueError("base set must be a d=0 scenario")
     if len(base.graph.vertices) < 3 or not base.graph.is_connected:
         raise ValueError("base graph must have at least 3 connected vertices")
-    full = frozenset(base.graph.vertices)
-    if any(p.mask != full for p in base.pairs):
+    full = (1 << len(base.graph.vertices)) - 1
+    if any(m != full for _, _, m in base.pair_bits):
         raise ValueError("base set must use full submasks")
     if not verify_paradox(base).overall:
         raise ValueError("base set is not certified at d=0")
 
+    g = ig.graph
+    power = tuple(1 << g.index[v] for v in base.graph.vertices)
+    members = _member_masks(ig)
+    chain = g.bits_of(ig.chain_index)
     pairs = []
     odd: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
-    for p in base.pairs:
-        decomposition = pauli.pauli_to_subset(base.graph, p.letters_dict)
-        assert decomposition is not None  # certified above
-        subset = decomposition[0]
-        stab, _ = inflated_stabilizer(ig, subset)
-        letters = inflated_measurement(p.letters_dict, ig)
-        pairs.append(MeasurementPair.make(letters, frozenset(stab), name=p.name))
-        for f in subset:
+    for p, (x, z, _) in zip(base.pairs, base.pair_bits):
+        # Certified with a full mask, the pair is the stabilizer element of
+        # the subset x.  Its inflated stabilizer sets the kept vertices; the
+        # measurement copies the base letters and puts X on every chain.
+        inflated_x = _spread(x, members)
+        inflated_z, _ = pauli._stabilizer(g, inflated_x)
+        pairs.append(
+            _pair(
+                g,
+                _spread(x, power) | chain,
+                _spread(z, power),
+                inflated_x | inflated_z,
+                name=p.name,
+            )
+        )
+        for f in base.graph.vertices_of(x):
             for c in base.graph.neighbors[f]:
                 odd[c] ^= {(f, p.letters_dict.get(c, "I"))}
 
@@ -204,8 +204,8 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     for center in sorted(odd):
         for spec in _plan_decoys(center, odd[center]):
             decoy_specs.append(spec)
-            pairs.extend(decoy_pair(ig, spec))
-    built = MeasurementSet(graph=ig.graph, d=ig.d, pairs=tuple(pairs))
+            pairs.extend(_decoy_pairs(ig, members, chain, spec))
+    built = MeasurementSet(graph=g, d=ig.d, pairs=tuple(pairs))
     certificate = verify_paradox(built)
     if not certificate.overall:
         raise RuntimeError(

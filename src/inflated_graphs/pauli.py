@@ -24,7 +24,7 @@ from typing import Mapping
 from .graph import Graph
 
 _XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_LETTER = {xz: l for l, xz in _XZ.items()}
+_LETTER_OF_DIGITS = {"1": {"0": "X", "1": "Y"}, "0": {"1": "Z"}}
 LETTERS = tuple(_XZ)
 
 
@@ -93,10 +93,15 @@ def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
 def to_letters(g: Graph, x: int, z: int) -> dict[str, str]:
     """Letter assignment of bitmasks over ``g.index``, identity omitted, in
     vertex order; the inverse of :func:`to_xz`."""
+    # One binary digit string per mask, lowest index first: walking strings
+    # beats shifting wide ints once per vertex.
+    n = len(g.vertices)
+    xs = format(x, f"0{n}b")[::-1]
+    zs = format(z, f"0{n}b")[::-1]
     return {
-        v: _LETTER[(x >> i) & 1, (z >> i) & 1]
-        for i, v in enumerate(g.vertices)
-        if ((x | z) >> i) & 1
+        v: _LETTER_OF_DIGITS[a][b]
+        for v, a, b in zip(g.vertices, xs, zs)
+        if a == "1" or b == "1"
     }
 
 

@@ -4,6 +4,19 @@ Independent oracle for Pauli expectations, and the only evaluator for
 non-Pauli observables such as single-qubit rotations.  Amplitude index
 convention: vertex i (in the graph's canonical vertex order) is bit i of
 the amplitude index.
+
+The graph state's amplitude at k is (-1)**|E(k)| / sqrt(2**n), with E(k)
+the edges inside the vertex set k: :func:`graph_state` builds the signs in
+one pass per vertex from the CZ phases between it and its lower-indexed
+neighbours.  A Pauli string with bitmasks x, z over the state's vertex order
+is i**#Y X**x Z**z, so it acts on amplitudes by the permutation k -> k ^ x
+and the sign (-1)**popcount(k & z): :func:`pauli_expectation` needs no
+matrices.  Rotated and other non-Pauli settings go through
+:func:`expect`'s per-factor contraction.
+
+Independence: this module reads only Pauli action and CZ phases.  It imports
+nothing from :mod:`inflated_graphs.pauli` and never uses the stabilizer rule,
+so it stays an oracle for that arithmetic rather than a copy of it.
 """
 
 from __future__ import annotations
@@ -18,6 +31,10 @@ from .graph import Graph
 
 # Largest graph a dense state is built for: 2**14 complex amplitudes.
 CAP = 14
+
+# (x, z) bits of each letter: Y = i X Z.  Kept apart from the stabilizer
+# arithmetic on purpose.
+_PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 PAULI_MATRICES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -83,17 +100,24 @@ def observable_from_pauli(
 
 
 def graph_state(g: Graph) -> StateVector:
-    """|+>^n with a controlled-Z applied across every edge."""
+    """|+>^n with a controlled-Z applied across every edge.
+
+    The CZ phase of amplitude k is the parity of |E(k)|.  Vertex v adds the
+    edges to its lower-indexed neighbours, so the parities of the indices
+    with top bit v are those below 2**v flipped by popcount(k & lower(v)):
+    one pass per vertex doubles the table.
+    """
     n = len(g.vertices)
     if n > CAP:
         raise ValueError(f"graph has {n} vertices; cap is {CAP}")
     dim = 1 << n
-    amplitudes = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    idx = np.arange(dim)
-    for u, v in sorted(g.edges):
-        i, j = g.index[u], g.index[v]
-        both = ((idx >> i) & 1) & ((idx >> j) & 1)
-        amplitudes[both == 1] *= -1.0
+    k = np.arange(dim)
+    parity = np.zeros(1, dtype=np.uint8)
+    for v, neighbours in enumerate(g.adjacency):
+        lower = neighbours & ((1 << v) - 1)
+        flips = np.bitwise_count(k[: 1 << v] & lower) & 1
+        parity = np.concatenate([parity, parity ^ flips])
+    amplitudes = (1.0 - 2.0 * parity).astype(complex) / math.sqrt(dim)
     return StateVector(n=n, amplitudes=amplitudes, vertices=g.vertices)
 
 
@@ -123,8 +147,31 @@ def expect(
 
 def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
     """Expectation of a phaseless Pauli product; cross-oracle for the exact
-    stabilizer arithmetic."""
-    return expect(sv, observable_from_pauli(letters))
+    stabilizer arithmetic.
+
+    With x, z the letters' bitmasks over the state's vertex order, the
+    value is i**#Y * sum_k conj(psi[k]) (-1)**popcount((k ^ x) & z)
+    psi[k ^ x].  "I" letters are allowed; an unknown vertex or letter
+    raises ValueError.
+    """
+    x = z = ys = 0
+    for v, l in letters.items():
+        bits = _PAULI_BITS.get(l)
+        if bits is None:
+            raise ValueError(f"invalid Pauli letter {l!r}")
+        if v not in sv.vertices:
+            raise ValueError(f"unknown vertex {v!r}")
+        i = sv.qubit(v)
+        x |= bits[0] << i
+        z |= bits[1] << i
+        ys += bits[0] & bits[1]
+    psi = sv.amplitudes
+    source = np.arange(len(psi)) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & z) & 1)
+    value = (1, 1j, -1, -1j)[ys % 4] * np.vdot(psi, signs * psi[source])
+    if abs(value.imag) > 1e-10:
+        raise ValueError(f"expectation has imaginary part {value.imag}")
+    return float(value.real)
 
 
 def rotation_observable(theta: float) -> np.ndarray:

@@ -113,7 +113,7 @@ def test_chain_index_positions():
     g = gr.build_graph([(1, 2)])
     ig = gr.inflate(g, 2)
     assert ig.chain_index["3@(1,2)"] == (("1", "2"), 3)
-    assert ig.is_power("1") and not ig.is_power("3@(1,2)")
+    assert "1" in ig.power_vertices and "3@(1,2)" not in ig.power_vertices
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,13 +1,14 @@
 import importlib
 import itertools
+import json
 import random
 
 import pytest
 
 import inflated_graphs as ig
 from inflated_graphs import pauli, statevector
-from inflated_graphs.cli import load_fixture_set
-from inflated_graphs.graph import inflate
+from inflated_graphs.cli import FIXTURES, _fixture_text, load_fixture_set
+from inflated_graphs.graph import chain_vertex_name, edge_key, inflate
 from conftest import bfs_ball, random_connected_graph
 
 # The package attribute "inflate" is the construction function, not the
@@ -26,10 +27,119 @@ def triangle_base():
     return ig.MeasurementSet(graph=g, d=0, pairs=pairs)
 
 
+# ---------------------------------------------------------------------------
+# The letter-dict construction that build_inflated_set's bitmask arithmetic
+# replaced, kept as its reference: every inflated and decoy pair is built as
+# a letter dict over every chain vertex, and the base subset is read back
+# from the base pair's letters.
+# ---------------------------------------------------------------------------
+
+
+def inflated_measurement(m, iginf):
+    """Copy base letters onto power vertices; X on every chain vertex."""
+    for v in m:
+        if m[v] != "I":
+            iginf.base.require_vertex(v)
+    letters = {v: l for v, l in m.items() if l != "I"}
+    for w in iginf.chain_index:
+        letters[w] = "X"
+    return letters
+
+
+def _members(iginf, subset):
+    """Inflated-graph vertices whose generators multiply to the inflated
+    generators of a set of power vertices: each u itself plus the chain
+    vertices of u's chains at even distance from u."""
+    members = set()
+    for u in subset:
+        if u not in iginf.power_vertices:
+            raise ValueError(f"{u!r} is not a power vertex")
+        members.add(u)
+        for v in iginf.base.neighbors[u]:
+            edge = edge_key(u, v)
+            for s in range(1, iginf.d + 1):
+                # Position 2s counted from u; canonical names count from the
+                # smaller endpoint.
+                r = 2 * s if edge[0] == u else 2 * iginf.d + 1 - 2 * s
+                members.add(chain_vertex_name(edge, r))
+    return frozenset(members)
+
+
+def inflated_stabilizer(iginf, subset):
+    """Product of the inflated generators of a base-graph vertex subset, as
+    (letters, sign)."""
+    return pauli.subset_to_pauli(iginf.graph, _members(iginf, subset))
+
+
+def shell_stabilizer(iginf, spec):
+    """Product of the inflated generators of the two chosen neighbors, as
+    (letters, sign): identity at the center vertex, sign always +1."""
+    spec.validate(iginf)
+    letters, sign = inflated_stabilizer(iginf, spec.neighbors)
+    assert spec.center not in letters
+    assert sign == 1
+    return letters, sign
+
+
+def decoy_pair(iginf, spec):
+    """Two measurements differing only at the center vertex, X on every
+    chain vertex and the shell's letters on the other power vertices, with
+    the shell stabilizer as their common submeasurement."""
+    shell, _ = shell_stabilizer(iginf, spec)
+    base_letters = {v: l for v, l in shell.items() if v not in iginf.chain_index}
+    for w in iginf.chain_index:
+        base_letters[w] = "X"
+    mask = frozenset(shell)
+    out = []
+    for s in spec.letters:
+        letters = dict(base_letters)
+        if s != "I":
+            letters[spec.center] = s
+        pair = ig.MeasurementPair.make(letters, mask)
+        assert all(pair.letters_dict.get(v) == l for v, l in shell.items())
+        out.append(pair)
+    return out[0], out[1]
+
+
+def inflated_pair(p, base, iginf):
+    """A base pair's inflated pair and its base subset, read back from the
+    base pair's letters."""
+    subset, _ = pauli.pauli_to_subset(base.graph, p.letters_dict)
+    stab, _ = inflated_stabilizer(iginf, subset)
+    letters = inflated_measurement(p.letters_dict, iginf)
+    return ig.MeasurementPair.make(letters, frozenset(stab), name=p.name), subset
+
+
+def letter_build(base, iginf):
+    """build_inflated_set on letter dicts: the same odd-class table and decoy
+    plan, with every pair built by the helpers above."""
+    pairs = []
+    odd = {}
+    for p in base.pairs:
+        pair, subset = inflated_pair(p, base, iginf)
+        pairs.append(pair)
+        for f in subset:
+            for c in base.graph.neighbors[f]:
+                odd.setdefault(c, set()).symmetric_difference_update(
+                    {(f, p.letters_dict.get(c, "I"))}
+                )
+    specs = []
+    for center in sorted(odd):
+        for spec in infl_mod._plan_decoys(center, odd[center]):
+            specs.append(spec)
+            pairs.extend(decoy_pair(iginf, spec))
+    built = ig.MeasurementSet(graph=iginf.graph, d=iginf.d, pairs=tuple(pairs))
+    return ig.BuildResult(
+        measurement_set=built,
+        decoy_specs=specs,
+        certificate=ig.verify_paradox(built),
+    )
+
+
 def test_inflated_generator_is_stabilizer_element():
     g = ig.build_graph([(1, 2), (2, 3)])
     iginf = inflate(g, 1)
-    f2, sign = ig.inflated_stabilizer(iginf, {"2"})
+    f2, sign = inflated_stabilizer(iginf, {"2"})
     # it must be a +1 stabilizer element of the inflated graph
     assert pauli.pauli_to_subset(iginf.graph, f2) is not None
     assert sign == 1
@@ -40,7 +150,7 @@ def test_inflated_generator_is_stabilizer_element():
 def test_inflated_measurement_letters():
     g = ig.build_graph([(1, 2)])
     iginf = inflate(g, 1)
-    letters = ig.inflated_measurement({"1": "Y", "2": "Z"}, iginf)
+    letters = inflated_measurement({"1": "Y", "2": "Z"}, iginf)
     assert letters["1"] == "Y" and letters["2"] == "Z"
     assert letters["1@(1,2)"] == "X" and letters["2@(1,2)"] == "X"
 
@@ -50,7 +160,7 @@ def test_shell_stabilizer_structure():
     for d in (1, 2, 3):
         iginf = inflate(g, d)
         spec = ig.DecoySpec(center="2", neighbors=("1", "3"), letters=("X", "Y"))
-        shell, sign = ig.shell_stabilizer(iginf, spec)
+        shell, sign = shell_stabilizer(iginf, spec)
         assert sign == 1
         # X on the two neighbors and on the chain vertices at odd distance
         # from the center; identity everywhere else
@@ -66,7 +176,7 @@ def test_decoy_pair_shares_shell_submeasurement():
     g = ig.build_graph([(1, 2), (1, 3), (2, 3)])
     iginf = inflate(g, 1)
     spec = ig.DecoySpec(center="1", neighbors=("2", "3"), letters=("X", "Z"))
-    m1, m2 = ig.decoy_pair(iginf, spec)
+    m1, m2 = decoy_pair(iginf, spec)
     assert m1.mask == m2.mask
     l1, l2 = m1.letters_dict, m2.letters_dict
     assert l1["1"] == "X" and l2["1"] == "Z"
@@ -300,12 +410,7 @@ def _reference_build(base, iginf):
     verify the working set, map each odd excerpt class to its power vertex
     and far branch, append the planned decoys, and repeat until every class
     is even.  Returns (pairs, decoy specs, rounds, certificate)."""
-    pairs = []
-    for p in base.pairs:
-        subset, _ = pauli.pauli_to_subset(base.graph, p.letters_dict)
-        stab, _ = ig.inflated_stabilizer(iginf, subset)
-        letters = ig.inflated_measurement(p.letters_dict, iginf)
-        pairs.append(ig.MeasurementPair.make(letters, frozenset(stab), name=p.name))
+    pairs = [inflated_pair(p, base, iginf)[0] for p in base.pairs]
     specs = []
     rounds = 0
     while True:
@@ -316,7 +421,9 @@ def _reference_build(base, iginf):
         failures = {}
         for w, odd in certificate.odd_classes.items():
             assert w in iginf.chain_index
-            powers = [u for u in bfs_ball(iginf.graph, w, iginf.d) if iginf.is_power(u)]
+            powers = [
+                u for u in bfs_ball(iginf.graph, w, iginf.d) if u in iginf.power_vertices
+            ]
             assert len(powers) == 1
             center = powers[0]
             edge, _ = iginf.chain_index[w]
@@ -329,7 +436,7 @@ def _reference_build(base, iginf):
         for center in sorted(failures):
             for spec in infl_mod._plan_decoys(center, failures[center]):
                 specs.append(spec)
-                pairs.extend(ig.decoy_pair(iginf, spec))
+                pairs.extend(decoy_pair(iginf, spec))
 
 
 def test_build_matches_reference_fixpoint():
@@ -355,3 +462,33 @@ def test_build_matches_reference_fixpoint():
             "iterations": rounds,
             "certificate": certificate.to_json(),
         }
+
+
+def test_bit_build_matches_letter_build():
+    """build_inflated_set's bitmask arithmetic gives the set, decoy plan and
+    report of the letter-dict construction, on every fixture and on random
+    connected graphs with n = 3..12 and d = 1..3."""
+    bases = [load_fixture_set("ghz_path3"), triangle_base()]
+    bases += [ig.find_base_set(load_fixture_set(name).graph) for name in FIXTURES]
+    bases += [
+        ig.find_base_set(ig.graph_from_json(json.loads(_fixture_text(name))))
+        for name in ("path3", "triangle")
+    ]
+    cases = [(base, d) for base in bases for d in (1, 2, 3)]
+    rng = random.Random(31)
+    cases += [
+        (ig.find_base_set(random_connected_graph(rng, 3 + i % 10)), 1 + i % 3)
+        for i in range(120)
+    ]
+    decoys = 0
+    for base, d in cases:
+        iginf = inflate(base.graph, d)
+        result = ig.build_inflated_set(base, iginf)
+        reference = letter_build(base, iginf)
+        assert ig.set_to_json(result.measurement_set) == ig.set_to_json(
+            reference.measurement_set
+        )
+        assert result.decoy_specs == reference.decoy_specs
+        assert result.report() == reference.report()
+        decoys += len(result.decoy_specs)
+    assert decoys > len(cases)

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 import inflated_graphs as ig
 from inflated_graphs import pauli, statevector as sv
 from inflated_graphs.graph import Graph
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_subset
 
 
 def test_single_vertex_is_plus_state():
@@ -106,3 +107,102 @@ def test_rotation_observable_is_hermitian_unit():
         r = sv.rotation_observable(theta)
         assert np.allclose(r, r.conj().T)
         assert np.allclose(r @ r, np.eye(2), atol=1e-12)
+
+
+def test_pauli_expectation_rejects_unknown_letters_and_vertices():
+    state = sv.graph_state(ig.build_graph([(1, 2), (2, 3)]))
+    with pytest.raises(ValueError, match="invalid Pauli letter 'W'"):
+        sv.pauli_expectation(state, {"1": "W"})
+    with pytest.raises(ValueError, match="unknown vertex '9'"):
+        sv.pauli_expectation(state, {"9": "X"})
+    # Identity letters are allowed and act as absent vertices.
+    assert sv.pauli_expectation(state, {"1": "I", "2": "X", "3": "I"}) == 0.0
+    assert sv.pauli_expectation(state, {"1": "Z", "2": "X", "3": "Z"}) == (
+        pytest.approx(1.0)
+    )
+
+
+def _graph(rng, n):
+    if n == 1:
+        return ig.build_graph([], vertices=[1])
+    return random_connected_graph(rng, n)
+
+
+def _random_state(rng, g):
+    n = len(g.vertices)
+    gen = np.random.default_rng(rng.randrange(2**32))
+    amplitudes = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
+    amplitudes /= np.linalg.norm(amplitudes)
+    return sv.StateVector(n=n, amplitudes=amplitudes, vertices=g.vertices)
+
+
+def test_pauli_expectation_matches_matrix_contraction():
+    """The permutation-and-parity evaluation equals the per-factor matrix
+    contraction of expect() on graph states and on random complex states,
+    for n = 1..12: uniform random strings (mostly non-stabilizer),
+    stabilizer elements, and Y-heavy strings, which test the i**#Y phase."""
+    rng = random.Random(41)
+    nonzero_y = 0
+    for n in range(1, 13):
+        for _ in range(2):
+            g = _graph(rng, n)
+            strings = [{v: rng.choice("IXYZ") for v in g.vertices} for _ in range(6)]
+            strings += [
+                {v: rng.choice("YYYYYYYIXZ") for v in g.vertices} for _ in range(6)
+            ]
+            strings.append(dict.fromkeys(g.vertices, "Y"))
+            strings += [
+                pauli.subset_to_pauli(g, random_subset(rng, g.vertices))[0]
+                for _ in range(6)
+            ]
+            for state in (sv.graph_state(g), _random_state(rng, g)):
+                for letters in strings:
+                    fast = sv.pauli_expectation(state, letters)
+                    slow = sv.expect(state, sv.observable_from_pauli(letters))
+                    assert abs(fast - slow) < 1e-10, (g, letters)
+                    ys = sum(l == "Y" for l in letters.values())
+                    nonzero_y += ys % 2 == 1 and abs(slow) > 1e-3
+    assert nonzero_y > 50
+
+
+def _per_edge_graph_state(g):
+    """The per-edge construction graph_state replaced: |+>^n, then a sign
+    flip of the amplitudes with both ends of an edge set, edge by edge."""
+    dim = 1 << len(g.vertices)
+    amplitudes = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    idx = np.arange(dim)
+    for u, v in sorted(g.edges):
+        i, j = g.index[u], g.index[v]
+        both = ((idx >> i) & 1) & ((idx >> j) & 1)
+        amplitudes[both == 1] *= -1.0
+    return amplitudes
+
+
+def test_graph_state_matches_per_edge_loop():
+    rng = random.Random(43)
+    graphs = [Graph(vertices=(), edges=frozenset())]
+    graphs += [_graph(rng, 1 + i % 12) for i in range(48)]
+    graphs.append(ig.build_graph(list(itertools.combinations(range(1, 13), 2))))
+    for g in graphs:
+        state = sv.graph_state(g)
+        assert np.array_equal(state.amplitudes, _per_edge_graph_state(g)), g
+
+
+def test_statevector_imports_nothing_from_pauli():
+    """The oracle reads Pauli action and CZ phases only: no import of the
+    stabilizer arithmetic, and no use of its rule or its letter compiler."""
+    tree = ast.parse(open(sv.__file__).read())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+    assert modules and not any("pauli" in m for m in modules), modules
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"pauli", "_stabilizer", "to_xz"}
