@@ -8,15 +8,19 @@ Grassl, "Searching for linear codes with large minimum distance", 2006)
 applied to a coset.  The span, of dimension k, is put in systematic form on
 several information sets, chosen greedily so that each puts its k pivots
 outside the positions covered by the earlier ones where it can; overlap_j
-counts the pivots of form j that it could not.  In form j every coset vector
-is the reduced target plus a subset of the rows, and its weight on the
-pivots is the subset's size.  Round w visits every w-subset of every form.
-After it, each coset vector not yet seen has weight at least w + 1 on every
-form's pivots, so at least sum_j max(0, w + 1 - overlap_j) in all; the
-search stops once the best weight found is at or below that bound, and at
-the latest after round k, when the whole coset has been seen.  One step is
-one subset visited; a round that would take the total past MAX_COSET_STEPS
-raises ValueError ("too large") before it starts.
+counts the pivots of form j that it could not.  Forms are added until the
+covered positions hold the span's whole support (the OR of the basis); the
+form after that would cover nothing new, so it is never computed.
+
+In form j every coset vector is the reduced target plus a subset of the
+rows, and its weight on the pivots is the subset's size.  Round w visits
+every w-subset of every form.  After it, each coset vector not yet seen has
+weight at least w + 1 on every form's pivots, so at least
+sum_j max(0, w + 1 - overlap_j) in all; the search stops once the best
+weight found is at or below that bound, and at the latest after round k,
+when the whole coset has been seen.  One step is one subset visited; a
+round that would take the total past MAX_COSET_STEPS raises ValueError
+("too large") before it starts.
 """
 
 from __future__ import annotations
@@ -119,36 +123,46 @@ def _systematic_forms(
 ) -> list[tuple[list[int], int, int]]:
     """Systematic forms of span(basis) on greedily chosen information sets.
 
-    Each form is (rows, reduced, overlap): row i holds the form's i-th pivot
-    and no other, and reduced is the vector of target + span that is zero on
-    every pivot.  A form takes its pivots outside the positions covered by
-    the earlier forms wherever the span allows; overlap counts the pivots it
-    could not place there.  Stops at the first form that covers no new
-    position.
+    basis must be linearly independent.  Each form is (rows, reduced,
+    overlap): row i holds the form's i-th pivot and no other, and reduced
+    is the vector of target + span that is zero on every pivot.  A form
+    takes its pivots outside the positions covered by the earlier forms
+    wherever the span allows; overlap counts the pivots it could not place
+    there.  Stops once the span has no position left outside the covered
+    ones: the next form would put every pivot on a covered position and
+    cover nothing new, so it is never computed.
     """
+    support = 0
+    for row in basis:
+        support |= row
     forms = []
     covered = 0
-    while True:
+    k = len(basis)
+    while support & ~covered:
+        free = ~covered
         rows = list(basis)
         reduced = target
         pivots = 0
-        for i in range(len(rows)):
-            # The remaining rows are independent and zero on the pivots so
-            # far; prefer one with a bit outside the covered positions.
-            j = next((j for j in range(i, len(rows)) if rows[j] & ~covered), i)
-            rows[i], rows[j] = rows[j], rows[i]
-            p = _lowest_set_bit(rows[i] & ~covered or rows[i])
-            for r in range(len(rows)):
-                if r != i and (rows[r] >> p) & 1:
-                    rows[r] ^= rows[i]
-            if (reduced >> p) & 1:
-                reduced ^= rows[i]
-            pivots |= 1 << p
-        overlap = (pivots & covered).bit_count()
-        if overlap == len(rows):
-            return forms
-        forms.append((rows, reduced, overlap))
+        for i in range(k):
+            # The rows from i on are independent and zero on the pivots so
+            # far; prefer the first with a free (uncovered) bit.
+            j = i
+            while j < k and not rows[j] & free:
+                j += 1
+            if j == k:
+                j = i
+            row = rows[j]
+            rows[j] = rows[i]
+            low = row & free or row
+            bit = low & -low
+            rows = [r ^ row if r & bit else r for r in rows]
+            rows[i] = row
+            if reduced & bit:
+                reduced ^= row
+            pivots |= bit
+        forms.append((rows, reduced, (pivots & covered).bit_count()))
         covered |= pivots
+    return forms
 
 
 def _min_subset_weight(rows: list[int], start: int, w: int) -> int:

@@ -155,6 +155,83 @@ def test_span_min_weight_budget_is_checked_before_each_round(
             gf2.span_min_weight(vectors, 0b111111)
 
 
+def gauss_jordan_forms(basis, target):
+    """Test-local copy of the systematic forms as built before the stopping
+    rule moved ahead of the elimination: full Gauss-Jordan passes, each
+    pivot found by its index, until a form covers no new position (that
+    last form is computed and discarded)."""
+    forms = []
+    covered = 0
+    while True:
+        rows = list(basis)
+        reduced = target
+        pivots = 0
+        for i in range(len(rows)):
+            j = next((j for j in range(i, len(rows)) if rows[j] & ~covered), i)
+            rows[i], rows[j] = rows[j], rows[i]
+            low = rows[i] & ~covered or rows[i]
+            p = (low & -low).bit_length() - 1
+            for r in range(len(rows)):
+                if r != i and (rows[r] >> p) & 1:
+                    rows[r] ^= rows[i]
+            if (reduced >> p) & 1:
+                reduced ^= rows[i]
+            pivots |= 1 << p
+        overlap = (pivots & covered).bit_count()
+        if overlap == len(rows):
+            return forms
+        forms.append((rows, reduced, overlap))
+        covered |= pivots
+
+
+def random_basis(rng, width, k):
+    """k independent vectors of the given width (k <= width)."""
+    basis = []
+    while len(basis) < k:
+        vec = rng.getrandbits(width)
+        if gf2.rank(basis + [vec]) > len(basis):
+            basis.append(vec)
+    return basis
+
+
+def test_systematic_forms_match_gauss_jordan():
+    rng = random.Random(12)
+    cases = [([], 0), ([], 0b1011), ([0b100], 0b110), ([1 << 70], 1 << 3)]
+    for trial in range(1200):
+        if trial < 900:  # narrow, every fourth of full rank
+            width = rng.randrange(1, 12)
+            k = width if trial % 4 == 0 else rng.randrange(0, width + 1)
+        else:  # wide
+            width = rng.randrange(40, 160)
+            k = rng.randrange(0, 25)
+        cases.append((random_basis(rng, width, k), rng.getrandbits(width)))
+    # Bases with support of size k, which the first form covers.
+    first_covers = []
+    for k in (1, 2, 5, 9):
+        shift = rng.randrange(0, 30)
+        basis = [vec << shift for vec in random_basis(rng, k, k)]
+        first_covers.append((basis, rng.getrandbits(k + 40)))
+    form_counts = set()
+    for basis, target in cases + first_covers:
+        forms = gf2._systematic_forms(basis, target)
+        assert forms == gauss_jordan_forms(basis, target)
+        form_counts.add(len(forms))
+        for rows, reduced, overlap in forms:
+            # Row i holds a pivot bit that no other row holds and on which
+            # reduced is zero; reduced stays in target + span.
+            for i, row in enumerate(rows):
+                others = 0
+                for r, other in enumerate(rows):
+                    if r != i:
+                        others |= other
+                assert row & ~others & ~reduced
+            assert len(rows) == gf2.rank(rows) == len(basis)
+            assert gf2.rank(basis + [reduced ^ target]) == len(basis)
+            assert 0 <= overlap < len(rows)
+    assert set(range(5)) <= form_counts  # 0, 1, 2, 3 and 4 forms all occur
+    assert all(len(gf2._systematic_forms(*case)) == 1 for case in first_covers)
+
+
 @given(
     st.lists(st.integers(min_value=0, max_value=255), max_size=8),
     st.integers(min_value=0, max_value=255),

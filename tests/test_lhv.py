@@ -75,6 +75,39 @@ def test_min_violations_agrees_with_brute_force():
         assert ig.feasible(sys) == (direct == 0)
 
 
+def test_min_violations_on_degenerate_rows():
+    # Systems the nonzero-walk transpose could get wrong: all-zero rows
+    # with rhs 1 (each a forced violation), variables in no row, and more
+    # variables than rows.
+    def system(n_vars, rows, rhs):
+        return lhv.StrategySystem(
+            variables=tuple((f"v{j}", ("X",)) for j in range(n_vars)),
+            rows=tuple(rows),
+            rhs=tuple(rhs),
+        )
+
+    # Hand-built, with their minimum violations.
+    assert ig.min_violations(system(3, [0, 0, 0], [1, 1, 0])) == 2
+    assert ig.min_violations(system(4, [0b0101, 0, 0b0101, 0], [1, 1, 0, 1])) == 3
+    assert ig.min_violations(system(6, [0b100001], [1])) == 0
+    assert ig.min_violations(system(8, [0b11, 0b11, 0b11000000], [0, 1, 1])) == 1
+    assert ig.min_violations(system(10, [1 << 9, 1 << 9, 0], [1, 0, 1])) == 2
+    rng = random.Random(5)
+    for _ in range(60):
+        n_rows = rng.randrange(1, 7)
+        n_vars = rng.randrange(n_rows + 1, 13)
+        unused = rng.getrandbits(n_vars)  # variables kept out of every row
+        rows = [
+            0 if rng.random() < 0.25 else rng.getrandbits(n_vars) & ~unused
+            for _ in range(n_rows)
+        ]
+        rhs = [rng.randrange(2) for _ in range(n_rows)]
+        sys = system(n_vars, rows, rhs)
+        got = ig.min_violations(sys)
+        assert got == lhv.min_violations_brute_force(sys)
+        assert got >= sum(b for row, b in zip(rows, rhs) if row == 0)
+
+
 def system_from_columns(columns, n_rows, rhs):
     """Strategy system whose variable j has column columns[j] (bit k set
     iff row k holds the variable)."""
@@ -475,8 +508,23 @@ def test_binary_game_bound_distance_one():
     assert ig.binary_game_bound() == 2
 
 
-def test_binary_game_bound_full_information():
+def test_binary_game_bound_full_information(monkeypatch):
+    # chsh_game(3) has 2^16 = 65536 assignments: a budget of exactly that
+    # many still enumerates them (one fewer refuses, below).
+    monkeypatch.setattr(lhv, "MAX_GAME_ASSIGNMENTS", 65536)
     assert lhv.game_bound(lhv.chsh_game(3)) == 4
+
+
+def test_game_bound_refuses_past_its_budget(monkeypatch):
+    monkeypatch.setattr(lhv, "MAX_GAME_ASSIGNMENTS", 65535)
+    with pytest.raises(
+        ValueError,
+        match=(
+            r"too large: 65536 deterministic assignments would pass the "
+            r"enumeration budget of 65535"
+        ),
+    ):
+        lhv.game_bound(lhv.chsh_game(3))
 
 
 def test_standard_chsh_degenerate_instance():
