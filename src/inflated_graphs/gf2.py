@@ -66,12 +66,15 @@ def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
     for row, b in zip(rows, rhs):
         row |= b << n_cols
         while row & col_mask:
-            col = _lowest_set_bit(row & col_mask)
-            if col in echelon:
-                row ^= echelon[col]
-            else:
+            # The rhs bit sits above every column, so the row's lowest bit
+            # is its lowest column.
+            col = (row & -row).bit_length() - 1
+            pivot = echelon.get(col)
+            if pivot is None:
                 echelon[col] = row
                 row = 0
+            else:
+                row ^= pivot
         if row:
             return None  # reduced to 0 = 1
     # Back-substitute, higher pivots first: every other bit of a row sits
@@ -98,6 +101,7 @@ def span_min_weight(vectors: list[int], target: int) -> int:
     forms = _systematic_forms(list(basis_map.values()), target)
     best = target.bit_count()
     steps = 0
+    pair_sums: list[list[int] | None] = [None] * len(forms)
     for w in range(k + 1):
         # After rounds 0..w-1, a coset vector not yet seen has weight >= w
         # on each form's pivots, at most overlap of which an earlier form
@@ -113,8 +117,10 @@ def span_min_weight(vectors: list[int], target: int) -> int:
                 f"budget of {MAX_COSET_STEPS} steps in round {w} (best weight "
                 f"found {best}, lower bound reached {bound})"
             )
-        for rows, reduced, _ in forms:
-            best = min(best, _min_subset_weight(rows, reduced, w))
+        if w == 2:
+            pair_sums = [_pair_sums(rows) for rows, _, _ in forms]
+        for (rows, reduced, _), pairs in zip(forms, pair_sums):
+            best = min(best, _min_subset_weight(rows, pairs, reduced, w))
     return best
 
 
@@ -165,19 +171,26 @@ def _systematic_forms(
     return forms
 
 
-def _min_subset_weight(rows: list[int], start: int, w: int) -> int:
+def _pair_sums(rows: list[int]) -> list[int]:
+    """rows[i] ^ rows[j] for all i < j, by i then j: the
+    i * (2k - i - 1) / 2 pairs that use a row before rows[i] come first."""
+    k = len(rows)
+    return [rows[i] ^ rows[j] for i in range(k) for j in range(i + 1, k)]
+
+
+def _min_subset_weight(
+    rows: list[int], pairs: list[int] | None, start: int, w: int
+) -> int:
     """Smallest weight of start XOR the sum of some w of the rows.
 
-    Depth first with a running XOR; the last two levels scan a table of the
-    pair sums, in which the i * (2k - i - 1) / 2 pairs that use a row before
-    rows[i] come first.
+    Depth first with a running XOR; the last two levels scan pairs, the
+    rows' :func:`_pair_sums` (needed only for w >= 2).
     """
     if w == 0:
         return start.bit_count()
     if w == 1:
         return min(map(int.bit_count, map(start.__xor__, rows)))
     k = len(rows)
-    pairs = [rows[i] ^ rows[j] for i in range(k) for j in range(i + 1, k)]
 
     def walk(i: int, acc: int, left: int) -> int:
         if left == 2:
@@ -188,7 +201,3 @@ def _min_subset_weight(rows: list[int], start: int, w: int) -> int:
         )
 
     return walk(0, start, w)
-
-
-def _lowest_set_bit(x: int) -> int:
-    return (x & -x).bit_length() - 1

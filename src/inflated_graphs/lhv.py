@@ -250,15 +250,14 @@ def _model_value(model: BarrettModel, x: int, z: int, m: int) -> int:
     return -1 if _flipped(model, x, z, m) else 1
 
 
-def _flipped(model: BarrettModel, x, z, m):
+def _flipped(model: BarrettModel, x: int, z: int, m: int) -> bool:
     """Whether an odd number of the model's rules fire on case (x, z, m):
     a rule fires when the mask holds its vertex and the letters match its
-    pattern.  Works on ints and elementwise on numpy arrays alike."""
+    pattern."""
     negative = False
     for bit, support, px, pz in model._rule_masks:
-        negative = negative ^ (
-            (m & bit != 0) & (x & support == px) & (z & support == pz)
-        )
+        if m & bit and x & support == px and z & support == pz:
+            negative = not negative
     return negative
 
 
@@ -350,26 +349,35 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
 
 
 # The flip-model scans hold numpy arrays over all 8^n cases.  At 7 vertices
-# (2.1 M cases) a scan takes 0.04-0.4 s and the process peaks at 50 MB RSS
-# (a 7-path with two chords) to 106 MB (K7) on a 2-core x86_64 machine; 8
-# vertices would need eight times the arrays (8^8 = 16.8 M cases), so the
+# (2.1 M cases) on a 2-core x86_64 machine, check_model takes 0.02-0.03 s
+# and a fresh process running it peaks at 41 MB RSS (K7, and a 7-path with
+# chords (1,4) and (3,7)); search_flip_rules takes 0.04 s and 43 MB on that
+# path and 0.3-0.4 s and 107 MB on K7, whose dense GF(2) rows set the peak.
+# 8 vertices would need eight times the arrays (8^8 = 16.8 M cases), so the
 # cap guards memory.
 MAX_FLIP_VERTICES = 7
 
 
-def _cases(g: Graph) -> tuple[np.ndarray, ...]:
-    """Every (measurement, mask) case on g as uint8 bitmask arrays x, z, m
-    over ``g.index``, in the order measurements over IXYZ**n with the first
-    vertex most significant, then masks ascending; and the stabilizer table
-    of :func:`pauli._stabilizer` over all 2^n vertex subsets, as arrays
-    stab_z and stab_negative indexed by the subset's bitmask.  A case is
-    stabilizer-proportional iff z & m == stab_z[x & m]."""
+def _require_flip_size(g: Graph) -> int:
+    """The vertex count of g; ValueError above MAX_FLIP_VERTICES."""
     n = len(g.vertices)
     if n > MAX_FLIP_VERTICES:
         raise ValueError(
             f"the flip-model scan walks all 8^n cases and is limited to "
             f"{MAX_FLIP_VERTICES} vertices; the graph has {n}"
         )
+    return n
+
+
+def _cases(g: Graph) -> tuple[np.ndarray, ...]:
+    """The rule search's table: every (measurement, mask) case on g as
+    uint8 bitmask arrays x, z, m over ``g.index``, in the order
+    measurements over IXYZ**n with the first vertex most significant, then
+    masks ascending; and the stabilizer table of :func:`pauli._stabilizer`
+    over all 2^n vertex subsets, as arrays stab_z and stab_negative indexed
+    by the subset's bitmask.  A case is stabilizer-proportional iff
+    z & m == stab_z[x & m].  :func:`check_model` builds its own tables."""
+    n = _require_flip_size(g)
     # Letter digit d of vertex i (0..3 for I, X, Y, Z) has x = d ^ (d >> 1)
     # and z = d >> 1 in its low bit.
     codes = np.arange(4**n)
@@ -399,40 +407,75 @@ def _subset_table(values: Iterable[int], n: int, combine: np.ufunc) -> np.ndarra
     return table
 
 
-def _expectations(vanishes: np.ndarray, negative: np.ndarray) -> np.ndarray:
-    """Per case as int8: the sign where the z-exponent vanishes, else 0."""
-    signs = np.where(negative, np.int8(-1), np.int8(1))
-    return np.where(vanishes, signs, np.int8(0))
+def _key_value(key: int) -> int:
+    """The expectation a :func:`check_model` key stands for."""
+    if key & 0x7F:
+        return 0
+    return -1 if key & 0x80 else 1
 
 
 def check_model(model: BarrettModel) -> list[dict]:
     """Exhaustively compare the model to the quantum expectation.
 
-    Scans all 4^n measurements times 2^n masks of :func:`_cases` at once.
-    The quantum value is read off the stabilizer table at x & m; the model
-    value comes from its own neighbour-parity table built from
-    ``g.adjacency``, never from pauli._stabilizer, so the two stay
-    independent routes.  Returns one record per (measurement, mask)
+    Scans all 4^n measurements times 2^n masks, in the order measurements
+    over IXYZ**n with the first vertex most significant, then masks
+    ascending.  Each side gives a case a uint8 key: the z-exponent left
+    after cancelling z & m in bits 0-6 (n <= 7), and the sign in bit 7.
+    The quantum key comes from the stabilizer table of pauli._stabilizer at
+    x & m.  The model key comes from its own neighbour-parity table built
+    from ``g.adjacency``, never from pauli._stabilizer, so the two stay
+    independent routes; its sign is the parity of the rules that fire.
+    Both read (subset, mask) tables by measurement row, so no per-case
+    index array is made.  Returns one record per (measurement, mask)
     mismatch, in case order; empty means the model reproduces every Pauli
     measurement on the graph exactly.  Raises ValueError above
     MAX_FLIP_VERTICES vertices.
     """
     g = model.graph
-    x, z, m, stab_z, stab_negative = _cases(g)
-    subset = x & m
-    zm = z & m
-    quantum = _expectations(zm == stab_z[subset], stab_negative[subset])
-    parity = _subset_table(g.adjacency, len(g.vertices), np.bitwise_xor)
-    classical = _expectations(zm == parity[subset], _flipped(model, x, z, m))
+    n = _require_flip_size(g)
+    # Measurement row L spells IXYZ**n, first vertex most significant.
+    x = z = np.zeros(1, np.uint8)
+    for i in range(n):
+        x = (x[:, None] | np.array([0, 1, 1, 0], np.uint8) << i).ravel()
+        z = (z[:, None] | np.array([0, 0, 1, 1], np.uint8) << i).ravel()
+    # Bit i of flips[L] is set iff an odd number of vertex i's rules match
+    # row L: a rule matches the rows whose digits on its pattern are its
+    # letters, one strided slice of the rows laid out as a 4^n grid.
+    flips = np.zeros(4**n, np.uint8)
+    grid = flips.reshape((4,) * n)
+    for rule in model.flip_rules:
+        where = [slice(None)] * n
+        for v, letter in rule.pattern:
+            where[g.index[v]] = "IXYZ".index(letter)
+        grid[tuple(where)] ^= 1 << g.index[rule.vertex]
+    masks = np.arange(1 << n, dtype=np.uint8)
+    meet = masks[:, None] & masks  # meet[s, m] = s & m
+    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
+    packed = np.array([sz | neg << 7 for sz, neg in stabilizers], np.uint8)
+    parity = _subset_table(g.adjacency, n, np.bitwise_xor)
+    odd = (np.bitwise_count(meet) & 1) << 7  # fired rules' parity, in bit 7
+    zm = z[:, None] & masks
+    quantum = packed[meet][x]
+    quantum ^= zm
+    classical = parity[meet][x]
+    classical ^= zm
+    classical ^= odd[flips]
+    del zm
+    # Keys with low bits stand for 0, so two keys disagree iff they differ
+    # and one of them has none.
+    differ = (quantum != classical) & (
+        np.minimum(quantum << 1, classical << 1) == 0
+    )
     mismatches = []
-    for k in np.flatnonzero(classical != quantum).tolist():
-        letters = pauli.to_letters(g, int(x[k]), int(z[k]))
+    for k in np.flatnonzero(differ).tolist():
+        row, m = divmod(k, 1 << n)
+        letters = pauli.to_letters(g, int(x[row]), int(z[row]))
         mismatches.append(
             {
                 "letters": dict(sorted(letters.items())),
-                "mask": sorted(pauli.to_letters(g, int(m[k]), 0)),
-                "quantum": int(quantum[k]),
-                "model": str(int(classical[k])),
+                "mask": sorted(pauli.to_letters(g, m, 0)),
+                "quantum": _key_value(int(quantum.flat[k])),
+                "model": str(_key_value(int(classical.flat[k]))),
             }
         )
     return mismatches
@@ -563,7 +606,7 @@ class BinaryGame:
 
 
 # Assignments game_bound may enumerate: the 2^16 of chsh_game(3) take about
-# 2.3 s on a 2-core x86_64 machine.
+# 0.05 s on a 2-core x86_64 machine.
 MAX_GAME_ASSIGNMENTS = 1 << 17
 
 
@@ -574,33 +617,39 @@ def game_bound(game: BinaryGame) -> int:
     Raises ValueError ("too large") before it starts when there are more
     than MAX_GAME_ASSIGNMENTS assignments.
     """
-    domains: list[list[tuple[int, ...]]] = []
-    for v in game.vertices:
-        idxs = game.visible_of(v)
-        seen = sorted({tuple(s[i] for i in idxs) for s in game.settings})
-        domains.append(seen)
+    visible = [game.visible_of(v) for v in game.vertices]
+    domains = [
+        sorted({tuple(s[j] for j in idxs) for s in game.settings})
+        for idxs in visible
+    ]
     count = 1 << sum(map(len, domains))
     if count > MAX_GAME_ASSIGNMENTS:
         raise ValueError(
             f"instance too large: {count} deterministic assignments would "
             f"pass the enumeration budget of {MAX_GAME_ASSIGNMENTS}"
         )
+    # Each term as its coefficient and, per vertex i of its mask, the pair
+    # (i, j) with domains[i][j] the vertex's view of the term's setting;
+    # assignment[i][j] is then the vertex's output on that view.
+    terms = []
+    for coeff, k, mask in game.terms:
+        s = game.settings[k]
+        lookups = tuple(
+            (i, domains[i].index(tuple(s[j] for j in idxs)))
+            for i, (v, idxs) in enumerate(zip(game.vertices, visible))
+            if v in mask
+        )
+        terms.append((coeff, lookups))
     best = None
     choice_spaces = [
         list(itertools.product((1, -1), repeat=len(dom))) for dom in domains
     ]
     for assignment in itertools.product(*choice_spaces):
-        tables = [
-            dict(zip(dom, outs)) for dom, outs in zip(domains, assignment)
-        ]
         value = 0
-        for coeff, k, mask in game.terms:
-            s = game.settings[k]
+        for coeff, lookups in terms:
             product = coeff
-            for i, v in enumerate(game.vertices):
-                if v in mask:
-                    idxs = game.visible_of(v)
-                    product *= tables[i][tuple(s[j] for j in idxs)]
+            for i, j in lookups:
+                product *= assignment[i][j]
             value += product
         if best is None or value > best:
             best = value

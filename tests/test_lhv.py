@@ -446,6 +446,56 @@ def test_flip_scans_match_scalar_loops():
     assert nonempty >= 20 and no_rules >= 1
 
 
+def test_check_model_builds_its_own_tables(monkeypatch):
+    """check_model reads no table of the rule search: with _cases raising,
+    it still returns the scalar loop's mismatch lists."""
+    rng = random.Random(13)
+    bundled = lhv.load_flip_rules()
+    models = [
+        lhv.BarrettModel(graph=g, flip_rules=tuple(bundled[gid][1:]))
+        for gid, g in lhv.SMALL_GRAPHS.items()
+    ]
+    for n in (4, 5):
+        g = random_connected_graph(rng, n)
+        rules = tuple(lhv.search_flip_rules(g) or ())
+        models.append(lhv.BarrettModel(graph=g, flip_rules=rules))
+        models.append(lhv.BarrettModel(graph=g, flip_rules=rules[::2]))
+        # Repeated rules fire together and cancel.
+        models.append(lhv.BarrettModel(graph=g, flip_rules=rules + rules[:3]))
+    expected = [scalar_check_model(model) for model in models]
+
+    def refuse(g):
+        raise AssertionError("check_model read the search's case table")
+
+    monkeypatch.setattr(lhv, "_cases", refuse)
+    with pytest.raises(AssertionError):
+        lhv.search_flip_rules(lhv.SMALL_GRAPHS["path3"])
+    assert [lhv.check_model(model) for model in models] == expected
+    assert sum(map(bool, expected)) >= 8
+
+
+def test_check_model_flags_a_mutated_rule():
+    """On a 5- and a 6-vertex graph, changing one letter of one rule found
+    by the search gives the scalar loop's mismatches, and some."""
+    graphs = [
+        ig.build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)]),
+        ig.build_graph([(i, i + 1) for i in range(1, 6)]),
+    ]
+    for g in graphs:
+        rules = lhv.search_flip_rules(g)
+        assert rules
+        rule = rules[len(rules) // 2]
+        pattern = dict(rule.pattern)
+        # The rule's own letter is never I; take the next of X, Y, Z.
+        pattern[rule.vertex] = "XYZX"["XYZ".index(pattern[rule.vertex]) + 1]
+        mutated = rules[:]
+        mutated[len(rules) // 2] = lhv.FlipRule.make(rule.vertex, pattern)
+        model = lhv.BarrettModel(graph=g, flip_rules=tuple(mutated))
+        mismatches = lhv.check_model(model)
+        assert mismatches
+        assert mismatches == scalar_check_model(model)
+
+
 def test_paper_smallest_linear_graph():
     """The 6-path has an exact flip-rule model; the 7-path, the paper's
     smallest linear example, and the 5-cycle have none."""
@@ -483,7 +533,7 @@ def test_search_flip_rules_ignores_hash_seed():
 
 def test_flip_scans_refuse_more_than_seven_vertices():
     # 8**8 = 16.8 M cases would need eight times the arrays of a 7-vertex
-    # scan, which peaks at 50-106 MB RSS; both refuse up front.
+    # scan, which peaks at 41-107 MB RSS; both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
@@ -525,6 +575,60 @@ def test_game_bound_refuses_past_its_budget(monkeypatch):
         ),
     ):
         lhv.game_bound(lhv.chsh_game(3))
+
+
+def dict_game_bound(game):
+    """Test-local copy of the per-assignment game_bound loop, which looks
+    every output up in a dict per vertex."""
+    domains = [
+        sorted({tuple(s[i] for i in game.visible_of(v)) for s in game.settings})
+        for v in game.vertices
+    ]
+    best = None
+    choice_spaces = [
+        list(itertools.product((1, -1), repeat=len(dom))) for dom in domains
+    ]
+    for assignment in itertools.product(*choice_spaces):
+        tables = [dict(zip(dom, outs)) for dom, outs in zip(domains, assignment)]
+        value = 0
+        for coeff, k, mask in game.terms:
+            s = game.settings[k]
+            product = coeff
+            for i, v in enumerate(game.vertices):
+                if v in mask:
+                    idxs = game.visible_of(v)
+                    product *= tables[i][tuple(s[j] for j in idxs)]
+            value += product
+        if best is None or value > best:
+            best = value
+    return best
+
+
+def test_game_bound_matches_dict_loop():
+    rng = random.Random(17)
+    for _ in range(150):
+        vertices = tuple(f"v{i}" for i in range(rng.randrange(1, 4)))
+        n_inputs = rng.randrange(1, 4)
+        visible = tuple(
+            (v, tuple(sorted(rng.sample(range(n_inputs), rng.randrange(n_inputs + 1)))))
+            for v in vertices
+        )
+        settings = tuple(
+            tuple(rng.randrange(2) for _ in range(n_inputs))
+            for _ in range(rng.randrange(1, 5))
+        )
+        terms = tuple(
+            (
+                rng.choice((1, -1, 2)),
+                rng.randrange(len(settings)),
+                frozenset(rng.sample(vertices, rng.randrange(len(vertices) + 1))),
+            )
+            for _ in range(rng.randrange(1, 6))
+        )
+        game = lhv.BinaryGame(vertices, visible, settings, terms)
+        assert lhv.game_bound(game) == dict_game_bound(game)
+    for d in (1, 2):
+        assert lhv.game_bound(lhv.chsh_game(d)) == dict_game_bound(lhv.chsh_game(d))
 
 
 def test_standard_chsh_degenerate_instance():
