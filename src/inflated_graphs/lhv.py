@@ -18,9 +18,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -348,13 +348,15 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
     return out
 
 
-# The flip-model scans hold numpy arrays over all 8^n cases.  At 7 vertices
-# (2.1 M cases) on a 2-core x86_64 machine, check_model takes 0.02-0.03 s
-# and a fresh process running it peaks at 41 MB RSS (K7, and a 7-path with
-# chords (1,4) and (3,7)); search_flip_rules takes 0.04 s and 43 MB on that
-# path and 0.3-0.4 s and 107 MB on K7, whose dense GF(2) rows set the peak.
-# 8 vertices would need eight times the arrays (8^8 = 16.8 M cases), so the
-# cap guards memory.
+# check_model holds uint8 arrays over all 8^n (measurement, mask) cases;
+# search_flip_rules reads only one stabilizer case per row of its GF(2)
+# system, but K7's 23,837 dense rows over 24,017 candidates set its peak.
+# Measured in fresh processes on a 2-core x86_64 machine: check_model takes
+# 0.02-0.04 s and peaks at 44 MB RSS on K7 and on the 7-path with and
+# without chords (1,4) and (3,7); search_flip_rules takes 0.02-0.03 s and
+# 36-37 MB on those paths and 0.21-0.27 s and 103 MB on K7.  8 vertices
+# would take eight times check_model's arrays (8^8 = 16.8 M cases) and more
+# and wider rows, so the cap guards memory.
 MAX_FLIP_VERTICES = 7
 
 
@@ -363,48 +365,89 @@ def _require_flip_size(g: Graph) -> int:
     n = len(g.vertices)
     if n > MAX_FLIP_VERTICES:
         raise ValueError(
-            f"the flip-model scan walks all 8^n cases and is limited to "
-            f"{MAX_FLIP_VERTICES} vertices; the graph has {n}"
+            f"the flip-model scans are limited to {MAX_FLIP_VERTICES} "
+            f"vertices (check_model tabulates all 8^n cases); the graph "
+            f"has {n}"
         )
     return n
 
 
-def _cases(g: Graph) -> tuple[np.ndarray, ...]:
-    """The rule search's table: every (measurement, mask) case on g as
-    uint8 bitmask arrays x, z, m over ``g.index``, in the order
-    measurements over IXYZ**n with the first vertex most significant, then
-    masks ascending; and the stabilizer table of :func:`pauli._stabilizer`
-    over all 2^n vertex subsets, as arrays stab_z and stab_negative indexed
-    by the subset's bitmask.  A case is stabilizer-proportional iff
-    z & m == stab_z[x & m].  :func:`check_model` builds its own tables."""
-    n = _require_flip_size(g)
-    # Letter digit d of vertex i (0..3 for I, X, Y, Z) has x = d ^ (d >> 1)
-    # and z = d >> 1 in its low bit.
-    codes = np.arange(4**n)
-    x_of = np.zeros(4**n, np.uint8)
-    z_of = np.zeros(4**n, np.uint8)
-    for i in range(n):
-        d = (codes >> (2 * (n - 1 - i))) & 3
-        x_of |= (((d ^ (d >> 1)) & 1) << i).astype(np.uint8)
-        z_of |= ((d >> 1) << i).astype(np.uint8)
-    masks = np.arange(1 << n, dtype=np.uint8)
-    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
-    return (
-        np.repeat(x_of, 1 << n),
-        np.repeat(z_of, 1 << n),
-        np.tile(masks, 4**n),
-        np.array([z for z, _ in stabilizers], np.uint8),
-        np.array([negative for _, negative in stabilizers], bool),
+@cache
+def _case_table(n: int) -> tuple[np.ndarray, ...]:
+    """The graph-free part of :func:`_cases` on n vertices: every (mask m,
+    subset s of m, letters off m), read-only.
+
+    Arrays m, s, x, z_off and position run over the 6^n entries (per
+    vertex: off m with letter I, X, Y or Z, or on m in s or not).  The letters on m are
+    taken as X on s and Z on m - s, so x = s | the X and Y bits off m,
+    z_off = the Y and Z bits off m, and position is the entry's index in
+    the 8^n case order under that choice.  A stabilizer case puts Y, not X,
+    on the vertices of s & z, which moves it by spread[s & z] (indexed by
+    the bitmask).
+    """
+    # Per vertex, its six choices' letter digit in IXYZ and bit in m, s, x
+    # and z_off: I, X, Y, Z off m, then X on s and Z on m - s.
+    digit = np.array([0, 1, 2, 3, 1, 3])
+    in_m, in_s, has_x, has_z = np.array(
+        [
+            [0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 1, 0],
+            [0, 1, 1, 0, 1, 0],
+            [0, 0, 1, 1, 0, 0],
+        ],
+        np.uint8,
     )
+    digits = np.zeros(1, np.int64)
+    m = s = x = z_off = np.zeros(1, np.uint8)
+    for i in range(n):  # the first vertex most significant
+        digits = (digits[:, None] * 4 + digit).ravel()
+        m = (m[:, None] | in_m << i).ravel()
+        s = (s[:, None] | in_s << i).ravel()
+        x = (x[:, None] | has_x << i).ravel()
+        z_off = (z_off[:, None] | has_z << i).ravel()
+    position = digits << n | m
+    spread = np.zeros(1 << n, np.int64)
+    for i in range(n):
+        spread[1 << i : 2 << i] = spread[: 1 << i] + (4 ** (n - 1 - i) << n)
+    tables = (m, s, x, z_off, position, spread)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _subset_table(values: Iterable[int], n: int, combine: np.ufunc) -> np.ndarray:
-    """Entry s combines values[i] over the bits i of s (by the bitwise
-    ufunc combine), for all 2^n bitmasks s."""
-    table = np.zeros(1 << n, np.uint8)
-    for i, value in enumerate(values):
-        table[1 << i : 2 << i] = combine(table[: 1 << i], value)
-    return table
+def _cases(g: Graph) -> tuple[np.ndarray, ...]:
+    """The rule search's table: one stabilizer case (x, z, m) on g per
+    distinct row of the search, in the 8^n case order (measurements over
+    IXYZ**n with the first vertex most significant, then masks ascending).
+
+    These are the stabilizer cases whose mask m is their measured set
+    (x | z) & m and whose letters are I off the union of the closed
+    neighbourhoods of m.  Such a case measures exactly the support of the
+    stabilizer element generated by s = x & m, so m = s | stab_z[s] and
+    z & m = stab_z[s]: one entry of :func:`_case_table` per s and letters
+    on that union off m.  Every stabilizer case (x, z, m') has one of them
+    with the same measured set, the same letters on the union and the same
+    sign, no later in case order: mask (x | z) & m', letters set to I off
+    the union.
+
+    Returns arrays case (the index in that order), x, z, m (uint8 bitmasks
+    over ``g.index``) and negative (the stabilizer sign).
+    """
+    n = _require_flip_size(g)
+    m, s, x, z_off, position, spread = _case_table(n)
+    stab_z, stab_negative = pauli._stabilizer_table(g)
+    union = np.zeros(1 << n, np.uint8)  # closed neighbourhoods of each mask
+    for i, nbrs in enumerate(g.adjacency):
+        union[1 << i : 2 << i] = union[: 1 << i] | (1 << i) | nbrs
+    kept = np.flatnonzero(
+        ((s | stab_z[s]) == m) & (((x | z_off) & ~union[m]) == 0)
+    )
+    s = s[kept]
+    z = stab_z[s]
+    case = position[kept] + spread[s & z]
+    order = np.argsort(case)
+    kept, s, z = kept[order], s[order], z[order]
+    return case[order], x[kept], z | z_off[kept], m[kept], stab_negative[s]
 
 
 def _key_value(key: int) -> int:
@@ -414,6 +457,29 @@ def _key_value(key: int) -> int:
     return -1 if key & 0x80 else 1
 
 
+@cache
+def _check_tables(n: int) -> tuple[np.ndarray, ...]:
+    """:func:`check_model`'s graph-free tables on n vertices, read-only.
+
+    x and z are the bitmasks of measurement row L, which spells IXYZ**n
+    with the first vertex most significant; over the masks m,
+    meet[s, m] = s & m, odd[f, m] is the parity of popcount(f & m) in bit
+    7, and zm[L, m] = z[L] & m.
+    """
+    x = z = np.zeros(1, np.uint8)
+    for i in range(n):
+        x = (x[:, None] | np.array([0, 1, 1, 0], np.uint8) << i).ravel()
+        z = (z[:, None] | np.array([0, 0, 1, 1], np.uint8) << i).ravel()
+    masks = np.arange(1 << n, dtype=np.uint8)
+    meet = masks[:, None] & masks
+    odd = (np.bitwise_count(meet) & 1) << 7
+    zm = z[:, None] & masks
+    tables = (x, z, meet, odd, zm)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def check_model(model: BarrettModel) -> list[dict]:
     """Exhaustively compare the model to the quantum expectation.
 
@@ -421,23 +487,20 @@ def check_model(model: BarrettModel) -> list[dict]:
     over IXYZ**n with the first vertex most significant, then masks
     ascending.  Each side gives a case a uint8 key: the z-exponent left
     after cancelling z & m in bits 0-6 (n <= 7), and the sign in bit 7.
-    The quantum key comes from the stabilizer table of pauli._stabilizer at
-    x & m.  The model key comes from its own neighbour-parity table built
-    from ``g.adjacency``, never from pauli._stabilizer, so the two stay
-    independent routes; its sign is the parity of the rules that fire.
-    Both read (subset, mask) tables by measurement row, so no per-case
-    index array is made.  Returns one record per (measurement, mask)
-    mismatch, in case order; empty means the model reproduces every Pauli
-    measurement on the graph exactly.  Raises ValueError above
-    MAX_FLIP_VERTICES vertices.
+    The quantum key comes from the stabilizer table of
+    :func:`pauli._stabilizer_table` at x & m.  The model key comes from its
+    own neighbour-parity table built from ``g.adjacency``, never from the
+    stabilizer rule, so the two stay independent routes; its sign is the
+    parity of the rules that fire.  Both read (subset, mask) tables by
+    measurement row, so no per-case index array is made.  The graph-free
+    tables are :func:`check_model`'s own (:func:`_check_tables`), never the
+    rule search's.  Returns one record per (measurement, mask) mismatch, in
+    case order; empty means the model reproduces every Pauli measurement on
+    the graph exactly.  Raises ValueError above MAX_FLIP_VERTICES vertices.
     """
     g = model.graph
     n = _require_flip_size(g)
-    # Measurement row L spells IXYZ**n, first vertex most significant.
-    x = z = np.zeros(1, np.uint8)
-    for i in range(n):
-        x = (x[:, None] | np.array([0, 1, 1, 0], np.uint8) << i).ravel()
-        z = (z[:, None] | np.array([0, 0, 1, 1], np.uint8) << i).ravel()
+    x, z, meet, odd, zm = _check_tables(n)
     # Bit i of flips[L] is set iff an odd number of vertex i's rules match
     # row L: a rule matches the rows whose digits on its pattern are its
     # letters, one strided slice of the rows laid out as a 4^n grid.
@@ -448,24 +511,22 @@ def check_model(model: BarrettModel) -> list[dict]:
         for v, letter in rule.pattern:
             where[g.index[v]] = "IXYZ".index(letter)
         grid[tuple(where)] ^= 1 << g.index[rule.vertex]
-    masks = np.arange(1 << n, dtype=np.uint8)
-    meet = masks[:, None] & masks  # meet[s, m] = s & m
-    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
-    packed = np.array([sz | neg << 7 for sz, neg in stabilizers], np.uint8)
-    parity = _subset_table(g.adjacency, n, np.bitwise_xor)
-    odd = (np.bitwise_count(meet) & 1) << 7  # fired rules' parity, in bit 7
-    zm = z[:, None] & masks
+    stab_z, stab_negative = pauli._stabilizer_table(g)
+    packed = stab_z | stab_negative.astype(np.uint8) << 7
+    parity = np.zeros(1 << n, np.uint8)  # neighbour parity of each subset
+    for i, nbrs in enumerate(g.adjacency):
+        parity[1 << i : 2 << i] = parity[: 1 << i] ^ nbrs
     quantum = packed[meet][x]
     quantum ^= zm
     classical = parity[meet][x]
     classical ^= zm
     classical ^= odd[flips]
-    del zm
     # Keys with low bits stand for 0, so two keys disagree iff they differ
     # and one of them has none.
-    differ = (quantum != classical) & (
-        np.minimum(quantum << 1, classical << 1) == 0
-    )
+    differ = quantum != classical
+    if not differ.any():
+        return []
+    differ &= np.minimum(quantum << 1, classical << 1) == 0
     mismatches = []
     for k in np.flatnonzero(differ).tolist():
         row, m = divmod(k, 1 << n)
@@ -515,74 +576,65 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     submeasurement.  Returns None if no rule set exists; raises ValueError
     above MAX_FLIP_VERTICES vertices.
 
-    The stabilizer cases are picked out of the :func:`_cases` table.  Each
-    gives one row: the candidates (vertex i, x & closed_i, z & closed_i) of
-    its measured vertices, right-hand side 1 iff its sign is negative.
-    Candidates are numbered by first appearance in case order, vertices in
-    ``g.index`` order, so the rule set returned is the same in every
-    process.  Duplicate rows are dropped.
+    Each stabilizer case (x, z, m) gives one row: the candidates (vertex i,
+    x & closed_i, z & closed_i) of its measured vertices, right-hand side 1
+    iff its sign is negative.  :func:`_cases` holds one case per distinct
+    row, the first in case order, so each row is built once and the
+    candidates are numbered by first appearance in case order, vertices in
+    ``g.index`` order, without reading the other cases.  The rule set
+    returned is therefore the same in every process, and the same as a
+    scan of all 8^n cases gives.  Rows are ints built from their at most n
+    candidate numbers; rules are read off the chosen candidates' bits.
     """
     n = len(g.vertices)
-    x, z, m, stab_z, stab_negative = _cases(g)
-    subset = x & m
-    stabilizer = np.flatnonzero(z & m == stab_z[subset])
-    x, z, m = x[stabilizer], z[stabilizer], m[stabilizer]
-    negative = stab_negative[subset[stabilizer]]
-    measured = (x | z) & m
+    _, x, z, measured, negative = _cases(g)
     closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
-
-    def key(i: int, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Index of candidate (vertex i, x & closed_i, z & closed_i)."""
-        c = closed[i]
-        return (i << 2 * n) | ((x & c).astype(np.int32) << n) | (z & c)
-
-    # First case holding each candidate; keys of different vertices differ,
-    # so laying the keys out by (first case, vertex) gives their order of
-    # first appearance.
-    first = np.full(n << 2 * n, x.size)
-    for i in range(n):
-        held = np.flatnonzero(measured & (1 << i))
-        np.minimum.at(first, key(i, x[held], z[held]), held)
-    seen = np.flatnonzero(first < x.size)
-    layout = np.full((x.size, n), -1, np.int32)
-    layout[first[seen], seen >> 2 * n] = seen
-    order = layout[layout >= 0]
+    # keys[k * n + i] is candidate (vertex i, x & closed_i, z & closed_i) of
+    # case k as one int; it is in the case's row iff the case measures i.
+    near = np.array(closed)
+    keys = (
+        (np.arange(n) << 2 * n) | ((x[:, None] & near) << n) | (z[:, None] & near)
+    ).ravel()
+    held = np.flatnonzero(((measured[:, None] >> np.arange(n)) & 1).ravel())
+    # Number the candidates by first appearance in (case, vertex) order.
+    first = np.full(n << 2 * n, keys.size)
+    np.minimum.at(first, keys[held], held)
+    seen = np.flatnonzero(first < keys.size)
+    order = seen[np.argsort(first[seen])]
     number = np.full(n << 2 * n, -1)
     number[order] = np.arange(order.size)
-
-    # A row is determined by the measured set and the letters on the union
-    # of its closed neighbourhoods, and determines them.  These fix
-    # x & m = x & measured, hence the sign: copies of a row agree, and one
-    # is kept.
-    union = _subset_table(closed, n, np.bitwise_or)[measured]
-    row_key = (
-        (measured.astype(np.int32) << 2 * n)
-        | ((x & union).astype(np.int32) << n)
-        | (z & union)
-    )
-    rhs = np.full(1 << 3 * n, -1, np.int8)
-    rhs[row_key] = negative
-    distinct = np.flatnonzero(rhs >= 0)
-    low = (1 << n) - 1
-    measured, x, z = distinct >> 2 * n, (distinct >> n) & low, distinct & low
-    rows = np.zeros(distinct.size, object)
-    for i in range(n):
-        held = np.flatnonzero(measured & (1 << i))
-        j = number[key(i, x[held], z[held])]
-        rows[held] += np.left_shift(1, j.astype(object))
-    chosen = gf2.solve(rows.tolist(), rhs[distinct].tolist(), order.size)
+    numbers = np.full(keys.size, -1)
+    numbers[held] = number[keys[held]]
+    rows = []
+    for row_numbers in numbers.reshape(-1, n).tolist():
+        row = 0
+        for j in row_numbers:
+            if j >= 0:
+                row |= 1 << j
+        rows.append(row)
+    # The solution does not depend on the row order (its free variables are
+    # 0 and its pivots the lowest bits of the row space); rows in reverse
+    # case order eliminate in fewer steps.
+    chosen = gf2.solve(rows[::-1], negative[::-1].tolist(), order.size)
     if chosen is None:
         return None
+    # Each rule's letters, read straight off its candidate's bits; a
+    # pattern lists the closed neighbourhood by vertex name.
+    vertices = g.vertices
+    by_name = sorted(range(n), key=vertices.__getitem__)
+    candidates = order.tolist()
+    low = (1 << n) - 1
     rules = []
-    for j, k in enumerate(order.tolist()):
-        if (chosen >> j) & 1:
-            v = g.vertices[k >> 2 * n]
-            letters = pauli.to_letters(g, (k >> n) & low, k & low)
-            rules.append(
-                FlipRule.make(
-                    v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
-                )
+    for j, bit in enumerate(reversed(format(chosen, "b"))):
+        if bit == "1":
+            key = candidates[j]
+            i, cx, cz = key >> 2 * n, key >> n & low, key & low
+            letters = tuple(
+                (vertices[k], "IXZY"[(cx >> k & 1) | (cz >> k & 1) << 1])
+                for k in by_name
+                if closed[i] >> k & 1
             )
+            rules.append(FlipRule(vertices[i], letters))
     return rules
 
 

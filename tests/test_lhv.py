@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import inflated_graphs as ig
@@ -474,6 +475,159 @@ def test_check_model_builds_its_own_tables(monkeypatch):
     assert sum(map(bool, expected)) >= 8
 
 
+def stabilizer_row_key(g, x, z, m):
+    """Test-local row key of a stabilizer case: its measured set and its
+    letters on the union of the measured vertices' closed neighbourhoods,
+    which fix its row of the rule search."""
+    measured = (x | z) & m
+    union = 0
+    for i, nbrs in enumerate(g.adjacency):
+        if (measured >> i) & 1:
+            union |= (1 << i) | nbrs
+    return measured, x & union, z & union, union
+
+
+def test_search_cases_are_the_first_case_of_each_row():
+    """Brute force over all 8^n cases: the search's cases are exactly the
+    stabilizer cases whose mask is their measured set and whose letters are
+    I off the closed neighbourhoods of that set, case indices included.
+    They are also the first stabilizer case of each row key, one per key
+    of any stabilizer case, and every copy of a key has the same sign."""
+    rng = random.Random(19)
+    graphs = [lhv.SMALL_GRAPHS["path3"], lhv.SMALL_GRAPHS["k4"]]
+    graphs += [random_connected_graph(rng, n) for n in [3] * 3 + [4] * 4 + [5] * 4]
+    for g in graphs:
+        first = {}  # row key -> (case index, x, z, m, negative)
+        expected = []
+        for k, (x, z, m) in enumerate(scalar_cases(g)):
+            stab_z, negative = pauli._stabilizer(g, x & m)
+            if z & m != stab_z:
+                continue
+            measured, xu, zu, union = stabilizer_row_key(g, x, z, m)
+            case = (k, x, z, m, negative)
+            key = (measured, xu, zu)
+            assert first.setdefault(key, case)[4] == negative
+            if m == measured and (x | z) & ~union == 0:
+                expected.append(case)
+        got = list(zip(*(table.tolist() for table in lhv._cases(g))))
+        assert got == expected
+        assert got == sorted(first.values())
+
+
+def full_table_search(g):
+    """Test-local copy of the rule search the reduced case table replaced:
+    one numpy table of all 8^n (x, z, mask) cases, filtered to the
+    stabilizer cases, candidates numbered by first appearance, duplicate
+    rows dropped by key."""
+    n = len(g.vertices)
+    codes = np.arange(4**n)
+    x_of = np.zeros(4**n, np.uint8)
+    z_of = np.zeros(4**n, np.uint8)
+    for i in range(n):
+        d = (codes >> (2 * (n - 1 - i))) & 3
+        x_of |= (((d ^ (d >> 1)) & 1) << i).astype(np.uint8)
+        z_of |= ((d >> 1) << i).astype(np.uint8)
+    masks = np.arange(1 << n, dtype=np.uint8)
+    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
+    x, z, m = np.repeat(x_of, 1 << n), np.repeat(z_of, 1 << n), np.tile(masks, 4**n)
+    stab_z = np.array([sz for sz, _ in stabilizers], np.uint8)
+    stab_negative = np.array([neg for _, neg in stabilizers], bool)
+    subset = x & m
+    stabilizer = np.flatnonzero(z & m == stab_z[subset])
+    x, z, m = x[stabilizer], z[stabilizer], m[stabilizer]
+    negative = stab_negative[subset[stabilizer]]
+    measured = (x | z) & m
+    closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
+
+    def key(i, x, z):
+        c = closed[i]
+        return (i << 2 * n) | ((x & c).astype(np.int32) << n) | (z & c)
+
+    first = np.full(n << 2 * n, x.size)
+    for i in range(n):
+        held = np.flatnonzero(measured & (1 << i))
+        np.minimum.at(first, key(i, x[held], z[held]), held)
+    seen = np.flatnonzero(first < x.size)
+    layout = np.full((x.size, n), -1, np.int32)
+    layout[first[seen], seen >> 2 * n] = seen
+    order = layout[layout >= 0]
+    number = np.full(n << 2 * n, -1)
+    number[order] = np.arange(order.size)
+    union_of = np.zeros(1 << n, np.uint8)
+    for i, c in enumerate(closed):
+        union_of[1 << i : 2 << i] = union_of[: 1 << i] | c
+    union = union_of[measured]
+    row_key = (
+        (measured.astype(np.int32) << 2 * n)
+        | ((x & union).astype(np.int32) << n)
+        | (z & union)
+    )
+    rhs = np.full(1 << 3 * n, -1, np.int8)
+    rhs[row_key] = negative
+    distinct = np.flatnonzero(rhs >= 0)
+    low = (1 << n) - 1
+    measured, x, z = distinct >> 2 * n, (distinct >> n) & low, distinct & low
+    rows = np.zeros(distinct.size, object)
+    for i in range(n):
+        held = np.flatnonzero(measured & (1 << i))
+        j = number[key(i, x[held], z[held])]
+        rows[held] += np.left_shift(1, j.astype(object))
+    chosen = gf2.solve(rows.tolist(), rhs[distinct].tolist(), order.size)
+    if chosen is None:
+        return None
+    rules = []
+    for j, k in enumerate(order.tolist()):
+        if (chosen >> j) & 1:
+            v = g.vertices[k >> 2 * n]
+            letters = pauli.to_letters(g, (k >> n) & low, k & low)
+            rules.append(
+                lhv.FlipRule.make(
+                    v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
+                )
+            )
+    return rules
+
+
+def test_search_matches_full_case_table_at_six_and_seven_vertices():
+    """The search returns the rule lists of the 8^n-case search, order
+    included, on K7, the 7-path with and without chords (1,4) and (3,7),
+    and 20 random graphs with 6-7 vertices."""
+    rng = random.Random(29)
+    path7 = [(i, i + 1) for i in range(1, 7)]
+    graphs = [
+        ig.build_graph(list(itertools.combinations(range(1, 8), 2))),
+        ig.build_graph(path7),
+        ig.build_graph(path7 + [(1, 4), (3, 7)]),
+    ]
+    graphs += [random_connected_graph(rng, 6 + k % 2) for k in range(20)]
+    found = []
+    for g in graphs:
+        rules = lhv.search_flip_rules(g)
+        assert rules == full_table_search(g)
+        found.append(rules is not None)
+    assert found[:3] == [True, False, False]
+    assert 1 <= sum(found[3:]) < 20
+
+
+def test_flip_tables_are_read_only_and_not_shared():
+    """The cached graph-free tables of the search and of check_model refuse
+    writes, and no array of one is, or shares memory with, an array of the
+    other."""
+    for n in (3, 5):
+        search_tables = lhv._case_table(n)
+        check_tables = lhv._check_tables(n)
+        assert lhv._case_table(n) is search_tables
+        assert lhv._check_tables(n) is check_tables
+        for table in search_tables + check_tables:
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 1
+            with pytest.raises(ValueError):
+                table ^= 1
+        for a in search_tables:
+            for b in check_tables:
+                assert a is not b and not np.shares_memory(a, b)
+
+
 def test_check_model_flags_a_mutated_rule():
     """On a 5- and a 6-vertex graph, changing one letter of one rule found
     by the search gives the scalar loop's mismatches, and some."""
@@ -532,8 +686,9 @@ def test_search_flip_rules_ignores_hash_seed():
 
 
 def test_flip_scans_refuse_more_than_seven_vertices():
-    # 8**8 = 16.8 M cases would need eight times the arrays of a 7-vertex
-    # scan, which peaks at 41-107 MB RSS; both refuse up front.
+    # check_model's 8**8 = 16.8 M cases would take eight times its arrays
+    # at 7 vertices (44 MB RSS), and the search's rows already peak at
+    # 103 MB on K7; both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
