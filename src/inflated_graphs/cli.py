@@ -168,7 +168,7 @@ def cmd_bound(args) -> int:
 
 
 def _reproduce_fixture(name: str, expected: dict, claims: list) -> None:
-    s = set_from_json(json.loads(_fixture_text(name)))
+    s = load_fixture_set(name)
     cert = verify_paradox(s)
     claims.append((f"{name}: certificate overall", cert.overall))
     claims.append(

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gf2, pauli
 from .graph import Graph, ball, build_graph
-from .paradox import MeasurementPair, MeasurementSet
+from .paradox import MeasurementPair, MeasurementSet, excerpt_rows
 
 # ---------------------------------------------------------------------------
 # Deterministic strategy systems over GF(2)
@@ -40,11 +40,12 @@ class StrategySystem:
     """GF(2) encoding of deterministic distance-d strategies.
 
     Variable (v, e) is the log-domain output bit of vertex v when its local
-    excerpt is e: one variable per excerpt class of
-    ``MeasurementSet.excerpt_classes``.  Row k collects the variables of the
-    classes that hold pair k; its right-hand bit is 1 iff the pair's
-    stabilizer sign is -1.  A deterministic strategy reproduces every sign
-    iff the system is solvable.
+    excerpt is e.  The variables and rows are those of
+    ``MeasurementSet.excerpt_rows``: one variable per excerpt class, in
+    first-appearance order, and row k the classes that hold pair k.  Its
+    right-hand bit is 1 iff the pair's stabilizer sign is -1.  A
+    deterministic strategy reproduces every sign iff the system is
+    solvable.
     """
 
     variables: tuple[StrategyVariable, ...]
@@ -62,15 +63,11 @@ def build_system(s: MeasurementSet) -> StrategySystem:
     if None in signs:
         k = signs.index(None)
         raise ValueError(f"pair {s.pairs[k].name or k} has no stabilizer sign")
-    variables: list[StrategyVariable] = []
-    rows = [0] * len(s.pairs)
-    for v, classes in s.excerpt_classes.items():
-        for key, ks in classes.items():
-            for k in ks:
-                rows[k] |= 1 << len(variables)
-            variables.append((v, key))
+    rows, classes = s.excerpt_rows
+    vertices = s.graph.vertices
+    variables = tuple((vertices[i], (x, z)) for i, x, z in classes)
     rhs = tuple(0 if sign == 1 else 1 for sign in signs)
-    return StrategySystem(variables=tuple(variables), rows=tuple(rows), rhs=rhs)
+    return StrategySystem(variables=variables, rows=rows, rhs=rhs)
 
 
 def feasible(sys: StrategySystem) -> bool:
@@ -203,28 +200,30 @@ class BarrettModel:
     flip_rules: tuple[FlipRule, ...] = ()
 
     def __post_init__(self) -> None:
-        self._rule_masks  # compiling the rules validates them
-
-    @cached_property
-    def _rule_masks(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Each rule as (vertex bit, pattern support, pattern x, pattern z)
-        over ``graph.index``."""
         g = self.graph
-        masks = []
         for rule in self.flip_rules:
             g.require_vertex(rule.vertex)
             closed = {rule.vertex, *g.neighbors[rule.vertex]}
-            for v, _ in rule.pattern:
+            for v, letter in rule.pattern:
                 if v not in closed:
                     raise ValueError(
                         f"flip rule at {rule.vertex!r} references {v!r} "
                         "twice or outside its closed neighbourhood"
                     )
                 closed.remove(v)
+                if letter not in pauli.LETTERS:
+                    raise ValueError(f"invalid Pauli letter {letter!r}")
+
+    @cached_property
+    def _rule_masks(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Each rule as (vertex bit, pattern support, pattern x, pattern z)
+        over ``graph.index``, for the scalar :func:`_flipped`."""
+        g = self.graph
+        masks = []
+        for rule in self.flip_rules:
             letters = dict(rule.pattern)
             x, z = pauli.to_xz(g, letters)
-            support = g.bits_of(letters)
-            masks.append((1 << g.index[rule.vertex], support, x, z))
+            masks.append((1 << g.index[rule.vertex], g.bits_of(letters), x, z))
         return tuple(masks)
 
 
@@ -304,7 +303,7 @@ def barrett_expectation_sampled(
 
 
 # ---------------------------------------------------------------------------
-# Small-graph catalogue, flip-rule files, automorphisms, rule search
+# Small-graph catalogue, flip-rule files, model check, rule search
 # ---------------------------------------------------------------------------
 
 SMALL_GRAPHS: dict[str, Graph] = {
@@ -317,20 +316,6 @@ SMALL_GRAPHS: dict[str, Graph] = {
     "diamond4": build_graph([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]),
     "k4": build_graph([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
 }
-
-
-def automorphisms(g: Graph) -> list[dict[str, str]]:
-    """All vertex permutations preserving the edge set (brute force)."""
-    result = []
-    for perm in itertools.permutations(g.vertices):
-        mapping = dict(zip(g.vertices, perm))
-        if all(
-            (mapping[u], mapping[v]) in g.edges
-            or (mapping[v], mapping[u]) in g.edges
-            for u, v in g.edges
-        ):
-            result.append(mapping)
-    return result
 
 
 def load_flip_rules() -> dict[str, list[FlipRule]]:
@@ -353,8 +338,8 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
 # system, but K7's 23,837 dense rows over 24,017 candidates set its peak.
 # Measured in fresh processes on a 2-core x86_64 machine: check_model takes
 # 0.02-0.04 s and peaks at 44 MB RSS on K7 and on the 7-path with and
-# without chords (1,4) and (3,7); search_flip_rules takes 0.02-0.03 s and
-# 36-37 MB on those paths and 0.21-0.27 s and 103 MB on K7.  8 vertices
+# without chords (1,4) and (3,7); search_flip_rules takes 0.02 s and
+# 35-36 MB on those paths and 0.16-0.23 s and 98 MB on K7.  8 vertices
 # would take eight times check_model's arrays (8^8 = 16.8 M cases) and more
 # and wider rows, so the cap guards memory.
 MAX_FLIP_VERTICES = 7
@@ -576,59 +561,32 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     submeasurement.  Returns None if no rule set exists; raises ValueError
     above MAX_FLIP_VERTICES vertices.
 
-    Each stabilizer case (x, z, m) gives one row: the candidates (vertex i,
-    x & closed_i, z & closed_i) of its measured vertices, right-hand side 1
-    iff its sign is negative.  :func:`_cases` holds one case per distinct
-    row, the first in case order, so each row is built once and the
-    candidates are numbered by first appearance in case order, vertices in
-    ``g.index`` order, without reading the other cases.  The rule set
-    returned is therefore the same in every process, and the same as a
-    scan of all 8^n cases gives.  Rows are ints built from their at most n
-    candidate numbers; rules are read off the chosen candidates' bits.
+    The system is :func:`paradox.excerpt_rows` over the distance-1 balls
+    (the closed neighbourhoods) on :func:`_cases`, one stabilizer case per
+    distinct row, first in case order: its classes (vertex i, x & closed_i,
+    z & closed_i) are the candidate rules, numbered by first appearance,
+    and a row's right-hand side is 1 iff its case's sign is negative.  The
+    rule set returned is therefore the same in every process, and the same
+    as a scan of all 8^n cases gives.
     """
     n = len(g.vertices)
-    _, x, z, measured, negative = _cases(g)
-    closed = [(1 << i) | nbrs for i, nbrs in enumerate(g.adjacency)]
-    # keys[k * n + i] is candidate (vertex i, x & closed_i, z & closed_i) of
-    # case k as one int; it is in the case's row iff the case measures i.
-    near = np.array(closed)
-    keys = (
-        (np.arange(n) << 2 * n) | ((x[:, None] & near) << n) | (z[:, None] & near)
-    ).ravel()
-    held = np.flatnonzero(((measured[:, None] >> np.arange(n)) & 1).ravel())
-    # Number the candidates by first appearance in (case, vertex) order.
-    first = np.full(n << 2 * n, keys.size)
-    np.minimum.at(first, keys[held], held)
-    seen = np.flatnonzero(first < keys.size)
-    order = seen[np.argsort(first[seen])]
-    number = np.full(n << 2 * n, -1)
-    number[order] = np.arange(order.size)
-    numbers = np.full(keys.size, -1)
-    numbers[held] = number[keys[held]]
-    rows = []
-    for row_numbers in numbers.reshape(-1, n).tolist():
-        row = 0
-        for j in row_numbers:
-            if j >= 0:
-                row |= 1 << j
-        rows.append(row)
+    _, x, z, m, negative = _cases(g)
+    closed = g.ball_masks(1)
+    rows, candidates = excerpt_rows(closed, zip(x.tolist(), z.tolist(), m.tolist()))
     # The solution does not depend on the row order (its free variables are
     # 0 and its pivots the lowest bits of the row space); rows in reverse
     # case order eliminate in fewer steps.
-    chosen = gf2.solve(rows[::-1], negative[::-1].tolist(), order.size)
+    chosen = gf2.solve(list(reversed(rows)), negative[::-1].tolist(), len(candidates))
     if chosen is None:
         return None
     # Each rule's letters, read straight off its candidate's bits; a
     # pattern lists the closed neighbourhood by vertex name.
     vertices = g.vertices
     by_name = sorted(range(n), key=vertices.__getitem__)
-    candidates = order.tolist()
-    low = (1 << n) - 1
     rules = []
     for j, bit in enumerate(reversed(format(chosen, "b"))):
         if bit == "1":
-            key = candidates[j]
-            i, cx, cz = key >> 2 * n, key >> n & low, key & low
+            i, cx, cz = candidates[j]
             letters = tuple(
                 (vertices[k], "IXZY"[(cx >> k & 1) | (cz >> k & 1) << 1])
                 for k in by_name

@@ -14,9 +14,12 @@ A set passing all three cannot be reproduced by any deterministic classical
 model whose per-vertex outputs see measurement settings up to distance d.
 
 A :class:`MeasurementSet` compiles its pairs once into (x, z, mask) bitmasks
-over ``graph.index`` and derives from them, once per set, its excerpt classes
-(the one excerpt grouping) and its stabilizer signs; the certificate and the
-strategy system both read those.  A certificate names its odd excerpt
+over ``graph.index`` and derives from them, once per set, its stabilizer
+signs and its excerpt rows: :func:`excerpt_rows`, the one excerpt grouping,
+numbers the classes (vertex, letters on its ball) and gives each pair a row
+of the classes that hold it.  The parity check is the XOR of those rows,
+the strategy system takes them as its rows, and the flip-rule search runs
+the same function on its own cases.  A certificate names its odd excerpt
 classes as a witness kept out of its JSON form.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import pauli
 from .graph import Graph, graph_from_json, graph_to_json
@@ -61,6 +64,34 @@ class MeasurementPair:
         return dict(self.letters)
 
 
+ExcerptClass = tuple[int, int, int]  # (vertex index, x & B, z & B)
+
+
+def excerpt_rows(
+    balls: Sequence[int], pair_bits: Iterable[tuple[int, int, int]]
+) -> tuple[tuple[int, ...], tuple[ExcerptClass, ...]]:
+    """Group pairs (x, z, mask) into excerpt classes, with B = balls[i].
+
+    Pair k is in class (i, x & B, z & B) when its mask keeps vertex i with a
+    non-identity letter: its letters on vertex i's ball.  Classes are
+    numbered by first appearance, pairs in order and each pair's vertices
+    by index; bit j of rows[k] is set iff pair k is in class j.
+    """
+    number: dict[ExcerptClass, int] = {}
+    rows = []
+    for x, z, m in pair_bits:
+        row = 0
+        kept = m & (x | z)
+        while kept:
+            low = kept & -kept
+            i = low.bit_length() - 1
+            b = balls[i]
+            row |= 1 << number.setdefault((i, x & b, z & b), len(number))
+            kept ^= low
+        rows.append(row)
+    return tuple(rows), tuple(number)
+
+
 @dataclass(frozen=True)
 class MeasurementSet:
     """An ordered list of measurement pairs on a graph, with a distance d.
@@ -87,23 +118,9 @@ class MeasurementSet:
         )
 
     @cached_property
-    def excerpt_classes(self) -> dict[str, dict[tuple[int, int], list[int]]]:
-        """Per vertex v, the indices of the pairs whose submeasurement keeps
-        v with a non-identity letter, grouped by their local excerpt: the
-        letters on ball(v, d), keyed as (x & B, z & B) with B the bitmask of
-        the ball."""
-        g = self.graph
-        balls = g.ball_masks(self.d)
-        classes: list[dict[tuple[int, int], list[int]]] = [{} for _ in balls]
-        for k, (x, z, m) in enumerate(self.pair_bits):
-            kept = m & (x | z)
-            while kept:
-                low = kept & -kept
-                i = low.bit_length() - 1
-                b = balls[i]
-                classes[i].setdefault((x & b, z & b), []).append(k)
-                kept ^= low
-        return dict(zip(g.vertices, classes))
+    def excerpt_rows(self) -> tuple[tuple[int, ...], tuple[ExcerptClass, ...]]:
+        """:func:`excerpt_rows` over the distance-d balls of the graph."""
+        return excerpt_rows(self.graph.ball_masks(self.d), self.pair_bits)
 
     @cached_property
     def stabilizer_signs(self) -> tuple[int | None, ...]:
@@ -131,8 +148,9 @@ def check_product_minus_one(s: MeasurementSet) -> bool:
 @dataclass(frozen=True)
 class ParadoxCertificate:
     """Per-vertex and per-pair verification record for one measurement set;
-    odd_classes, not in to_json, maps each failing vertex to the pair
-    indices of its odd excerpt classes."""
+    odd_classes, not in to_json, maps each failing vertex, in vertex order,
+    to the pair indices of its odd excerpt classes in first-appearance
+    order."""
 
     parity_ok: Mapping[str, bool]
     stabilizer_signs: tuple[int | None, ...]
@@ -157,13 +175,25 @@ class ParadoxCertificate:
 
 
 def verify_paradox(s: MeasurementSet) -> ParadoxCertificate:
-    """Run all three checks; overall=True certifies the paradox at distance d."""
-    odd_classes = {}
-    for v, classes in s.excerpt_classes.items():
-        if odd := tuple(tuple(ks) for ks in classes.values() if len(ks) % 2):
-            odd_classes[v] = odd
+    """Run all three checks; overall=True certifies the paradox at distance d.
+
+    A class is odd iff its bit is set in the XOR of the excerpt rows.
+    """
+    rows, classes = s.excerpt_rows
+    parity = 0
+    for row in rows:
+        parity ^= row
+    odd: dict[int, list[tuple[int, ...]]] = {}  # vertex index -> odd classes
+    while parity:
+        low = parity & -parity
+        odd.setdefault(classes[low.bit_length() - 1][0], []).append(
+            tuple(k for k, row in enumerate(rows) if row & low)
+        )
+        parity ^= low
+    vertices = s.graph.vertices
+    odd_classes = {vertices[i]: tuple(odd[i]) for i in sorted(odd)}
     return ParadoxCertificate(
-        parity_ok={v: v not in odd_classes for v in s.graph.vertices},
+        parity_ok={v: v not in odd_classes for v in vertices},
         stabilizer_signs=s.stabilizer_signs,
         product_is_minus_one=check_product_minus_one(s),
         odd_classes=odd_classes,

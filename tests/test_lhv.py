@@ -12,7 +12,7 @@ import pytest
 import inflated_graphs as ig
 from conftest import random_connected_graph
 from inflated_graphs import gf2, lhv, pauli, statevector
-from inflated_graphs.cli import load_fixture_set
+from inflated_graphs.cli import FIXTURES, load_fixture_set
 
 
 def test_build_system_shape_ghz():
@@ -184,6 +184,35 @@ def test_min_violations_matches_independent_oracles():
     assert sum(got == 0 for got, _, _ in seen) >= 3
 
 
+def test_variable_order_does_not_change_bound_or_feasibility():
+    # build_system numbers its variables by first appearance; any other
+    # order, with the columns permuted to match, gives the same coset.
+    rng = random.Random(41)
+    sets = [load_fixture_set(name) for name in FIXTURES]
+    for i in range(50):
+        g = random_connected_graph(rng, 3 + i % 6)
+        built = ig.build_inflated_set(ig.find_base_set(g), ig.inflate(g, 1 + i % 3))
+        sets.append(built.measurement_set)
+    # Dropping a pair breaks the paradox in some sets, so both verdicts occur.
+    sets += [ig.MeasurementSet(s.graph, s.d, s.pairs[:-1]) for s in sets]
+    verdicts = set()
+    for s in sets:
+        sys = ig.build_system(s)
+        order = list(range(sys.n_variables))
+        rng.shuffle(order)
+        position = {j: p for p, j in enumerate(order)}
+        rows = tuple(
+            sum(1 << position[j] for j in range(sys.n_variables) if row >> j & 1)
+            for row in sys.rows
+        )
+        variables = tuple(sys.variables[j] for j in order)
+        shuffled = lhv.StrategySystem(variables, rows, sys.rhs)
+        assert ig.min_violations(shuffled) == ig.min_violations(sys)
+        assert ig.feasible(shuffled) == ig.feasible(sys)
+        verdicts.add(ig.feasible(sys))
+    assert verdicts == {True, False}
+
+
 def test_min_violations_budget(monkeypatch):
     def independent_system(k):
         return lhv.StrategySystem(
@@ -289,6 +318,22 @@ def test_flip_rule_neighborhood_validation():
                 lhv.FlipRule("2", (("1", "Z"), ("2", "X"), ("2", "Y"))),
             ),
         )
+    with pytest.raises(ValueError, match="invalid Pauli letter 'W'"):
+        lhv.BarrettModel(
+            graph=g, flip_rules=(lhv.FlipRule.make("2", {"1": "Z", "2": "W"}),)
+        )
+    with pytest.raises(ValueError, match="unknown vertex '9'"):
+        lhv.BarrettModel(graph=g, flip_rules=(lhv.FlipRule.make("9", {}),))
+
+
+def test_check_model_leaves_rule_masks_uncompiled():
+    # Validation does not compile the scalar path's masks, and the scan
+    # reads only the patterns.
+    rules = tuple(lhv.load_flip_rules()["triangle"])
+    model = lhv.BarrettModel(graph=lhv.SMALL_GRAPHS["triangle"], flip_rules=rules)
+    assert model.flip_rules
+    assert lhv.check_model(model) == []
+    assert "_rule_masks" not in model.__dict__
 
 
 def test_verify_small_graphs_zero_mismatches():
@@ -688,20 +733,13 @@ def test_search_flip_rules_ignores_hash_seed():
 def test_flip_scans_refuse_more_than_seven_vertices():
     # check_model's 8**8 = 16.8 M cases would take eight times its arrays
     # at 7 vertices (44 MB RSS), and the search's rows already peak at
-    # 103 MB on K7; both refuse up front.
+    # 98 MB on K7; both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
         lhv.check_model(lhv.BarrettModel(graph=path8))
     with pytest.raises(ValueError, match="limited to 7 vertices"):
         lhv.search_flip_rules(path8)
-
-
-def test_automorphisms_counts():
-    assert len(lhv.automorphisms(lhv.SMALL_GRAPHS["triangle"])) == 6
-    assert len(lhv.automorphisms(lhv.SMALL_GRAPHS["path3"])) == 2
-    assert len(lhv.automorphisms(lhv.SMALL_GRAPHS["k4"])) == 24
-    assert len(lhv.automorphisms(lhv.SMALL_GRAPHS["star4"])) == 6
 
 
 # ---------------------------------------------------------------------------

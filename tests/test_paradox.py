@@ -35,6 +35,18 @@ def test_mutated_letter_breaks_certificate():
     assert cert.stabilizer_signs[0] is None
 
 
+def _classes_by_vertex(s):
+    """The set's excerpt rows regrouped per vertex name, as
+    {v: {(x, z): [pair indices]}} with vertices in graph order and classes
+    in first-appearance order."""
+    rows, classes = s.excerpt_rows
+    vertices = s.graph.vertices
+    out = {v: {} for v in vertices}
+    for j, (i, x, z) in enumerate(classes):
+        out[vertices[i]][(x, z)] = [k for k, row in enumerate(rows) if row >> j & 1]
+    return out
+
+
 def test_excerpt_is_ball_restricted():
     s = load_fixture_set("chain7")
     g = s.graph
@@ -42,7 +54,7 @@ def test_excerpt_is_ball_restricted():
     local = bfs_ball(g, "2", 1)
     assert len(local) == 3
     b = sum(1 << g.index[u] for u in local)
-    classes = s.excerpt_classes["2"]
+    classes = _classes_by_vertex(s)["2"]
     for (x, z), ks in classes.items():
         assert (x | z) & ~b == 0
         for k in ks:
@@ -79,7 +91,7 @@ def test_missing_decoy_pair_names_odd_classes():
 
 
 def _reference_classes(s, v):
-    """The letter-tuple excerpt grouping that excerpt_classes replaced."""
+    """Reference excerpt grouping of vertex v, keyed by letter tuples."""
     groups = {}
     for k, p in enumerate(s.pairs):
         letters = p.letters_dict
@@ -124,7 +136,7 @@ def _mutate(rng, s):
 
 
 def test_excerpt_classes_match_letter_reference():
-    """excerpt_classes, the certificate's witness and the strategy system
+    """excerpt_rows, the certificate's witness and the strategy system
     agree with the letter-tuple grouping on fixtures, built sets and
     one-letter mutations of both."""
     rng = random.Random(11)
@@ -138,8 +150,9 @@ def test_excerpt_classes_match_letter_reference():
     odd_seen = 0
     for s in sets:
         reference = {v: _reference_classes(s, v) for v in s.graph.vertices}
+        grouped = _classes_by_vertex(s)
         for v, groups in reference.items():
-            got = s.excerpt_classes[v]
+            got = grouped[v]
             assert sorted(got.values()) == sorted(groups.values()), v
         odd = {
             v: tuple(tuple(ks) for ks in groups.values() if len(ks) % 2)
@@ -154,6 +167,10 @@ def test_excerpt_classes_match_letter_reference():
                 ig.build_system(s)
             continue
         system = ig.build_system(s)
+        # Variable (v, key) labels the column of the pairs in that class.
+        for j, (v, key) in enumerate(system.variables):
+            column = [k for k, row in enumerate(system.rows) if row >> j & 1]
+            assert column == grouped[v][key]
         assert system.n_variables == expected.n_variables
         assert system.rhs == expected.rhs
         assert gf2.rank(list(system.rows)) == gf2.rank(list(expected.rows))
@@ -163,8 +180,8 @@ def test_excerpt_classes_match_letter_reference():
 
 
 def _reference_excerpt_classes(s):
-    """The per-vertex grouping excerpt_classes replaced: each vertex's ball
-    summed into a bitmask, then every pair tested against the vertex."""
+    """Reference per-vertex grouping: each vertex's ball summed into a
+    bitmask, then every pair tested against the vertex."""
     index = s.graph.index
     out = {}
     for v in s.graph.vertices:
@@ -179,7 +196,7 @@ def _reference_excerpt_classes(s):
 
 
 def test_excerpt_classes_match_per_vertex_grouping():
-    """excerpt_classes equals the per-vertex ball grouping, in the order of
+    """excerpt_rows equals the per-vertex ball grouping, in the order of
     vertices, classes and pair indices, on 216 built sets."""
     rng = random.Random(12)
     checked = 0
@@ -189,7 +206,7 @@ def test_excerpt_classes_match_per_vertex_grouping():
             ig.find_base_set(g), inflate(g, 1 + i % 3)
         ).measurement_set
         reference = _reference_excerpt_classes(s)
-        got = s.excerpt_classes
+        got = _classes_by_vertex(s)
         assert list(got) == list(reference)
         for v, classes in reference.items():
             assert list(got[v].items()) == list(classes.items()), v
