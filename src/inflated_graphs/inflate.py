@@ -4,11 +4,12 @@ table read off the base set, so one re-verification turns any
 local-model-refuting set on a base graph into a certified set refuting
 distance-d communication-assisted models on the inflated graph.
 
-Every pair is built as (x, z, mask) bitmasks over the inflated graph's
-index and becomes letters once, at the end.  A base mask is lifted by
-OR-ing, per base vertex, its power-vertex bit or the member mask of its
-inflated generator (the vertex plus its chain vertices at even distance);
-"X on every chain vertex" is the OR of the chain mask.
+Every pair is built and stored as (x, z, mask) bitmasks over the inflated
+graph's index; its letters are derived only when the set is written out.
+A base mask is lifted by OR-ing, per base vertex, its power-vertex bit or
+the member mask of its inflated generator (the vertex plus its chain
+vertices at even distance); "X on every chain vertex" is the OR of the
+chain mask.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .paradox import (
     ParadoxCertificate,
     verify_paradox,
 )
+
+_LETTER_OF_BITS = "IXZY"  # indexed by x + 2 z
 
 
 @dataclass(frozen=True)
@@ -112,13 +115,6 @@ def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def _pair(g: Graph, x: int, z: int, mask: int, name: str = "") -> MeasurementPair:
-    """A pair given as bitmasks over ``g.index``, in letters."""
-    return MeasurementPair.make(
-        pauli.to_letters(g, x, z), g.vertices_of(mask), name=name
-    )
-
-
 def _decoy_pairs(
     ig: InflatedGraph, members: tuple[int, ...], chain: int, spec: DecoySpec
 ) -> tuple[MeasurementPair, MeasurementPair]:
@@ -147,7 +143,7 @@ def _decoy_pairs(
         cx, cz = pauli.to_xz(g, {spec.center: s})
         # The shell must be a submeasurement of the decoy measurement.
         assert ((x | cx) & shell, (z | cz) & shell) == (shell_x, shell_z)
-        out.append(_pair(g, x | cx, z | cz, shell))
+        out.append(MeasurementPair(g.vertices, x | cx, z | cz, shell))
     return out[0], out[1]
 
 
@@ -179,6 +175,7 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     power = tuple(1 << g.index[v] for v in base.graph.vertices)
     members = _member_masks(ig)
     chain = g.bits_of(ig.chain_index)
+    base_index = base.graph.index
     pairs = []
     odd: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     for p, (x, z, _) in zip(base.pairs, base.pair_bits):
@@ -188,17 +185,18 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
         inflated_x = _spread(x, members)
         inflated_z, _ = pauli._stabilizer(g, inflated_x)
         pairs.append(
-            _pair(
-                g,
+            MeasurementPair(
+                g.vertices,
                 _spread(x, power) | chain,
                 _spread(z, power),
                 inflated_x | inflated_z,
-                name=p.name,
+                p.name,
             )
         )
         for f in base.graph.vertices_of(x):
             for c in base.graph.neighbors[f]:
-                odd[c] ^= {(f, p.letters_dict.get(c, "I"))}
+                i = base_index[c]
+                odd[c] ^= {(f, _LETTER_OF_BITS[(x >> i & 1) | (z >> i & 1) << 1])}
 
     decoy_specs = []
     for center in sorted(odd):
@@ -273,13 +271,9 @@ def find_base_set(g: Graph) -> MeasurementSet | None:
         xs = [1 << v, (1 << v) | (1 << ends[0]), (1 << v) | (1 << ends[1]), t]
     else:
         xs = [1 << a, 1 << b, 1 << c, t]
-    full = frozenset(g.vertices)
+    full = (1 << len(g.vertices)) - 1
     pairs = tuple(
-        MeasurementPair.make(
-            pauli.to_letters(g, x, pauli._stabilizer(g, x)[0]),
-            full,
-            name=f"M{k + 1}",
-        )
+        MeasurementPair(g.vertices, x, pauli._stabilizer(g, x)[0], full, f"M{k + 1}")
         for k, x in enumerate(xs)
     )
     return MeasurementSet(graph=g, d=0, pairs=pairs)

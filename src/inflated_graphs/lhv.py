@@ -261,10 +261,9 @@ def _flipped(model: BarrettModel, x: int, z: int, m: int) -> bool:
 
 
 def barrett_expectation(model: BarrettModel, pair: MeasurementPair) -> Fraction:
-    """Exact model expectation of the masked output product."""
-    g = model.graph
-    x, z = pauli.to_xz(g, pair.letters_dict)
-    return Fraction(_model_value(model, x, z, g.bits_of(pair.mask)))
+    """Exact model expectation of the masked output product, read off the
+    pair's bits on the model's graph."""
+    return Fraction(_model_value(model, *pair.bits_on(model.graph)))
 
 
 def barrett_expectation_sampled(
@@ -519,7 +518,7 @@ def check_model(model: BarrettModel) -> list[dict]:
         mismatches.append(
             {
                 "letters": dict(sorted(letters.items())),
-                "mask": sorted(pauli.to_letters(g, m, 0)),
+                "mask": list(g.vertices_of(m)),
                 "quantum": _key_value(int(quantum.flat[k])),
                 "model": str(_key_value(int(classical.flat[k]))),
             }

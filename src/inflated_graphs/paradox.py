@@ -13,14 +13,17 @@ together with a communication distance d.  The three checks are:
 A set passing all three cannot be reproduced by any deterministic classical
 model whose per-vertex outputs see measurement settings up to distance d.
 
-A :class:`MeasurementSet` compiles its pairs once into (x, z, mask) bitmasks
-over ``graph.index`` and derives from them, once per set, its stabilizer
-signs and its excerpt rows: :func:`excerpt_rows`, the one excerpt grouping,
-numbers the classes (vertex, letters on its ball) and gives each pair a row
-of the classes that hold it.  The parity check is the XOR of those rows,
-the strategy system takes them as its rows, and the flip-rule search runs
-the same function on its own cases.  A certificate names its odd excerpt
-classes as a witness kept out of its JSON form.
+A :class:`MeasurementPair` is stored as (x, z, mask) bitmasks over a vertex
+tuple, and its letters are views derived from them.  A
+:class:`MeasurementSet` takes its pairs' bits over ``graph.index`` (moving a
+pair over other vertices onto the graph by name once) and derives from
+them, once per set, its stabilizer signs and its excerpt rows:
+:func:`excerpt_rows`, the one excerpt grouping, numbers the classes
+(vertex, letters on its ball) and gives each pair a row of the classes that
+hold it.  The parity check is the XOR of those rows, the strategy system
+takes them as its rows, and the flip-rule search runs the same function on
+its own cases.  A certificate names its odd excerpt classes as a witness
+kept out of its JSON form.
 """
 
 from __future__ import annotations
@@ -36,32 +39,115 @@ from .graph import Graph, graph_from_json, graph_to_json
 _NON_IDENTITY = ("X", "Y", "Z")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MeasurementPair:
-    """A Pauli measurement plus the submask of vertices whose outcome is kept."""
+    """A Pauli measurement plus the submask of vertices whose outcome is kept.
 
-    letters: tuple[tuple[str, str], ...]
-    mask: frozenset[str]
+    Stored as bitmasks over ``vertices``: the measurement's letters as (x, z)
+    and the kept vertices as m.  :meth:`make` compiles letters over the
+    pair's own sorted support; the library builders and :func:`set_from_json`
+    compile over their graph's vertices.  ``letters``, ``letters_dict`` and
+    ``mask`` are views derived from the bits, and equality and hashing go by
+    them and the name, whatever the vertex tuple.
+    """
+
+    vertices: tuple[str, ...]
+    x: int
+    z: int
+    m: int
     name: str = ""
 
     @staticmethod
     def make(
         letters: Mapping[str, str], mask: Iterable[str], name: str = ""
     ) -> "MeasurementPair":
-        items = []
-        for v, l in letters.items():
-            # Tuple membership compares by equality, so an unhashable letter
-            # is rejected here with ValueError rather than TypeError.
-            if l in _NON_IDENTITY:
-                items.append((v, l))
-            elif l != "I":
-                raise ValueError(f"invalid Pauli letter {l!r}")
-        items.sort()
-        return MeasurementPair(letters=tuple(items), mask=frozenset(mask), name=name)
+        mask = set(mask)
+        support = mask.union(v for v, l in letters.items() if l in _NON_IDENTITY)
+        try:
+            vertices = tuple(sorted(support))
+        except TypeError:  # no graph has vertices of mixed types
+            v = next(v for v in support if not isinstance(v, str))
+            raise ValueError(f"unknown vertex {v!r}") from None
+        index = {v: i for i, v in enumerate(vertices)}
+        x, z, m, _ = _compile(letters.items(), mask, index)
+        return MeasurementPair(vertices, x, z, m, name)
+
+    @cached_property
+    def letters(self) -> tuple[tuple[str, str], ...]:
+        """The non-identity letters as (vertex, letter), sorted by vertex."""
+        return tuple(sorted(pauli.letters_of(self.vertices, self.x, self.z).items()))
 
     @cached_property
     def letters_dict(self) -> dict[str, str]:
         return dict(self.letters)
+
+    @cached_property
+    def mask(self) -> frozenset[str]:
+        digits = format(self.m, f"0{len(self.vertices)}b")[::-1]
+        return frozenset(v for v, b in zip(self.vertices, digits) if b == "1")
+
+    def bits_on(self, g: Graph) -> tuple[int, int, int]:
+        """(x, z, m) over ``g.index``: the stored bits when the pair is over
+        g's vertices, else its letters and mask moved onto them by name."""
+        if self.vertices == g.vertices:
+            return self.x, self.z, self.m
+        x, z, m, unknown = _compile(self.letters, self.mask, g.index)
+        if unknown is not None:
+            raise ValueError(f"unknown vertex {unknown!r}")
+        return x, z, m
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeasurementPair):
+            return NotImplemented
+        if self.vertices == other.vertices:
+            mine, theirs = (self.x, self.z, self.m), (other.x, other.z, other.m)
+        else:
+            mine, theirs = (self.letters, self.mask), (other.letters, other.mask)
+        return mine == theirs and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.mask, self.name))
+
+    def __repr__(self) -> str:
+        return (
+            f"MeasurementPair.make({self.letters_dict!r}, "
+            f"{sorted(self.mask)!r}, name={self.name!r})"
+        )
+
+
+def _compile(
+    letters: Iterable[tuple[str, str]], mask: Iterable[str], index: Mapping[str, int]
+) -> tuple[int, int, int, str | None]:
+    """(x, z, m) bitmasks over ``index`` of letter items and a mask, plus
+    the vertex an "unknown vertex" error names, or None when every vertex is
+    in ``index``: the smallest unknown letter vertex, else the smallest
+    unknown mask vertex.  Every letter is checked first, and an identity
+    letter's vertex is never looked up."""
+    x = z = m = 0
+    unknown = []
+    for v, l in letters:
+        # Tuple membership compares by equality, so an unhashable letter
+        # is rejected with ValueError rather than TypeError.
+        if l in _NON_IDENTITY:
+            i = index.get(v)
+            if i is None:
+                unknown.append(v)
+                continue
+            if l != "Z":
+                x |= 1 << i
+            if l != "X":
+                z |= 1 << i
+        elif l != "I":
+            raise ValueError(f"invalid Pauli letter {l!r}")
+    if unknown:
+        return x, z, m, min(unknown)
+    for v in mask:
+        i = index.get(v)
+        if i is None:
+            unknown.append(v)
+        else:
+            m |= 1 << i
+    return x, z, m, min(unknown) if unknown else None
 
 
 ExcerptClass = tuple[int, int, int]  # (vertex index, x & B, z & B)
@@ -107,15 +193,12 @@ class MeasurementSet:
     def __post_init__(self) -> None:
         if self.d < 0:
             raise ValueError("communication distance d must be >= 0")
-        self.pair_bits  # compiling the pairs validates vertices and letters
+        self.pair_bits  # rebasing the pairs validates their vertices
 
     @cached_property
     def pair_bits(self) -> tuple[tuple[int, int, int], ...]:
         """Each pair as (x, z, mask) bitmasks over ``graph.index``."""
-        g = self.graph
-        return tuple(
-            (*pauli.to_xz(g, p.letters_dict), g.bits_of(p.mask)) for p in self.pairs
-        )
+        return tuple(p.bits_on(self.graph) for p in self.pairs)
 
     @cached_property
     def excerpt_rows(self) -> tuple[tuple[int, ...], tuple[ExcerptClass, ...]]:
@@ -201,18 +284,21 @@ def verify_paradox(s: MeasurementSet) -> ParadoxCertificate:
 
 
 def set_to_json(s: MeasurementSet) -> dict:
-    return {
-        "graph": graph_to_json(s.graph),
-        "d": s.d,
-        "pairs": [
-            {
-                "letters": dict(p.letters),
-                "mask": sorted(p.mask),
-                **({"name": p.name} if p.name else {}),
-            }
-            for p in s.pairs
-        ],
-    }
+    """The set as JSON, each pair's letters and mask read off its bits and
+    keyed or listed by vertex name."""
+    g = s.graph
+    by_name = list(g.vertices) == sorted(g.vertices)
+    pairs = []
+    for p, (x, z, m) in zip(s.pairs, s.pair_bits):
+        letters = pauli.to_letters(g, x, z)
+        mask = list(g.vertices_of(m))
+        if not by_name:
+            letters = dict(sorted(letters.items()))
+            mask.sort()
+        pairs.append(
+            {"letters": letters, "mask": mask, **({"name": p.name} if p.name else {})}
+        )
+    return {"graph": graph_to_json(g), "d": s.d, "pairs": pairs}
 
 
 def set_from_json(obj: Mapping) -> MeasurementSet:
@@ -236,15 +322,21 @@ def set_from_json(obj: Mapping) -> MeasurementSet:
             '"letters" (an object), "mask" (a list) and an optional "name"'
         )
     graph = graph_from_json(obj["graph"])
-    pairs = tuple(
-        MeasurementPair.make(
-            {str(v): l for v, l in p["letters"].items()},
-            (str(v) for v in p["mask"]),
-            name=p.get("name", ""),
+    # Letters and masks compile straight onto the graph's vertices.  Every
+    # letter of every pair is checked before an unknown vertex is named.
+    pairs = []
+    unknown = None
+    for p in obj["pairs"]:
+        letters = p["letters"]
+        x, z, m, missing = _compile(
+            zip(map(str, letters), letters.values()), map(str, p["mask"]), graph.index
         )
-        for p in obj["pairs"]
-    )
-    return MeasurementSet(graph=graph, d=obj["d"], pairs=pairs)
+        if unknown is None:
+            unknown = missing
+        pairs.append(MeasurementPair(graph.vertices, x, z, m, p.get("name", "")))
+    if unknown is not None:
+        raise ValueError(f"unknown vertex {unknown!r}")
+    return MeasurementSet(graph=graph, d=obj["d"], pairs=tuple(pairs))
 
 
 def load_measurement_set(path: str) -> MeasurementSet:

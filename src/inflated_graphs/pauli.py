@@ -1,13 +1,14 @@
 """Signed Pauli-product algebra and graph-state stabilizer machinery.
 
-A Pauli string has two forms.  At the boundary (JSON files, measurement
-pairs, the statevector oracle) it is a letter dict ``{vertex: letter}``;
-a vertex absent from the dict carries the identity.  For arithmetic it is a
+A Pauli string has two forms.  At the boundary (JSON files,
+``MeasurementPair.make``, the statevector oracle) it is a letter dict
+``{vertex: letter}``; a vertex absent from the dict carries the identity.
+For arithmetic and storage (measurement pairs keep only their bits) it is a
 triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
-:func:`to_xz` turns letters into bits and :func:`to_letters` turns bits back
-into letters.
+:func:`to_xz` turns letters into bits and :func:`to_letters` and
+:func:`letters_of` turn bits back into letters.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -19,7 +20,7 @@ lives; :func:`_stabilizer_table` applies it to every subset at once.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -115,14 +116,20 @@ def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
 def to_letters(g: Graph, x: int, z: int) -> dict[str, str]:
     """Letter assignment of bitmasks over ``g.index``, identity omitted, in
     vertex order; the inverse of :func:`to_xz`."""
+    return letters_of(g.vertices, x, z)
+
+
+def letters_of(vertices: Sequence[str], x: int, z: int) -> dict[str, str]:
+    """Letter assignment of bitmasks over a vertex tuple (bit i is
+    vertices[i]), identity omitted, in that order."""
     # One binary digit string per mask, lowest index first: walking strings
     # beats shifting wide ints once per vertex.
-    n = len(g.vertices)
+    n = len(vertices)
     xs = format(x, f"0{n}b")[::-1]
     zs = format(z, f"0{n}b")[::-1]
     return {
         v: _LETTER_OF_DIGITS[a][b]
-        for v, a, b in zip(g.vertices, xs, zs)
+        for v, a, b in zip(vertices, xs, zs)
         if a == "1" or b == "1"
     }
 

@@ -1,10 +1,11 @@
 import json
 import random
+import re
 
 import pytest
 
 import inflated_graphs as ig
-from inflated_graphs import gf2, graph, lhv, paradox, pauli
+from inflated_graphs import cli, gf2, graph, lhv, paradox, pauli
 from inflated_graphs.cli import load_fixture_set
 from inflated_graphs.graph import inflate
 from conftest import bfs_ball, random_connected_graph
@@ -278,3 +279,140 @@ def test_bundled_fixtures_verify():
     for name in FIXTURES:
         cert = ig.verify_paradox(load_fixture_set(name))
         assert cert.overall, name
+
+
+def _letter_writer(s):
+    """The JSON form written from the pairs' letters and masks, keys and
+    mask sorted by vertex name: the reference for set_to_json."""
+    return {
+        "graph": graph.graph_to_json(s.graph),
+        "d": s.d,
+        "pairs": [
+            {
+                "letters": dict(sorted(p.letters_dict.items())),
+                "mask": sorted(p.mask),
+                **({"name": p.name} if p.name else {}),
+            }
+            for p in s.pairs
+        ],
+    }
+
+
+def _stored_form_sets():
+    """The fixtures, loaded, and sets built from random graphs with
+    n = 6..10 and d = 1..3, with their bases."""
+    for name in FIXTURES:
+        yield load_fixture_set(name)
+    rng = random.Random(16)
+    for i in range(30):
+        g = random_connected_graph(rng, 6 + i % 5)
+        base = ig.find_base_set(g)
+        yield base
+        yield ig.build_inflated_set(base, inflate(g, 1 + i // 10)).measurement_set
+
+
+def test_stored_bits_match_letter_path():
+    """Built and loaded pairs are stored over their graph's vertices, and
+    their bits, JSON form and equality agree with the letter path they
+    replace: letters compiled by to_xz and bits_of, written sorted, and
+    pairs from MeasurementPair.make."""
+    checked = 0
+    for s in _stored_form_sets():
+        g = s.graph
+        obj = paradox.set_to_json(s)
+        assert obj == _letter_writer(s)
+        assert list(obj["pairs"][0]["letters"]) == sorted(s.pairs[0].letters_dict)
+        loaded = paradox.set_from_json(json.loads(json.dumps(obj)))
+        assert loaded == s and loaded.pair_bits == s.pair_bits
+        for p, q in zip(s.pairs, loaded.pairs):
+            for pair in (p, q):
+                assert pair.vertices == g.vertices
+                assert (pair.x, pair.z) == pauli.to_xz(g, pair.letters_dict)
+                assert pair.m == g.bits_of(pair.mask)
+                made = ig.MeasurementPair.make(pair.letters_dict, pair.mask, pair.name)
+                assert made == pair and pair == made
+                assert hash(made) == hash(pair)
+                assert made.bits_on(g) == (pair.x, pair.z, pair.m)
+            renamed = ig.MeasurementPair.make(p.letters_dict, p.mask, p.name + "'")
+            assert renamed != p and p != renamed
+        made_set = ig.MeasurementSet(
+            graph=g,
+            d=s.d,
+            pairs=tuple(
+                ig.MeasurementPair.make(p.letters_dict, p.mask, p.name)
+                for p in s.pairs
+            ),
+        )
+        assert made_set == s and hash(made_set) == hash(s)
+        assert made_set.pair_bits == s.pair_bits
+        assert paradox.set_to_json(made_set) == obj
+        checked += 1
+    assert checked == len(FIXTURES) + 60
+
+
+def test_fixtures_rewrite_byte_for_byte():
+    for name in FIXTURES:
+        text = cli._fixture_text(name)
+        s = paradox.set_from_json(json.loads(text))
+        assert json.dumps(paradox.set_to_json(s), indent=2) + "\n" == text, name
+
+
+# Malformed pairs: (letters, mask) of one pair of ghz_path3, and the message.
+MALFORMED_PAIRS = {
+    "letter W": ({"1": "W"}, ["1"], "invalid Pauli letter 'W'"),
+    "list letter": ({"1": ["X"]}, ["1"], "invalid Pauli letter ['X']"),
+    "object letter": ({"1": {"a": 1}}, ["1"], "invalid Pauli letter {'a': 1}"),
+    "number letter": ({"1": 5}, ["1"], "invalid Pauli letter 5"),
+    "unknown letter vertex": ({"9": "X"}, ["1"], "unknown vertex '9'"),
+    "unknown mask vertex": ({"1": "X"}, ["9"], "unknown vertex '9'"),
+    "smallest letter vertex": ({"9": "X", "8": "Z"}, ["7"], "unknown vertex '8'"),
+    "smallest mask vertex": ({"1": "X"}, ["9", "8"], "unknown vertex '8'"),
+    "letter vertex first": ({"9": "X"}, ["8"], "unknown vertex '9'"),
+    "letter before vertex": ({"9": "X", "1": "W"}, ["7"], "invalid Pauli letter 'W'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+def test_malformed_pair_keeps_its_message(tmp_path, capsys, case):
+    letters, mask, message = MALFORMED_PAIRS[case]
+    obj = paradox.set_to_json(load_fixture_set("ghz_path3"))
+    obj["pairs"][1] = {"letters": letters, "mask": mask}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        paradox.set_from_json(obj)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path)]) == 2
+    assert f"input error: {message}\n" in capsys.readouterr().err
+    # The same pair from MeasurementPair.make fails at make (a bad letter)
+    # or when a set on the graph takes it (an unknown vertex).
+    g = load_fixture_set("ghz_path3").graph
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ig.MeasurementSet(
+            graph=g, d=0, pairs=(ig.MeasurementPair.make(letters, mask),)
+        )
+
+
+def test_identity_letter_on_unknown_vertex_is_ignored():
+    obj = paradox.set_to_json(load_fixture_set("ghz_path3"))
+    obj["pairs"][0]["letters"]["9"] = "I"
+    s = paradox.set_from_json(obj)
+    assert s == load_fixture_set("ghz_path3")
+    pair = ig.MeasurementPair.make({"9": "I", "1": "X"}, ["1"])
+    assert pair.vertices == ("1",) and pair.letters == (("1", "X"),)
+
+
+def test_non_string_vertex_is_unknown():
+    g = ig.build_graph([(1, 2)])
+    for letters, mask in (({1: "X"}, {1}), ({1: "X"}, {"1"}), ({"1": "X"}, {2})):
+        with pytest.raises(ValueError, match="^unknown vertex [12]$"):
+            ig.MeasurementSet(
+                graph=g, d=0, pairs=(ig.MeasurementPair.make(letters, mask),)
+            )
+
+
+def test_json_lists_vertices_by_name_on_unsorted_graph():
+    s = load_fixture_set("chain7")
+    g = graph.Graph(vertices=s.graph.vertices[::-1], edges=s.graph.edges)
+    unsorted = ig.MeasurementSet(graph=g, d=s.d, pairs=s.pairs)
+    assert unsorted.pair_bits != s.pair_bits
+    assert paradox.set_to_json(unsorted)["pairs"] == paradox.set_to_json(s)["pairs"]
