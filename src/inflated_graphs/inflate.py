@@ -19,15 +19,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import pauli
-from .graph import Graph, InflatedGraph, chain_vertex_name, edge_key
+from .graph import Graph, InflatedGraph
 from .paradox import (
     MeasurementPair,
     MeasurementSet,
     ParadoxCertificate,
     verify_paradox,
 )
-
-_LETTER_OF_BITS = "IXZY"  # indexed by x + 2 z
 
 
 @dataclass(frozen=True)
@@ -101,17 +99,11 @@ def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:
     generator: u itself plus the chain vertices of u's chains at even
     distance from u.  The masks of distinct base vertices are disjoint."""
     index = ig.graph.index
-    masks = []
-    for u in ig.base.vertices:
-        mask = 1 << index[u]
-        for v in ig.base.neighbors[u]:
-            edge = edge_key(u, v)
-            for s in range(1, ig.d + 1):
-                # Position 2s counted from u; canonical names count from the
-                # smaller endpoint.
-                r = 2 * s if edge[0] == u else 2 * ig.d + 1 - 2 * s
-                mask |= 1 << index[chain_vertex_name(edge, r)]
-        masks.append(mask)
+    masks = [1 << index[u] for u in ig.base.vertices]
+    for name, (edge, r) in ig.chain_index.items():
+        # Position r counts from edge[0], so an even r is at even distance
+        # from edge[0] and an odd r at even distance 2d + 1 - r from edge[1].
+        masks[ig.base.index[edge[r & 1]]] |= 1 << index[name]
     return tuple(masks)
 
 
@@ -196,7 +188,7 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
         for f in base.graph.vertices_of(x):
             for c in base.graph.neighbors[f]:
                 i = base_index[c]
-                odd[c] ^= {(f, _LETTER_OF_BITS[(x >> i & 1) | (z >> i & 1) << 1])}
+                odd[c] ^= {(f, pauli.LETTER_OF_BITS[(x >> i & 1) | (z >> i & 1) << 1])}
 
     decoy_specs = []
     for center in sorted(odd):
@@ -219,16 +211,14 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
 def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:
     """Peel the failing (branch, letter) table into 2x2 rectangles.
 
-    Each decoy pair flips the four cells {b1,b2} x {s1,s2}; the table always
-    has even row and column sums, so peeling terminates.
+    Each decoy pair flips the four cells {b1,b2} x {s1,s2}.  The table
+    always has even row and column sums, so (b1,s1), (b1,s2) and (b2,s1)
+    are all present: each step removes them and toggles (b2,s2), so the
+    table shrinks by 2 or 4 and peeling terminates.
     """
     table = set(failing)
     specs = []
-    guard = 0
     while table:
-        guard += 1
-        if guard > 4 * len(failing) + 16:
-            raise RuntimeError(f"decoy planning stalled for center {center!r}")
         b1, s1 = min(table)
         s2 = min(s for b, s in table if b == b1 and s != s1)
         b2 = min(b for b, s in table if s == s1 and b != b1)

@@ -1,6 +1,6 @@
 """Classical-model oracles.
 
-Four independent classical baselines live here:
+Four classical baselines live here:
 
 * deterministic distance-d strategy feasibility, encoded as a GF(2) linear
   system over per-vertex outputs conditioned on local excerpts,
@@ -8,13 +8,12 @@ Four independent classical baselines live here:
 * an explicit communication-assisted hidden-variable model (uniform random
   signs on vertices, neighbour products, plus data-driven sign-flip rules)
   that reproduces all Pauli measurements on small graphs,
-* brute force over two-setting binary games with one round of bounded
-  communication.
+* exact bounds of binary games with one round of bounded communication,
+  solved as the same minimum-violation search over (vertex, view) outputs.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .paradox import MeasurementPair, MeasurementSet, excerpt_rows
 # Deterministic strategy systems over GF(2)
 # ---------------------------------------------------------------------------
 
-StrategyVariable = tuple[str, tuple[int, int]]  # (vertex, excerpt class key)
+StrategyVariable = tuple[str, tuple[int, ...]]  # (vertex, excerpt class or view)
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,13 @@ class StrategySystem:
     """GF(2) encoding of deterministic distance-d strategies.
 
     Variable (v, e) is the log-domain output bit of vertex v when its local
-    excerpt is e.  The variables and rows are those of
-    ``MeasurementSet.excerpt_rows``: one variable per excerpt class, in
-    first-appearance order, and row k the classes that hold pair k.  Its
-    right-hand bit is 1 iff the pair's stabilizer sign is -1.  A
-    deterministic strategy reproduces every sign iff the system is
-    solvable.
+    excerpt is e.  For a measurement set (:func:`build_system`) the
+    variables and rows are those of ``MeasurementSet.excerpt_rows``: one
+    variable per excerpt class, in first-appearance order, and row k the
+    classes that hold pair k.  Its right-hand bit is 1 iff the pair's
+    stabilizer sign is -1.  A deterministic strategy reproduces every sign
+    iff the system is solvable.  :func:`game_bound` builds one whose
+    excerpts are a binary game's views.
     """
 
     variables: tuple[StrategyVariable, ...]
@@ -493,7 +493,7 @@ def check_model(model: BarrettModel) -> list[dict]:
     for rule in model.flip_rules:
         where = [slice(None)] * n
         for v, letter in rule.pattern:
-            where[g.index[v]] = "IXYZ".index(letter)
+            where[g.index[v]] = pauli.LETTERS.index(letter)
         grid[tuple(where)] ^= 1 << g.index[rule.vertex]
     stab_z, stab_negative = pauli._stabilizer_table(g)
     packed = stab_z | stab_negative.astype(np.uint8) << 7
@@ -587,7 +587,7 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
         if bit == "1":
             i, cx, cz = candidates[j]
             letters = tuple(
-                (vertices[k], "IXZY"[(cx >> k & 1) | (cz >> k & 1) << 1])
+                (vertices[k], pauli.LETTER_OF_BITS[(cx >> k & 1) | (cz >> k & 1) << 1])
                 for k in by_name
                 if closed[i] >> k & 1
             )
@@ -610,60 +610,33 @@ class BinaryGame:
     settings: tuple[tuple[int, ...], ...]
     terms: tuple[tuple[int, int, frozenset[str]], ...]  # (coeff, setting, mask)
 
-    def visible_of(self, v: str) -> tuple[int, ...]:
-        return dict(self.visible)[v]
-
-
-# Assignments game_bound may enumerate: the 2^16 of chsh_game(3) take about
-# 0.05 s on a 2-core x86_64 machine.
-MAX_GAME_ASSIGNMENTS = 1 << 17
-
 
 def game_bound(game: BinaryGame) -> int:
     """Exact maximum over all deterministic communication-assisted
-    strategies, by exhaustive enumeration.
+    strategies, as the Bell bound of a strategy system.
 
-    Raises ValueError ("too large") before it starts when there are more
-    than MAX_GAME_ASSIGNMENTS assignments.
+    A strategy fixes each vertex's output on each view (the inputs of a
+    setting the vertex sees), so term (c, k, mask) is one GF(2) row over
+    the (vertex, view) variables of its mask, with right-hand bit c < 0,
+    repeated |c| times.  The maximum is the row count minus twice
+    :func:`min_violations`, which raises ValueError ("too large") past
+    ``gf2.MAX_COSET_STEPS``.
     """
-    visible = [game.visible_of(v) for v in game.vertices]
-    domains = [
-        sorted({tuple(s[j] for j in idxs) for s in game.settings})
-        for idxs in visible
-    ]
-    count = 1 << sum(map(len, domains))
-    if count > MAX_GAME_ASSIGNMENTS:
-        raise ValueError(
-            f"instance too large: {count} deterministic assignments would "
-            f"pass the enumeration budget of {MAX_GAME_ASSIGNMENTS}"
-        )
-    # Each term as its coefficient and, per vertex i of its mask, the pair
-    # (i, j) with domains[i][j] the vertex's view of the term's setting;
-    # assignment[i][j] is then the vertex's output on that view.
-    terms = []
+    visible = dict(game.visible)
+    number: dict[StrategyVariable, int] = {}
+    rows: list[int] = []
+    rhs: list[int] = []
     for coeff, k, mask in game.terms:
         s = game.settings[k]
-        lookups = tuple(
-            (i, domains[i].index(tuple(s[j] for j in idxs)))
-            for i, (v, idxs) in enumerate(zip(game.vertices, visible))
-            if v in mask
-        )
-        terms.append((coeff, lookups))
-    best = None
-    choice_spaces = [
-        list(itertools.product((1, -1), repeat=len(dom))) for dom in domains
-    ]
-    for assignment in itertools.product(*choice_spaces):
-        value = 0
-        for coeff, lookups in terms:
-            product = coeff
-            for i, j in lookups:
-                product *= assignment[i][j]
-            value += product
-        if best is None or value > best:
-            best = value
-    assert best is not None
-    return best
+        row = 0
+        for v in game.vertices:
+            if v in mask:
+                view = tuple(s[j] for j in visible[v])
+                row ^= 1 << number.setdefault((v, view), len(number))
+        rows += [row] * abs(coeff)
+        rhs += [int(coeff < 0)] * abs(coeff)
+    system = StrategySystem(tuple(number), tuple(rows), tuple(rhs))
+    return len(rows) - 2 * min_violations(system)
 
 
 def chsh_game(d: int = 1) -> BinaryGame:

@@ -36,8 +36,6 @@ from typing import Iterable, Mapping, Sequence
 from . import pauli
 from .graph import Graph, graph_from_json, graph_to_json
 
-_NON_IDENTITY = ("X", "Y", "Z")
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class MeasurementPair:
@@ -62,7 +60,7 @@ class MeasurementPair:
         letters: Mapping[str, str], mask: Iterable[str], name: str = ""
     ) -> "MeasurementPair":
         mask = set(mask)
-        support = mask.union(v for v, l in letters.items() if l in _NON_IDENTITY)
+        support = mask.union(v for v, l in letters.items() if l in pauli._NON_IDENTITY)
         try:
             vertices = tuple(sorted(support))
         except TypeError:  # no graph has vertices of mixed types
@@ -120,34 +118,21 @@ def _compile(
 ) -> tuple[int, int, int, str | None]:
     """(x, z, m) bitmasks over ``index`` of letter items and a mask, plus
     the vertex an "unknown vertex" error names, or None when every vertex is
-    in ``index``: the smallest unknown letter vertex, else the smallest
-    unknown mask vertex.  Every letter is checked first, and an identity
-    letter's vertex is never looked up."""
-    x = z = m = 0
-    unknown = []
-    for v, l in letters:
-        # Tuple membership compares by equality, so an unhashable letter
-        # is rejected with ValueError rather than TypeError.
-        if l in _NON_IDENTITY:
-            i = index.get(v)
-            if i is None:
-                unknown.append(v)
-                continue
-            if l != "Z":
-                x |= 1 << i
-            if l != "X":
-                z |= 1 << i
-        elif l != "I":
-            raise ValueError(f"invalid Pauli letter {l!r}")
-    if unknown:
-        return x, z, m, min(unknown)
+    in ``index``: the smallest unknown letter vertex
+    (:func:`pauli.compile_letters`, which checks every letter first), else
+    the smallest unknown mask vertex."""
+    x, z, unknown = pauli.compile_letters(letters, index)
+    if unknown is not None:
+        return x, z, 0, unknown
+    m = 0
+    missing = []
     for v in mask:
         i = index.get(v)
         if i is None:
-            unknown.append(v)
+            missing.append(v)
         else:
             m |= 1 << i
-    return x, z, m, min(unknown) if unknown else None
+    return x, z, m, min(missing) if missing else None
 
 
 ExcerptClass = tuple[int, int, int]  # (vertex index, x & B, z & B)

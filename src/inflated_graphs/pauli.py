@@ -7,8 +7,9 @@ For arithmetic and storage (measurement pairs keep only their bits) it is a
 triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
-:func:`to_xz` turns letters into bits and :func:`to_letters` and
-:func:`letters_of` turn bits back into letters.
+:func:`compile_letters` and :func:`to_xz` turn letters into bits, and
+:func:`to_letters` and :func:`letters_of` turn bits back into letters;
+this module holds the only letter tables.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -20,15 +21,16 @@ lives; :func:`_stabilizer_table` applies it to every subset at once.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graph import Graph
 
-_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+LETTERS = ("I", "X", "Y", "Z")
+LETTER_OF_BITS = "IXZY"  # indexed by x + 2 z
+_NON_IDENTITY = ("X", "Y", "Z")
 _LETTER_OF_DIGITS = {"1": {"0": "X", "1": "Y"}, "0": {"1": "Z"}}
-LETTERS = tuple(_XZ)
 
 
 def multiply(
@@ -95,21 +97,41 @@ def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return z, (twice & 2).astype(bool)
 
 
-def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
-    """Bitmasks of a letter assignment over ``g.index``."""
-    index = g.index
+def compile_letters(
+    items: Iterable[tuple[str, str]], index: Mapping[str, int]
+) -> tuple[int, int, str | None]:
+    """(x, z) bitmasks over ``index`` of letter items (vertex, letter), plus
+    the smallest vertex of a non-identity letter that is not in ``index``,
+    or None.  Every letter is checked before it returns, so an invalid
+    letter raises ValueError ahead of any unknown vertex, and an identity
+    letter's vertex is never looked up."""
     x = z = 0
-    for v, l in letters.items():
-        i = index.get(v)
-        if i is None:
-            raise ValueError(f"unknown vertex {v!r}")
-        xz = _XZ.get(l)
-        if xz is None:
+    unknown = []
+    for v, l in items:
+        # Tuple membership compares by equality, so an unhashable letter
+        # is rejected with ValueError rather than TypeError.
+        if l in _NON_IDENTITY:
+            i = index.get(v)
+            if i is None:
+                unknown.append(v)
+                continue
+            if l != "Z":
+                x |= 1 << i
+            if l != "X":
+                z |= 1 << i
+        elif l != "I":
             raise ValueError(f"invalid Pauli letter {l!r}")
-        if xz[0]:
-            x |= 1 << i
-        if xz[1]:
-            z |= 1 << i
+    # Graph vertices are strings; key=str orders keys of other types too.
+    return x, z, min(unknown, key=str) if unknown else None
+
+
+def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
+    """Bitmasks of a letter assignment over ``g.index``; ValueError names
+    an invalid letter, else the smallest unknown vertex of a non-identity
+    letter."""
+    x, z, unknown = compile_letters(letters.items(), g.index)
+    if unknown is not None:
+        raise ValueError(f"unknown vertex {unknown!r}")
     return x, z
 
 

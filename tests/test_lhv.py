@@ -751,30 +751,24 @@ def test_binary_game_bound_distance_one():
     assert ig.binary_game_bound() == 2
 
 
-def test_binary_game_bound_full_information(monkeypatch):
-    # chsh_game(3) has 2^16 = 65536 assignments: a budget of exactly that
-    # many still enumerates them (one fewer refuses, below).
-    monkeypatch.setattr(lhv, "MAX_GAME_ASSIGNMENTS", 65536)
+def test_binary_game_bound_full_information():
     assert lhv.game_bound(lhv.chsh_game(3)) == 4
 
 
 def test_game_bound_refuses_past_its_budget(monkeypatch):
-    monkeypatch.setattr(lhv, "MAX_GAME_ASSIGNMENTS", 65535)
-    with pytest.raises(
-        ValueError,
-        match=(
-            r"too large: 65536 deterministic assignments would pass the "
-            r"enumeration budget of 65535"
-        ),
-    ):
+    # chsh_game(3)'s search ends in round 0 on one information set, so only
+    # a budget of 0 steps refuses it.
+    monkeypatch.setattr(gf2, "MAX_COSET_STEPS", 0)
+    with pytest.raises(ValueError, match="too large: coset search"):
         lhv.game_bound(lhv.chsh_game(3))
 
 
 def dict_game_bound(game):
-    """Test-local copy of the per-assignment game_bound loop, which looks
-    every output up in a dict per vertex."""
+    """Independent oracle: enumerate every deterministic assignment,
+    looking each output up in a dict per vertex."""
+    visible = dict(game.visible)
     domains = [
-        sorted({tuple(s[i] for i in game.visible_of(v)) for s in game.settings})
+        sorted({tuple(s[i] for i in visible[v]) for s in game.settings})
         for v in game.vertices
     ]
     best = None
@@ -789,8 +783,7 @@ def dict_game_bound(game):
             product = coeff
             for i, v in enumerate(game.vertices):
                 if v in mask:
-                    idxs = game.visible_of(v)
-                    product *= tables[i][tuple(s[j] for j in idxs)]
+                    product *= tables[i][tuple(s[j] for j in visible[v])]
             value += product
         if best is None or value > best:
             best = value
@@ -812,7 +805,7 @@ def test_game_bound_matches_dict_loop():
         )
         terms = tuple(
             (
-                rng.choice((1, -1, 2)),
+                rng.choice((1, -1, 2, 0, -3)),
                 rng.randrange(len(settings)),
                 frozenset(rng.sample(vertices, rng.randrange(len(vertices) + 1))),
             )

@@ -1,7 +1,10 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -113,6 +116,17 @@ def test_roundtrip_random_cases():
         assert decomposition[1] == sign
 
 
+def test_to_xz_checks_every_letter_before_an_unknown_vertex():
+    g = build_graph([(1, 2)])
+    assert pauli.to_xz(g, {"9": "I", "1": "Y"}) == (1, 1)
+    with pytest.raises(ValueError, match="invalid Pauli letter 'W'"):
+        pauli.to_xz(g, {"9": "X", "1": "W"})
+    with pytest.raises(ValueError, match="^unknown vertex '8'$"):
+        pauli.to_xz(g, {"9": "X", "8": "Z", "1": "I"})
+    with pytest.raises(ValueError, match="^unknown vertex 1$"):
+        pauli.to_xz(g, {1: "X", "a": "X"})
+
+
 def test_expectation_examples():
     tri = build_graph([(1, 2), (1, 3), (2, 3)])
     assert pauli.expectation(tri, {"1": "X", "2": "X", "3": "X"}) == -1
@@ -153,3 +167,30 @@ def test_stabilizer_table_matches_scalar_rule():
         ]
         signs.update(negative.tolist())
     assert signs == {False, True}
+
+
+def _letter_tables(tree):
+    """String constants spelling two or more Pauli letters ("IXZY") and
+    displays (tuples, lists, sets, dict keys) of two or more one-letter
+    Pauli strings in a module's syntax tree."""
+    def is_letter(node):
+        return isinstance(node, ast.Constant) and node.value in LETTERS
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if len(node.value) > 1 and set(node.value) <= set(LETTERS):
+                found.append(node.value)
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+            items = node.keys if isinstance(node, ast.Dict) else node.elts
+            if sum(map(is_letter, items)) > 1:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_letter_tables_live_in_pauli():
+    package = Path(pauli.__file__).parent
+    assert _letter_tables(ast.parse((package / "pauli.py").read_text()))
+    for name in ("paradox", "inflate", "lhv"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        assert not _letter_tables(tree), name
