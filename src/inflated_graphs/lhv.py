@@ -82,10 +82,11 @@ def min_violations(sys: StrategySystem) -> int:
     rhs + span(columns) of the system matrix, so this is the coset's minimum
     weight.  :func:`gf2.span_min_weight` finds it exactly by an
     information-set search: it visits coset vectors by increasing weight on
-    several systematic forms of the span and stops once the best weight
-    found is at or below the weight every unvisited vector must have.
-    Raises ValueError ("too large") when that would take more than
-    ``gf2.MAX_COSET_STEPS`` steps.
+    several systematic forms of the span, one round of w-subsets at a time
+    on numpy tables of uint64 words, and stops once the best weight found
+    is at or below the weight every unvisited vector must have.  Raises
+    ValueError ("too large") when that would take more than
+    ``gf2.MAX_COSET_STEPS`` subsets.
     """
     # Transpose by walking each row's set bits.
     columns = [0] * sys.n_variables
@@ -480,10 +481,16 @@ def check_model(model: BarrettModel) -> list[dict]:
     tables are :func:`check_model`'s own (:func:`_check_tables`), never the
     rule search's.  Returns one record per (measurement, mask) mismatch, in
     case order; empty means the model reproduces every Pauli measurement on
-    the graph exactly.  Raises ValueError above MAX_FLIP_VERTICES vertices.
+    the graph exactly.  Raises ValueError above MAX_FLIP_VERTICES vertices,
+    and above 7 whatever MAX_FLIP_VERTICES is, before it builds any table.
     """
     g = model.graph
     n = _require_flip_size(g)
+    if n > 7:
+        raise ValueError(
+            f"check_model is limited to 7 vertices (its uint8 keys hold the "
+            f"z residue in bits 0-6); the graph has {n}"
+        )
     x, z, meet, odd, zm = _check_tables(n)
     # Bit i of flips[L] is set iff an odd number of vertex i's rules match
     # row L: a rule matches the rows whose digits on its pattern are its

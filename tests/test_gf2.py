@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,116 @@ def test_span_min_weight_budget_is_checked_before_each_round(
             match=r"round 2 \(best weight found 6, lower bound reached 4\)",
         ):
             gf2.span_min_weight(vectors, 0b111111)
+
+
+def walk_min_weight(vectors, target):
+    """Test-local copy of the coset search as it was before the word
+    tables: the same forms and rounds, each round walking the w-subsets of
+    a form depth first on Python ints, the last two levels over a table of
+    pair sums (no step budget)."""
+    basis = {}
+    for vec in vectors:
+        gf2._insert(basis, vec)
+    k = len(basis)
+    forms = gf2._systematic_forms(list(basis.values()), target)
+    pair_sums = [
+        [rows[i] ^ rows[j] for i in range(k) for j in range(i + 1, k)]
+        for rows, _, _ in forms
+    ]
+    best = target.bit_count()
+    for w in range(k + 1):
+        if best <= sum(max(0, w - overlap) for *_, overlap in forms):
+            break
+        for (rows, reduced, _), pairs in zip(forms, pair_sums):
+            best = min(best, walk_subset_weight(rows, pairs, reduced, w))
+    return best
+
+
+def walk_subset_weight(rows, pairs, start, w):
+    if w == 0:
+        return start.bit_count()
+    if w == 1:
+        return min(map(int.bit_count, map(start.__xor__, rows)))
+    k = len(rows)
+
+    def walk(i, acc, left):
+        if left == 2:
+            tail = pairs[i * (2 * k - i - 1) // 2 :]
+            return min(map(int.bit_count, map(acc.__xor__, tail)))
+        return min(
+            walk(j + 1, acc ^ rows[j], left - 1) for j in range(i, k - left + 1)
+        )
+
+    return walk(0, start, w)
+
+
+def coset_cases(rng, width, k):
+    """Cosets of k vectors of the given width: random, with a zero target,
+    with a target in the span, with dependent and duplicate vectors, and
+    with sparse vectors (small minima, so the search runs more rounds)."""
+    vectors = [rng.getrandbits(width) for _ in range(k)]
+    in_span = 0
+    for vec in vectors:
+        if rng.getrandbits(1):
+            in_span ^= vec
+    dependent = list(vectors)
+    if k >= 2:
+        dependent[-1] = dependent[0] ^ dependent[1]
+        dependent[k // 2] = dependent[0]
+        dependent[1] = 0
+    sparse = [
+        sum(1 << rng.randrange(width) for _ in range(3)) for _ in range(k)
+    ]
+    return [
+        (vectors, rng.getrandbits(width)),
+        (vectors, 0),
+        (vectors, in_span),
+        (dependent, rng.getrandbits(width)),
+        (sparse, sum(1 << rng.randrange(width) for _ in range(5))),
+    ]
+
+
+def test_span_min_weight_matches_subset_walk(monkeypatch):
+    # Word tables of every width (64 bits to a word) against the walk they
+    # replace.  A small or zero word budget sends the deeper rounds (all of
+    # them at 0) through the walk over the deepest table that fits.
+    rng = random.Random(18)
+    cases = [
+        (width, k, vectors, target)
+        for width in (1, 63, 64, 65, 130, 600)
+        for k in range(17)
+        for vectors, target in coset_cases(rng, width, k)
+    ]
+    for width, k, vectors, target in cases:
+        expected = walk_min_weight(vectors, target)
+        for table_words in (1 << 21, 40, 0):
+            monkeypatch.setattr(gf2, "MAX_TABLE_WORDS", table_words)
+            got = gf2.span_min_weight(vectors, target)
+            assert got == expected, (width, k, table_words)
+
+
+def test_span_min_weight_wide_search_stays_within_its_tables():
+    # A random 600-bit, rank-40 coset runs out of steps in round 6, after
+    # rounds 0-5 over 16 information sets; uncapped, the tables of round 5
+    # alone would take 16 * C(40, 5) * 10 words, 842 MB.
+    rng = random.Random(1)
+    vectors = [rng.getrandbits(600) for _ in range(40)]
+    target = rng.getrandbits(600)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match=(
+                r"too large: coset search over a span of dimension 40 with 16 "
+                r"information sets would pass its budget of 16777216 steps in "
+                r"round 6 \(best weight found 226, lower bound reached 89\)"
+            ),
+        ):
+            gf2.span_min_weight(vectors, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20, peak
 
 
 def gauss_jordan_forms(basis, target):

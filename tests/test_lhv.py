@@ -742,6 +742,21 @@ def test_flip_scans_refuse_more_than_seven_vertices():
         lhv.search_flip_rules(path8)
 
 
+def test_check_model_refuses_eight_vertices_whatever_the_cap(monkeypatch):
+    # Its uint8 keys keep the z residue in bits 0-6, so at 8 vertices they
+    # would report false mismatches: it refuses before building any table.
+    monkeypatch.setattr(lhv, "MAX_FLIP_VERTICES", 8)
+
+    def no_table(*args):
+        raise AssertionError("check_model built a table")
+
+    monkeypatch.setattr(lhv, "_check_tables", no_table)
+    monkeypatch.setattr(pauli, "_stabilizer_table", no_table)
+    k8 = ig.build_graph(list(itertools.combinations(range(1, 9), 2)))
+    with pytest.raises(ValueError, match="check_model is limited to 7 vertices"):
+        lhv.check_model(lhv.BarrettModel(graph=k8))
+
+
 # ---------------------------------------------------------------------------
 # Binary games
 # ---------------------------------------------------------------------------
