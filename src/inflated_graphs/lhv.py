@@ -333,15 +333,20 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
     return out
 
 
-# check_model holds uint8 arrays over all 8^n (measurement, mask) cases;
-# search_flip_rules reads only one stabilizer case per row of its GF(2)
-# system, but K7's 23,837 dense rows over 24,017 candidates set its peak.
-# Measured in fresh processes on a 2-core x86_64 machine: check_model takes
-# 0.02-0.04 s and peaks at 44 MB RSS on K7 and on the 7-path with and
-# without chords (1,4) and (3,7); search_flip_rules takes 0.02 s and
-# 35-36 MB on those paths and 0.16-0.23 s and 98 MB on K7.  8 vertices
-# would take eight times check_model's arrays (8^8 = 16.8 M cases) and more
-# and wider rows, so the cap guards memory.
+# MAX_FLIP_VERTICES is the one size limit of both flip-model scans: every
+# mask and key dtype follows from n.  check_model holds arrays over all 8^n
+# (measurement, mask) cases; search_flip_rules reads only one stabilizer
+# case per row of its GF(2) system, but K7's 23,837 dense rows over 24,017
+# candidates set its peak.  Measured in fresh processes on a 2-core x86_64
+# machine: check_model takes 0.01-0.04 s and peaks at 44 MB RSS on K7 and
+# on the 7-path with and without chords (1,4) and (3,7); search_flip_rules
+# takes 0.02 s and 35-36 MB on those paths and 0.16-0.23 s and 98 MB on
+# K7.  With the limit patched to 8, check_model (uint16 keys) takes
+# 0.13-0.19 s and peaks at 239 MB on the 8-path, the 8-cycle, K8 and the
+# star K1,7, and the search takes 0.07 s and 63 MB on the 8-path and
+# 0.40 s and 113 MB on K1,7.  The limit stays 7: at 8, K8's dense search
+# rows need the system split into connected components first, and the
+# check's 240 MB peak wants a blockwise scan.
 MAX_FLIP_VERTICES = 7
 
 
@@ -372,6 +377,7 @@ def _case_table(n: int) -> tuple[np.ndarray, ...]:
     """
     # Per vertex, its six choices' letter digit in IXYZ and bit in m, s, x
     # and z_off: I, X, Y, Z off m, then X on s and Z on m - s.
+    dtype = np.min_scalar_type((1 << n) - 1)
     digit = np.array([0, 1, 2, 3, 1, 3])
     in_m, in_s, has_x, has_z = np.array(
         [
@@ -380,10 +386,10 @@ def _case_table(n: int) -> tuple[np.ndarray, ...]:
             [0, 1, 1, 0, 1, 0],
             [0, 0, 1, 1, 0, 0],
         ],
-        np.uint8,
+        dtype,
     )
     digits = np.zeros(1, np.int64)
-    m = s = x = z_off = np.zeros(1, np.uint8)
+    m = s = x = z_off = np.zeros(1, dtype)
     for i in range(n):  # the first vertex most significant
         digits = (digits[:, None] * 4 + digit).ravel()
         m = (m[:, None] | in_m << i).ravel()
@@ -415,13 +421,13 @@ def _cases(g: Graph) -> tuple[np.ndarray, ...]:
     sign, no later in case order: mask (x | z) & m', letters set to I off
     the union.
 
-    Returns arrays case (the index in that order), x, z, m (uint8 bitmasks
-    over ``g.index``) and negative (the stabilizer sign).
+    Returns arrays case (the index in that order), x, z, m (bitmasks over
+    ``g.index``) and negative (the stabilizer sign).
     """
     n = _require_flip_size(g)
     m, s, x, z_off, position, spread = _case_table(n)
     stab_z, stab_negative = pauli._stabilizer_table(g)
-    union = np.zeros(1 << n, np.uint8)  # closed neighbourhoods of each mask
+    union = np.zeros(1 << n, m.dtype)  # closed neighbourhoods of each mask
     for i, nbrs in enumerate(g.adjacency):
         union[1 << i : 2 << i] = union[: 1 << i] | (1 << i) | nbrs
     kept = np.flatnonzero(
@@ -435,29 +441,31 @@ def _cases(g: Graph) -> tuple[np.ndarray, ...]:
     return case[order], x[kept], z | z_off[kept], m[kept], stab_negative[s]
 
 
-def _key_value(key: int) -> int:
-    """The expectation a :func:`check_model` key stands for."""
-    if key & 0x7F:
+def _key_value(key: int, n: int) -> int:
+    """The expectation a :func:`check_model` key on n vertices stands for."""
+    if key & ((1 << n) - 1):
         return 0
-    return -1 if key & 0x80 else 1
+    return -1 if key >> n & 1 else 1
 
 
 @cache
 def _check_tables(n: int) -> tuple[np.ndarray, ...]:
-    """:func:`check_model`'s graph-free tables on n vertices, read-only.
+    """:func:`check_model`'s graph-free tables on n vertices, read-only, in
+    the smallest unsigned dtype that holds n + 1 bits (its keys).
 
     x and z are the bitmasks of measurement row L, which spells IXYZ**n
     with the first vertex most significant; over the masks m,
     meet[s, m] = s & m, odd[f, m] is the parity of popcount(f & m) in bit
-    7, and zm[L, m] = z[L] & m.
+    n, and zm[L, m] = z[L] & m.
     """
-    x = z = np.zeros(1, np.uint8)
+    dtype = np.min_scalar_type((2 << n) - 1)
+    x = z = np.zeros(1, dtype)
     for i in range(n):
-        x = (x[:, None] | np.array([0, 1, 1, 0], np.uint8) << i).ravel()
-        z = (z[:, None] | np.array([0, 0, 1, 1], np.uint8) << i).ravel()
-    masks = np.arange(1 << n, dtype=np.uint8)
+        x = (x[:, None] | np.array([0, 1, 1, 0], dtype) << i).ravel()
+        z = (z[:, None] | np.array([0, 0, 1, 1], dtype) << i).ravel()
+    masks = np.arange(1 << n, dtype=dtype)
     meet = masks[:, None] & masks
-    odd = (np.bitwise_count(meet) & 1) << 7
+    odd = (np.bitwise_count(meet) & 1).astype(dtype) << n
     zm = z[:, None] & masks
     tables = (x, z, meet, odd, zm)
     for table in tables:
@@ -470,8 +478,9 @@ def check_model(model: BarrettModel) -> list[dict]:
 
     Scans all 4^n measurements times 2^n masks, in the order measurements
     over IXYZ**n with the first vertex most significant, then masks
-    ascending.  Each side gives a case a uint8 key: the z-exponent left
-    after cancelling z & m in bits 0-6 (n <= 7), and the sign in bit 7.
+    ascending.  Each side gives a case a key in the dtype of
+    :func:`_check_tables`: the z-exponent left after cancelling z & m in
+    bits 0..n-1, and the sign in bit n.
     The quantum key comes from the stabilizer table of
     :func:`pauli._stabilizer_table` at x & m.  The model key comes from its
     own neighbour-parity table built from ``g.adjacency``, never from the
@@ -482,20 +491,16 @@ def check_model(model: BarrettModel) -> list[dict]:
     rule search's.  Returns one record per (measurement, mask) mismatch, in
     case order; empty means the model reproduces every Pauli measurement on
     the graph exactly.  Raises ValueError above MAX_FLIP_VERTICES vertices,
-    and above 7 whatever MAX_FLIP_VERTICES is, before it builds any table.
+    before it builds any table.
     """
     g = model.graph
     n = _require_flip_size(g)
-    if n > 7:
-        raise ValueError(
-            f"check_model is limited to 7 vertices (its uint8 keys hold the "
-            f"z residue in bits 0-6); the graph has {n}"
-        )
     x, z, meet, odd, zm = _check_tables(n)
+    dtype = zm.dtype
     # Bit i of flips[L] is set iff an odd number of vertex i's rules match
     # row L: a rule matches the rows whose digits on its pattern are its
     # letters, one strided slice of the rows laid out as a 4^n grid.
-    flips = np.zeros(4**n, np.uint8)
+    flips = np.zeros(4**n, dtype)
     grid = flips.reshape((4,) * n)
     for rule in model.flip_rules:
         where = [slice(None)] * n
@@ -503,8 +508,8 @@ def check_model(model: BarrettModel) -> list[dict]:
             where[g.index[v]] = pauli.LETTERS.index(letter)
         grid[tuple(where)] ^= 1 << g.index[rule.vertex]
     stab_z, stab_negative = pauli._stabilizer_table(g)
-    packed = stab_z | stab_negative.astype(np.uint8) << 7
-    parity = np.zeros(1 << n, np.uint8)  # neighbour parity of each subset
+    packed = stab_z.astype(dtype) | stab_negative.astype(dtype) << n
+    parity = np.zeros(1 << n, dtype)  # neighbour parity of each subset
     for i, nbrs in enumerate(g.adjacency):
         parity[1 << i : 2 << i] = parity[: 1 << i] ^ nbrs
     quantum = packed[meet][x]
@@ -517,7 +522,8 @@ def check_model(model: BarrettModel) -> list[dict]:
     differ = quantum != classical
     if not differ.any():
         return []
-    differ &= np.minimum(quantum << 1, classical << 1) == 0
+    low = (1 << n) - 1
+    differ &= np.minimum(quantum & low, classical & low) == 0
     mismatches = []
     for k in np.flatnonzero(differ).tolist():
         row, m = divmod(k, 1 << n)
@@ -526,8 +532,8 @@ def check_model(model: BarrettModel) -> list[dict]:
             {
                 "letters": dict(sorted(letters.items())),
                 "mask": list(g.vertices_of(m)),
-                "quantum": _key_value(int(quantum.flat[k])),
-                "model": str(_key_value(int(classical.flat[k]))),
+                "quantum": _key_value(int(quantum.flat[k]), n),
+                "model": str(_key_value(int(classical.flat[k]), n)),
             }
         )
     return mismatches

@@ -731,9 +731,9 @@ def test_search_flip_rules_ignores_hash_seed():
 
 
 def test_flip_scans_refuse_more_than_seven_vertices():
-    # check_model's 8**8 = 16.8 M cases would take eight times its arrays
-    # at 7 vertices (44 MB RSS), and the search's rows already peak at
-    # 98 MB on K7; both refuse up front.
+    # MAX_FLIP_VERTICES is the scans' only size limit.  At 8 vertices
+    # check_model peaks at 239 MB and K8's dense search rows wait for the
+    # system's split into connected components, so both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
@@ -742,19 +742,95 @@ def test_flip_scans_refuse_more_than_seven_vertices():
         lhv.search_flip_rules(path8)
 
 
-def test_check_model_refuses_eight_vertices_whatever_the_cap(monkeypatch):
-    # Its uint8 keys keep the z residue in bits 0-6, so at 8 vertices they
-    # would report false mismatches: it refuses before building any table.
+def bare_mismatch_count(g):
+    """Closed form of the rule-free model's mismatch count, which reads
+    neither the model nor a letter oracle.  Without rules the model gives +1
+    on every stabilizer-proportional case, so it misses exactly the negative
+    ones.  Subset s, with support S = s | stab_z[s], is measured by every
+    mask that holds S, with I on the rest of the mask and any letter off
+    it: 5^(n - |S|) cases."""
+    n = len(g.vertices)
+    total = 0
+    for s in range(1 << n):
+        z, negative = pauli._stabilizer(g, s)
+        if negative:
+            total += 5 ** (n - (s | z).bit_count())
+    return total
+
+
+def test_bare_model_mismatches_match_closed_form():
+    path7 = [(i, i + 1) for i in range(1, 7)]
+    graphs = dict(lhv.SMALL_GRAPHS)
+    graphs["cycle5"] = ig.build_graph([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    graphs["path7"] = ig.build_graph(path7)
+    graphs["path7+(1,4)+(3,7)"] = ig.build_graph(path7 + [(1, 4), (3, 7)])
+    counts = {}
+    for gid, g in graphs.items():
+        mismatches = lhv.check_model(lhv.BarrettModel(graph=g))
+        assert all(r["quantum"] == -1 and r["model"] == "1" for r in mismatches)
+        counts[gid] = len(mismatches)
+    assert counts == {gid: bare_mismatch_count(g) for gid, g in graphs.items()}
+    assert counts["triangle"] == 1
+    assert counts["path7"] == 568 and counts["path7+(1,4)+(3,7)"] == 896
+
+
+def test_check_model_is_exact_at_eight_vertices(monkeypatch):
+    """With the cap patched to 8, check_model's keys widen to uint16 and
+    stay exact: the bare 8-path and 8-cycle models miss the closed form's
+    cases, and on sampled cases, for those models and one with random
+    rules, a case is listed exactly when the scalar model value differs
+    from the stabilizer's."""
     monkeypatch.setattr(lhv, "MAX_FLIP_VERTICES", 8)
-
-    def no_table(*args):
-        raise AssertionError("check_model built a table")
-
-    monkeypatch.setattr(lhv, "_check_tables", no_table)
-    monkeypatch.setattr(pauli, "_stabilizer_table", no_table)
-    k8 = ig.build_graph(list(itertools.combinations(range(1, 9), 2)))
-    with pytest.raises(ValueError, match="check_model is limited to 7 vertices"):
-        lhv.check_model(lhv.BarrettModel(graph=k8))
+    for n in range(3, 8):
+        assert {t.dtype for t in lhv._check_tables(n)} == {np.dtype(np.uint8)}
+    assert {t.dtype for t in lhv._check_tables(8)} == {np.dtype(np.uint16)}
+    rng = random.Random(31)
+    path8 = [(i, i + 1) for i in range(1, 8)]
+    p8 = ig.build_graph(path8)
+    c8 = ig.build_graph(path8 + [(1, 8)])
+    rules = []
+    for _ in range(12):
+        v = rng.choice(c8.vertices)
+        pattern = {u: rng.choice("IXYZ") for u in c8.neighbors[v]}
+        pattern[v] = rng.choice("XYZ")
+        rules.append(lhv.FlipRule.make(v, pattern))
+    models = [
+        lhv.BarrettModel(graph=p8),
+        lhv.BarrettModel(graph=c8),
+        lhv.BarrettModel(graph=c8, flip_rules=tuple(rules)),
+    ]
+    counts = []
+    for model in models:
+        g = model.graph
+        mismatches = lhv.check_model(model)
+        counts.append(len(mismatches))
+        listed = {
+            (tuple(r["letters"].items()), tuple(sorted(r["mask"]))): r
+            for r in mismatches
+        }
+        for trial in range(2000):
+            x, z, m = rng.getrandbits(8), rng.getrandbits(8), rng.getrandbits(8)
+            if trial % 2:  # half the cases proportional to a stabilizer
+                s = rng.getrandbits(8)
+                stab_z, _ = pauli._stabilizer(g, s)
+                m |= s | stab_z
+                x = s | x & ~m
+                z = stab_z | z & ~m
+            expected, negative = pauli._stabilizer(g, x & m)
+            quantum = (-1 if negative else 1) if z & m == expected else 0
+            classical = lhv._model_value(model, x, z, m)
+            key = (
+                tuple(sorted(pauli.to_letters(g, x, z).items())),
+                tuple(sorted(g.vertices_of(m))),
+            )
+            record = listed.get(key)
+            assert (record is not None) == (classical != quantum)
+            if record is not None:
+                assert (record["quantum"], record["model"]) == (quantum, str(classical))
+    assert counts[:2] == [bare_mismatch_count(p8), bare_mismatch_count(c8)]
+    assert counts[:2] == [3000, 2768] and counts[2] > 0
+    # The n = 8 zm table alone is 33 MB; do not keep it for later tests.
+    lhv._check_tables.cache_clear()
 
 
 # ---------------------------------------------------------------------------
