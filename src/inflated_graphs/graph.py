@@ -4,10 +4,12 @@ Vertices are opaque strings.  Chain vertices created by :func:`inflate` are
 named ``"r@(u,v)"`` where ``(u,v)`` is the base edge oriented from the smaller
 to the larger label and ``r`` counts positions starting next to ``u``.
 
-A vertex set is also an int bitmask over ``Graph.index``.  Distance balls are
-grown on such masks from the ``Graph.adjacency`` rows, stopping at the
-fixpoint, and cached per radius by :meth:`Graph.ball_masks`, which
-:func:`ball` reads; ``is_connected`` grows one vertex's ball the same way.
+A vertex set is also an int bitmask over ``Graph.index``.  Everything derived
+from the edges (``neighbors``, the ``adjacency`` rows, the distance balls and
+``is_connected``) is read off one tuple of neighbour index lists, built from
+``edges`` in a single pass.  :meth:`Graph.ball_masks` computes every vertex's
+ball radius by radius, stopping at the fixpoint, and caches it per radius;
+:func:`ball` reads it.
 """
 
 from __future__ import annotations
@@ -31,24 +33,41 @@ class Graph:
     edges: frozenset[tuple[str, str]]
 
     @cached_property
-    def neighbors(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    @cached_property
     def index(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
+    def _neighbour_indices(self) -> tuple[tuple[int, ...], ...]:
+        """The ``index`` of each vertex's neighbours, in vertex order, read
+        from ``edges`` in one pass (in no particular order within a list)."""
+        index = self.index
+        lists: list[list[int]] = [[] for _ in self.vertices]
+        for u, v in self.edges:
+            i = index[u]
+            j = index[v]
+            lists[i].append(j)
+            lists[j].append(i)
+        return tuple(map(tuple, lists))
+
+    @cached_property
+    def neighbors(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex's neighbours, sorted by name."""
+        vertices = self.vertices
+        return {
+            v: tuple(sorted(vertices[j] for j in js))
+            for v, js in zip(vertices, self._neighbour_indices)
+        }
+
+    @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """Neighbour bitmask of each vertex, in vertex order, over ``index``."""
-        index = self.index
-        return tuple(
-            sum(1 << index[u] for u in self.neighbors[v]) for v in self.vertices
-        )
+        rows = []
+        for js in self._neighbour_indices:
+            row = 0
+            for j in js:
+                row |= 1 << j
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def _ball_masks_by_radius(self) -> dict[int, tuple[int, ...]]:
@@ -59,7 +78,8 @@ class Graph:
         """Bitmask over ``index`` of each vertex's distance-d ball (the
         vertices within distance d, inclusive), in vertex order.
 
-        Computed once per radius and cached on the graph.  Growth stops at
+        Computed once per radius by :func:`_grow_balls` and cached on the
+        graph.  Every ball grows one radius per step and the growth stops at
         the fixpoint, so a radius past the diameter costs what the diameter
         costs.
         """
@@ -67,16 +87,26 @@ class Graph:
         if masks is None:
             if d < 0:
                 raise ValueError("ball radius must be >= 0")
-            adjacency = self.adjacency
-            masks = tuple(_grow(adjacency, 1 << i, d) for i in range(len(adjacency)))
+            masks = _grow_balls(self.adjacency, self._neighbour_indices, d)
             self._ball_masks_by_radius[d] = masks
         return masks
 
     @cached_property
     def is_connected(self) -> bool:
-        # One vertex's ball alone: ball_masks(n) would grow all n of them.
-        n = len(self.vertices)
-        return not n or _grow(self.adjacency, 1, n) == (1 << n) - 1
+        """Whether every vertex is reached from the first one.  A search
+        over the neighbour lists: ball_masks(n) would grow all n balls."""
+        neighbours = self._neighbour_indices
+        if not neighbours:
+            return True
+        reached = [False] * len(neighbours)
+        reached[0] = True
+        found = [0]
+        for i in found:
+            for j in neighbours[i]:
+                if not reached[j]:
+                    reached[j] = True
+                    found.append(j)
+        return len(found) == len(neighbours)
 
     def bits_of(self, vertices: Iterable[str]) -> int:
         """Bitmask over ``index`` of a vertex collection."""
@@ -100,24 +130,30 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}")
 
 
-def _grow(adjacency: tuple[int, ...], ball: int, d: int) -> int:
-    """The vertex bitmask ``ball`` grown by d steps along ``adjacency``.
+def _grow_balls(
+    adjacency: tuple[int, ...], neighbours: tuple[tuple[int, ...], ...], d: int
+) -> tuple[int, ...]:
+    """Every vertex's distance-d ball as a bitmask, radius by radius.
 
-    Each step ORs the adjacency rows of the frontier (the vertices the last
-    step added); an empty frontier is the fixpoint and ends the growth.
+    B_0[v] is v's own bit and B_1 = B_0 | adjacency; B_{r+1}[v] is the OR of
+    B_r over v's closed neighbourhood (a vertex within r+1 of v is within r
+    of v or of one of its neighbours).  When a step changes no ball, no later
+    step would either, so the growth stops there.
     """
-    frontier = ball
-    for _ in range(d):
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= adjacency[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~ball
-        if not frontier:
+    if not d:
+        return tuple(1 << i for i in range(len(adjacency)))
+    balls = tuple(1 << i | row for i, row in enumerate(adjacency))
+    for _ in range(d - 1):
+        grown = []
+        for ball, js in zip(balls, neighbours):
+            for j in js:
+                ball |= balls[j]
+            grown.append(ball)
+        grown = tuple(grown)
+        if grown == balls:
             break
-        ball |= frontier
-    return ball
+        balls = grown
+    return balls
 
 
 def build_graph(
@@ -131,15 +167,17 @@ def build_graph(
     """
     seen: set[tuple[str, str]] = set()
     vset: set[str] = {str(v) for v in vertices} if vertices is not None else set()
-    for pair in edge_list:
-        u, v = (str(x) for x in pair)
+    for u, v in edge_list:
+        u = str(u)
+        v = str(v)
         if u == v:
             raise ValueError(f"self-loop on vertex {u!r}")
         key = edge_key(u, v)
         if key in seen:
             raise ValueError(f"duplicate edge {key!r}")
         seen.add(key)
-        vset.update(key)
+        vset.add(u)
+        vset.add(v)
     return Graph(vertices=tuple(sorted(vset)), edges=frozenset(seen))
 
 

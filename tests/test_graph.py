@@ -1,5 +1,8 @@
+import contextlib
+import itertools
 import json
 import random
+import signal
 import time
 
 import pytest
@@ -14,10 +17,32 @@ def test_edge_key_orients_smaller_first():
 
 
 def test_build_graph_rejects_self_loops_and_duplicates():
-    with pytest.raises(ValueError, match="self-loop"):
-        gr.build_graph([(1, 1)])
-    with pytest.raises(ValueError, match="duplicate"):
-        gr.build_graph([(1, 2), (2, 1)])
+    # Labels are compared after coercion to str.
+    for edges in ([(1, 1)], [(1, "1")]):
+        with pytest.raises(ValueError, match="self-loop on vertex '1'"):
+            gr.build_graph(edges)
+    for edges in ([(1, 2), (2, 1)], [(1, 2), ("2", 1)]):
+        with pytest.raises(ValueError, match=r"duplicate edge \('1', '2'\)"):
+            gr.build_graph(edges)
+
+
+def test_build_graph_rejects_malformed_edges():
+    for edge in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            gr.build_graph([edge])
+    with pytest.raises(TypeError):
+        gr.build_graph([(1, 2), 3])
+    # The JSON boundary names the shape it wants before build_graph runs.
+    for obj, message in (
+        ({"edges": [[1]]}, 'graph "edges" must be a list of [u, v] pairs'),
+        ({"edges": [[1, 2, 3]]}, 'graph "edges" must be a list of [u, v] pairs'),
+        ({"edges": [1]}, 'graph "edges" must be a list of [u, v] pairs'),
+        ({"edges": [], "vertices": "12"}, 'graph "vertices" must be a list'),
+        ([], "a graph must be a JSON object"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            gr.graph_from_json(obj)
+        assert str(excinfo.value) == message
 
 
 def test_build_graph_isolated_vertices():
@@ -62,6 +87,90 @@ def test_ball_masks_match_bfs():
         component = bfs_ball(g, g.vertices[0], 10**9)
         assert g.is_connected == (len(component) == len(g.vertices))
     assert not graphs[0].is_connected
+
+
+def reference_adjacency(g):
+    """Adjacency rows summed over the name-sorted neighbour lists, each
+    read straight from the edges."""
+    neighbours = {v: [] for v in g.vertices}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return tuple(
+        sum(1 << g.index[u] for u in sorted(neighbours[v])) for v in g.vertices
+    )
+
+
+def reference_grow(adjacency, ball, d):
+    """One vertex's ball grown frontier by frontier, stopping when the
+    frontier is empty."""
+    frontier = ball
+    for _ in range(d):
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= adjacency[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+    return ball
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the block with TimeoutError if it runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_adjacency_and_ball_masks_match_per_vertex_growth():
+    """adjacency and ball_masks equal a sum over the sorted neighbour lists
+    and a per-vertex frontier growth, on graphs whose vertex tuple is not
+    sorted by name, with isolated vertices, with 0 and 1 vertices, random
+    graphs and their inflations, and inflate(K14, 3), at radii 0..7 and one
+    far past every diameter (which must stop at the fixpoint)."""
+    rng = random.Random(20)
+    graphs = [
+        gr.Graph(vertices=(), edges=frozenset()),
+        gr.Graph(vertices=("a",), edges=frozenset()),
+        gr.build_graph([], vertices=[7, 3]),
+        gr.build_graph([(1, 2), (3, 4), (4, 5)], vertices=[6, 0]),
+        gr.Graph(
+            vertices=("c", "a", "e", "b", "d"),
+            edges=frozenset({("a", "c"), ("b", "c"), ("a", "e")}),
+        ),
+    ]
+    for n in range(2, 13):
+        g = random_connected_graph(rng, n)
+        shuffled = list(g.vertices) + ["isolated"]
+        rng.shuffle(shuffled)
+        graphs += [g, gr.Graph(vertices=tuple(shuffled), edges=g.edges)]
+        graphs += [gr.inflate(g, d).graph for d in (1, 2, 3)]
+    k14 = gr.build_graph(itertools.combinations(range(1, 15), 2))
+    graphs.append(gr.inflate(k14, 3).graph)
+    assert len(graphs[-1].vertices) == 560
+    for g in graphs:
+        adjacency = reference_adjacency(g)
+        assert g.adjacency == adjacency
+        for d in (*range(8), 10**9):
+            expected = tuple(
+                reference_grow(adjacency, 1 << i, d) for i in range(len(adjacency))
+            )
+            with time_limit(10):
+                assert g.ball_masks(d) == expected, (g.vertices, d)
+        reached = reference_grow(adjacency, 1, 10**9) if g.vertices else 0
+        assert g.is_connected == (reached == (1 << len(g.vertices)) - 1)
 
 
 def test_is_connected_grows_one_ball():

@@ -217,26 +217,26 @@ def test_excerpt_classes_match_per_vertex_grouping():
 
 def test_excerpt_classes_and_signs_computed_once_per_set(monkeypatch):
     # The certificate, the strategy system and the Bell report of one set
-    # compute its ball masks once (one growth per vertex) and derive each
-    # pair's sign once between them.
+    # compute its ball masks once (one computation for the graph at radius
+    # d) and derive each pair's sign once between them.
     s = load_fixture_set("chain7")
-    calls = {"ball": 0, "sign": 0}
-    real_grow, real_stabilizer = graph._grow, pauli._stabilizer
+    calls = {"ball": [], "sign": 0}
+    real_grow_balls, real_stabilizer = graph._grow_balls, pauli._stabilizer
 
-    def counting_grow(*args):
-        calls["ball"] += 1
-        return real_grow(*args)
+    def counting_grow_balls(adjacency, neighbours, d):
+        calls["ball"].append((len(adjacency), d))
+        return real_grow_balls(adjacency, neighbours, d)
 
     def counting_stabilizer(*args):
         calls["sign"] += 1
         return real_stabilizer(*args)
 
-    monkeypatch.setattr(graph, "_grow", counting_grow)
+    monkeypatch.setattr(graph, "_grow_balls", counting_grow_balls)
     monkeypatch.setattr(pauli, "_stabilizer", counting_stabilizer)
     assert ig.verify_paradox(s).overall
     assert not ig.feasible(ig.build_system(s))
     assert ig.bell_report(s).min_violations == 1
-    assert calls == {"ball": len(s.graph.vertices), "sign": len(s.pairs)}
+    assert calls == {"ball": [(len(s.graph.vertices), s.d)], "sign": len(s.pairs)}
 
 
 def test_masks_must_reference_known_vertices():
