@@ -10,13 +10,11 @@ from .graph import (
     graph_from_json,
     graph_to_json,
     inflate,
-    load_graph,
     to_dot,
 )
 from .pauli import (
     expectation,
     multiply,
-    pauli_to_subset,
     subset_to_pauli,
 )
 from .paradox import (
@@ -41,7 +39,6 @@ from .lhv import (
     BinaryGame,
     FlipRule,
     StrategySystem,
-    barrett_expectation,
     bell_report,
     binary_game_bound,
     build_system,
@@ -77,11 +74,9 @@ __all__ = [
     "graph_from_json",
     "graph_to_json",
     "inflate",
-    "load_graph",
     "to_dot",
     "expectation",
     "multiply",
-    "pauli_to_subset",
     "subset_to_pauli",
     "MeasurementPair",
     "MeasurementSet",
@@ -100,7 +95,6 @@ __all__ = [
     "BinaryGame",
     "FlipRule",
     "StrategySystem",
-    "barrett_expectation",
     "bell_report",
     "binary_game_bound",
     "build_system",

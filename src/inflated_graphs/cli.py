@@ -20,7 +20,12 @@ from . import lhv, statevector
 from .graph import graph_from_json, graph_to_json, inflate, to_dot
 from .inflate import build_inflated_set
 from .lhv import bell_report, build_system, feasible
-from .paradox import set_from_json, set_to_json, verify_paradox
+from .paradox import (
+    save_measurement_set,
+    set_from_json,
+    set_to_json,
+    verify_paradox,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -87,7 +92,7 @@ def cmd_inflate(args) -> int:
     g = graph_from_json(obj)
     ig = inflate(g, args.d)
     graph_json = graph_to_json(ig.graph)
-    dot = to_dot(ig.graph, ig.power_vertices)
+    dot = to_dot(ig.graph, ig.base.vertices)
     if args.out:
         _write(args.out + ".json", json.dumps(graph_json, indent=2) + "\n")
         _write(args.out + ".dot", dot)
@@ -119,16 +124,16 @@ def cmd_build(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    set_json = set_to_json(result.measurement_set)
+    s = result.measurement_set
     if args.out:
-        _write(args.out, json.dumps(set_json, indent=2) + "\n")
+        save_measurement_set(s, args.out)
     report = {
         "command": "build",
         "inputs_digest": digest,
         "result": {
             "d": args.d,
             **result.report(),
-            **({} if args.out else {"measurement_set": set_json}),
+            **({} if args.out else {"measurement_set": set_to_json(s)}),
         },
     }
     _emit(report, started)

@@ -14,7 +14,6 @@ ball radius by radius, stopping at the fixpoint, and caches it per radius;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -195,12 +194,12 @@ def chain_vertex_name(edge: tuple[str, str], r: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class InflatedGraph:
-    """A graph whose every base edge was replaced by a chain of 2d vertices."""
+    """A graph whose every base edge was replaced by a chain of 2d vertices.
+    Its power vertices are the vertices of ``base``."""
 
     base: Graph
     d: int
     graph: Graph
-    power_vertices: tuple[str, ...]
     chain_index: Mapping[str, tuple[tuple[str, str], int]]
 
 
@@ -208,7 +207,7 @@ def inflate(g: Graph, d: int) -> InflatedGraph:
     """Replace every edge of g with a path of 2d fresh chain vertices."""
     if d < 1:
         raise ValueError("inflation distance d must be >= 1")
-    new_edges: list[tuple[str, str]] = []
+    edges: list[tuple[str, str]] = []
     chain_index: dict[str, tuple[tuple[str, str], int]] = {}
     for edge in sorted(g.edges):
         u, v = edge
@@ -220,15 +219,15 @@ def inflate(g: Graph, d: int) -> InflatedGraph:
                 )
             chain_index[name] = (edge, r)
         path = [u, *names, v]
-        new_edges.extend(zip(path, path[1:]))
-    inflated = build_graph(new_edges, vertices=g.vertices)
-    return InflatedGraph(
-        base=g,
-        d=d,
-        graph=inflated,
-        power_vertices=g.vertices,
-        chain_index=chain_index,
+        edges.extend(map(edge_key, path, path[1:]))
+    # The labels are strings, each chain name is new and belongs to one
+    # edge, and a chain has at least two vertices: no edge repeats and none
+    # is a loop, so build_graph's checks are skipped.
+    inflated = Graph(
+        vertices=tuple(sorted([*g.vertices, *chain_index])),
+        edges=frozenset(edges),
     )
+    return InflatedGraph(base=g, d=d, graph=inflated, chain_index=chain_index)
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -252,11 +251,6 @@ def graph_from_json(obj: Mapping) -> Graph:
     if vertices is not None and not isinstance(vertices, (list, tuple)):
         raise ValueError('graph "vertices" must be a list')
     return build_graph(edges, vertices=vertices)
-
-
-def load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
 
 
 def to_dot(g: Graph, power_vertices: Iterable[str] = ()) -> str:

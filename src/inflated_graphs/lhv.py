@@ -1,4 +1,4 @@
-"""Classical-model oracles.
+"""Classical models.
 
 Four classical baselines live here:
 
@@ -7,9 +7,15 @@ Four classical baselines live here:
 * exact Bell bounds via minimum-violation search over that system,
 * an explicit communication-assisted hidden-variable model (uniform random
   signs on vertices, neighbour products, plus data-driven sign-flip rules)
-  that reproduces all Pauli measurements on small graphs,
+  that reproduces all Pauli measurements on small graphs: :func:`check_model`
+  compares it with the quantum value on every case, and
+  :func:`search_flip_rules` finds its rules,
 * exact bounds of binary games with one round of bounded communication,
   solved as the same minimum-violation search over (vertex, view) outputs.
+
+The independent references these are tested against (enumeration of every
+strategy, explicit averaging over the hidden signs, a per-case model value)
+live with the tests, in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from typing import Mapping
 
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import gf2, pauli
 from .graph import Graph, ball, build_graph
-from .paradox import MeasurementPair, MeasurementSet, excerpt_rows
+from .paradox import MeasurementSet, excerpt_rows
 
 # ---------------------------------------------------------------------------
 # Deterministic strategy systems over GF(2)
@@ -103,22 +109,6 @@ def min_violations(sys: StrategySystem) -> int:
     return gf2.span_min_weight(columns, target)
 
 
-def min_violations_brute_force(sys: StrategySystem) -> int:
-    """Independent oracle: enumerate all 2^n strategy assignments."""
-    if sys.n_variables > 20:
-        raise ValueError("instance too large for direct enumeration")
-    best = len(sys.rows)
-    for x in range(1 << sys.n_variables):
-        bad = 0
-        for row, b in zip(sys.rows, sys.rhs):
-            if ((row & x).bit_count() & 1) != b:
-                bad += 1
-        best = min(best, bad)
-        if best == 0:
-            break
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Bell reports
 # ---------------------------------------------------------------------------
@@ -187,9 +177,6 @@ class FlipRule:
             pattern=tuple(sorted((str(v), l) for v, l in pattern.items())),
         )
 
-    def matches(self, letters: Mapping[str, str]) -> bool:
-        return all(letters.get(v, "I") == l for v, l in self.pattern)
-
 
 @dataclass(frozen=True)
 class BarrettModel:
@@ -214,92 +201,6 @@ class BarrettModel:
                 closed.remove(v)
                 if letter not in pauli.LETTERS:
                     raise ValueError(f"invalid Pauli letter {letter!r}")
-
-    @cached_property
-    def _rule_masks(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Each rule as (vertex bit, pattern support, pattern x, pattern z)
-        over ``graph.index``, for the scalar :func:`_flipped`."""
-        g = self.graph
-        masks = []
-        for rule in self.flip_rules:
-            letters = dict(rule.pattern)
-            x, z = pauli.to_xz(g, letters)
-            masks.append((1 << g.index[rule.vertex], g.bits_of(letters), x, z))
-        return tuple(masks)
-
-
-def _model_value(model: BarrettModel, x: int, z: int, m: int) -> int:
-    """Exact model expectation of measurement (x, z) under mask m.
-
-    The masked output product is the flip sign times the z-monomial with
-    exponent z & m plus the neighbour parity of x & m; averaging over the
-    uniform z-assignment gives the sign when the exponent vanishes and 0
-    otherwise.  The parity is walked here, not taken from
-    pauli._stabilizer, so the model stays independent of the rule it is
-    compared with; :func:`check_model` reads the same parities off a table.
-    """
-    adjacency = model.graph.adjacency
-    exponent = z & m
-    rest = x & m
-    while rest:
-        low = rest & -rest
-        exponent ^= adjacency[low.bit_length() - 1]
-        rest ^= low
-    if exponent:
-        return 0
-    return -1 if _flipped(model, x, z, m) else 1
-
-
-def _flipped(model: BarrettModel, x: int, z: int, m: int) -> bool:
-    """Whether an odd number of the model's rules fire on case (x, z, m):
-    a rule fires when the mask holds its vertex and the letters match its
-    pattern."""
-    negative = False
-    for bit, support, px, pz in model._rule_masks:
-        if m & bit and x & support == px and z & support == pz:
-            negative = not negative
-    return negative
-
-
-def barrett_expectation(model: BarrettModel, pair: MeasurementPair) -> Fraction:
-    """Exact model expectation of the masked output product, read off the
-    pair's bits on the model's graph."""
-    return Fraction(_model_value(model, *pair.bits_on(model.graph)))
-
-
-def barrett_expectation_sampled(
-    model: BarrettModel, pair: MeasurementPair
-) -> Fraction:
-    """Independent oracle: average the output product over all 2^n hidden
-    sign assignments explicitly."""
-    g = model.graph
-    n = len(g.vertices)
-    if n > 16:
-        raise ValueError("instance too large for explicit averaging")
-    letters = pair.letters_dict
-    flip_sign = 1
-    for rule in model.flip_rules:
-        if rule.vertex in pair.mask and rule.matches(letters):
-            flip_sign = -flip_sign
-    total = 0
-    for bits in range(1 << n):
-        z = {v: -1 if (bits >> i) & 1 else 1 for i, v in enumerate(g.vertices)}
-        product = flip_sign
-        for v in pair.mask:
-            letter = letters.get(v, "I")
-            if letter == "I":
-                continue
-            x = 1
-            for u in g.neighbors[v]:
-                x *= z[u]
-            if letter == "Z":
-                product *= z[v]
-            elif letter == "X":
-                product *= x
-            else:  # Y
-                product *= x * z[v]
-        total += product
-    return Fraction(total, 1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,7 @@ def load_measurement_set(path: str) -> MeasurementSet:
 
 
 def save_measurement_set(s: MeasurementSet, path: str) -> None:
+    """Write the set as JSON indented by two, plus a newline.  One dumps
+    call and one write: json.dump would write every token on its own."""
     with open(path, "w") as fh:
-        json.dump(set_to_json(s), fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(set_to_json(s), indent=2) + "\n")

@@ -166,22 +166,6 @@ def subset_to_pauli(
     return to_letters(g, x, z), -1 if negative else 1
 
 
-def pauli_to_subset(
-    g: Graph, letters: Mapping[str, str]
-) -> tuple[frozenset[str], int] | None:
-    """Invert subset_to_pauli for a phaseless Pauli product.
-
-    Returns (subset, sign) with subset_to_pauli(subset) == (letters, sign),
-    or None when the letters are proportional to no stabilizer element.
-    X and Y mark the subset; the Z part must then be its neighbourhood
-    parity.
-    """
-    sign = expectation(g, letters)
-    if not sign:
-        return None
-    return frozenset(v for v, l in letters.items() if l in ("X", "Y")), sign
-
-
 def expectation(g: Graph, letters: Mapping[str, str]) -> int:
     """Exact graph-state expectation of a Pauli measurement: -1, 0 or +1."""
     x, z = to_xz(g, letters)

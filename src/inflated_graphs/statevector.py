@@ -89,16 +89,6 @@ class Observable:
         return [(v, np.array(mat, dtype=complex)) for v, mat in self.factors]
 
 
-def observable_from_pauli(
-    letters: Mapping[str, str], coefficient: float = 1.0
-) -> Observable:
-    """Pauli product (no phase) as an Observable."""
-    return Observable.make(
-        {v: PAULI_MATRICES[l] for v, l in letters.items() if l != "I"},
-        coefficient=coefficient,
-    )
-
-
 def graph_state(g: Graph) -> StateVector:
     """|+>^n with a controlled-Z applied across every edge.
 

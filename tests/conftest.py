@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import deque
+from fractions import Fraction
 
 from inflated_graphs import build_graph
 
@@ -43,3 +44,107 @@ def bfs_ball(g, v: str, d: int) -> tuple[str, ...]:
                 dist[u] = dist[w] + 1
                 queue.append(u)
     return tuple(sorted(dist, key=g.index.__getitem__))
+
+
+# Independent references for the classical models.  They read graphs,
+# systems, models and pairs through their fields and import nothing from
+# lhv, gf2, pauli or paradox, so they share no code with the paths they
+# check.
+
+
+def min_violations_brute_force(sys) -> int:
+    """Minimum number of unsatisfied rows of a strategy system, by
+    enumerating all 2^n assignments: the reference for ``min_violations``
+    and ``feasible``."""
+    if sys.n_variables > 20:
+        raise ValueError("instance too large for direct enumeration")
+    best = len(sys.rows)
+    for x in range(1 << sys.n_variables):
+        bad = 0
+        for row, b in zip(sys.rows, sys.rhs):
+            if ((row & x).bit_count() & 1) != b:
+                bad += 1
+        best = min(best, bad)
+        if best == 0:
+            break
+    return best
+
+
+def barrett_expectation_sampled(model, pair) -> Fraction:
+    """The flip-rule model's expectation of a pair's masked output product,
+    averaged over all 2^n hidden sign assignments explicitly."""
+    g = model.graph
+    n = len(g.vertices)
+    if n > 16:
+        raise ValueError("instance too large for explicit averaging")
+    letters = pair.letters_dict
+    flip_sign = 1
+    for rule in model.flip_rules:
+        if rule.vertex in pair.mask and all(
+            letters.get(v, "I") == l for v, l in rule.pattern
+        ):
+            flip_sign = -flip_sign
+    total = 0
+    for bits in range(1 << n):
+        z = {v: -1 if (bits >> i) & 1 else 1 for i, v in enumerate(g.vertices)}
+        product = flip_sign
+        for v in pair.mask:
+            letter = letters.get(v, "I")
+            if letter == "I":
+                continue
+            x = 1
+            for u in g.neighbors[v]:
+                x *= z[u]
+            if letter == "Z":
+                product *= z[v]
+            elif letter == "X":
+                product *= x
+            else:  # Y
+                product *= x * z[v]
+        total += product
+    return Fraction(total, 1 << n)
+
+
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def model_values(model):
+    """The flip-rule model's exact expectation as a function of a case
+    (x, z, m): measurement bitmasks x, z and mask m over ``graph.index``.
+
+    The masked output product is the flip sign times the z-monomial with
+    exponent z & m plus the neighbour parity of x & m; averaging over the
+    uniform signs gives the sign when the exponent vanishes and 0
+    otherwise.  The parity is walked over ``graph.adjacency`` and the rules'
+    (vertex bit, support, x, z) masks are compiled here, once per model; a
+    rule fires when m holds its vertex and the letters match its pattern.
+    """
+    g = model.graph
+    adjacency = g.adjacency
+    rules = []
+    for rule in model.flip_rules:
+        support = px = pz = 0
+        for v, letter in rule.pattern:
+            bit = 1 << g.index[v]
+            lx, lz = _LETTER_BITS[letter]
+            support |= bit
+            px |= bit * lx
+            pz |= bit * lz
+        rules.append((1 << g.index[rule.vertex], support, px, pz))
+
+    def value(x: int, z: int, m: int) -> int:
+        exponent = z & m
+        rest = x & m
+        while rest:
+            low = rest & -rest
+            exponent ^= adjacency[low.bit_length() - 1]
+            rest ^= low
+        if exponent:
+            return 0
+        negative = False
+        for bit, support, rx, rz in rules:
+            if m & bit and x & support == rx and z & support == rz:
+                negative = not negative
+        return -1 if negative else 1
+
+    return value

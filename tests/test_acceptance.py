@@ -14,7 +14,11 @@ import inflated_graphs as ig
 from inflated_graphs import lhv, pauli, statevector as sv
 from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set
 from inflated_graphs.graph import inflate
-from conftest import random_connected_graph, random_subset
+from conftest import (
+    min_violations_brute_force,
+    random_connected_graph,
+    random_subset,
+)
 
 
 def _matches_paper(report, name):
@@ -147,7 +151,8 @@ def test_criterion_8_property_suite():
         g = random_connected_graph(rng, rng.randrange(3, 11))
         subset = random_subset(rng, g.vertices)
         letters, sign = pauli.subset_to_pauli(g, subset)
-        assert pauli.pauli_to_subset(g, letters) == (subset, sign)
+        assert pauli.expectation(g, letters) == sign
+        assert {v for v, l in letters.items() if l in ("X", "Y")} == subset
 
     # (b) pauli vs statevector: exhaustive n <= 5, sampled n <= 10
     for _ in range(3):
@@ -214,7 +219,7 @@ def test_criterion_8_property_suite():
             rows=sys.rows[: len(sys.rhs)],
             rhs=sys.rhs[: len(sys.rows)],
         )
-        assert ig.feasible(sys) == (lhv.min_violations_brute_force(sys) == 0)
+        assert ig.feasible(sys) == (min_violations_brute_force(sys) == 0)
 
     print(
         "PASS criterion 8: property suite (roundtrip, oracle agreement, "

@@ -5,6 +5,8 @@ import pytest
 
 from inflated_graphs import cli, gf2
 from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set, main
+from inflated_graphs.graph import inflate
+from inflated_graphs.inflate import build_inflated_set
 from inflated_graphs.paradox import set_to_json
 
 
@@ -98,6 +100,18 @@ def test_build_and_verify_and_bound(tmp_path, ghz_file, capsys):
     assert main(["bound", out]) == 0
     bound = json.loads(capsys.readouterr().out)
     assert bound["result"] == {**PAPER_NUMBERS["chain7"][1], "min_violations": 1}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_build_out_writes_the_indented_set(tmp_path, ghz_file, capsys, d):
+    """build --out writes through save_measurement_set: the built set's
+    JSON, indented by two, plus a newline."""
+    out = tmp_path / "built.json"
+    assert main(["build", ghz_file, "--d", str(d), "--out", str(out)]) == 0
+    assert "measurement_set" not in json.loads(capsys.readouterr().out)["result"]
+    base = load_fixture_set("ghz_path3")
+    s = build_inflated_set(base, inflate(base.graph, d)).measurement_set
+    assert out.read_text() == json.dumps(set_to_json(s), indent=2) + "\n"
 
 
 def test_build_uncertified_base_exits_3(tmp_path, capsys):

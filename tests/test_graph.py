@@ -6,6 +6,8 @@ import signal
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inflated_graphs import graph as gr
 from conftest import bfs_ball, random_connected_graph
@@ -196,7 +198,7 @@ def test_inflate_triangle_gives_nine_cycle():
     assert len(ig.graph.edges) == 9
     # every vertex of a cycle has degree 2
     assert all(len(ig.graph.neighbors[v]) == 2 for v in ig.graph.vertices)
-    assert ig.power_vertices == ("1", "2", "3")
+    assert ig.base.vertices == ("1", "2", "3")
 
 
 def test_inflate_distances_scale():
@@ -222,14 +224,45 @@ def test_chain_index_positions():
     g = gr.build_graph([(1, 2)])
     ig = gr.inflate(g, 2)
     assert ig.chain_index["3@(1,2)"] == (("1", "2"), 3)
-    assert "1" in ig.power_vertices and "3@(1,2)" not in ig.power_vertices
+    assert "1" in ig.base.vertices and "3@(1,2)" not in ig.base.vertices
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_inflate_equals_build_graph_of_its_chains(data):
+    """inflate builds its Graph directly; it equals build_graph of the chain
+    edges and the base vertices, with and without isolated vertices.  The
+    labels sort on both sides of the chain names ("r@(u,v)")."""
+    labels = data.draw(
+        st.lists(
+            st.text(alphabet="019aBz", min_size=1, max_size=3),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    pairs = list(itertools.combinations(labels, 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    isolated = data.draw(st.booleans())
+    g = gr.build_graph(edges, vertices=labels if isolated else None)
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    chain_edges = []
+    for edge in sorted(g.edges):
+        names = [gr.chain_vertex_name(edge, r) for r in range(1, 2 * d + 1)]
+        path = [edge[0], *names, edge[1]]
+        chain_edges.extend(zip(path, path[1:]))
+    expected = gr.build_graph(chain_edges, vertices=g.vertices)
+    ig = gr.inflate(g, d)
+    assert ig.graph == expected
+    assert ig.graph.vertices == expected.vertices
+    assert ig.graph.neighbors == expected.neighbors
 
 
 def test_json_roundtrip(tmp_path):
     g = gr.build_graph([(1, 2), (2, 3)])
     path = tmp_path / "g.json"
     path.write_text(json.dumps(gr.graph_to_json(g)))
-    assert gr.load_graph(str(path)) == g
+    assert gr.graph_from_json(json.loads(path.read_text())) == g
 
 
 def test_to_dot_marks_power_vertices():

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import inflated_graphs as ig
-from conftest import random_connected_graph
+from conftest import (
+    barrett_expectation_sampled,
+    min_violations_brute_force,
+    model_values,
+    random_connected_graph,
+)
 from inflated_graphs import gf2, lhv, pauli, statevector
 from inflated_graphs.cli import FIXTURES, load_fixture_set
 
@@ -71,7 +76,7 @@ def test_min_violations_agrees_with_brute_force():
             rows=tuple(rng.randrange(1 << n_vars) for _ in range(n_rows)),
             rhs=tuple(rng.randrange(2) for _ in range(n_rows)),
         )
-        direct = lhv.min_violations_brute_force(sys)
+        direct = min_violations_brute_force(sys)
         assert ig.min_violations(sys) == direct
         assert ig.feasible(sys) == (direct == 0)
 
@@ -105,7 +110,7 @@ def test_min_violations_on_degenerate_rows():
         rhs = [rng.randrange(2) for _ in range(n_rows)]
         sys = system(n_vars, rows, rhs)
         got = ig.min_violations(sys)
-        assert got == lhv.min_violations_brute_force(sys)
+        assert got == min_violations_brute_force(sys)
         assert got >= sum(b for row, b in zip(rows, rhs) if row == 0)
 
 
@@ -176,7 +181,7 @@ def test_min_violations_matches_independent_oracles():
         got = ig.min_violations(sys)
         assert got == coset_enumeration(sys)
         if sys.n_variables <= 10:
-            assert got == lhv.min_violations_brute_force(sys)
+            assert got == min_violations_brute_force(sys)
         seen.append((got, len(sys.rows), gf2.rank(list(sys.rows))))
     assert max(got for got, rows, _ in seen if rows <= 64) >= 10
     assert max(rows for _, rows, _ in seen) > 64
@@ -261,11 +266,19 @@ def test_odd_violations_for_certified_sets():
 # ---------------------------------------------------------------------------
 
 
+def reference_values(model, pair):
+    """A pair's model expectation by both references: the per-case model
+    value and explicit averaging."""
+    x, z = pauli.to_xz(model.graph, pair.letters_dict)
+    m = model.graph.bits_of(pair.mask)
+    return model_values(model)(x, z, m), barrett_expectation_sampled(model, pair)
+
+
 def test_barrett_generator_prediction():
     g = ig.build_graph([(1, 2), (2, 3)])
     model = lhv.BarrettModel(graph=g)
     pair = ig.MeasurementPair.make({"1": "Z", "2": "X", "3": "Z"}, {"1", "2", "3"})
-    assert lhv.barrett_expectation(model, pair) == 1
+    assert reference_values(model, pair) == (1, 1)
 
 
 def test_barrett_triangle_flip():
@@ -273,19 +286,21 @@ def test_barrett_triangle_flip():
     rules = tuple(lhv.load_flip_rules()["triangle"])
     model = lhv.BarrettModel(graph=g, flip_rules=rules)
     pair = ig.MeasurementPair.make({"1": "X", "2": "X", "3": "X"}, {"1", "2", "3"})
-    assert lhv.barrett_expectation(model, pair) == -1  # matches quantum
+    assert reference_values(model, pair) == (-1, -1)  # matches quantum
     no_flip = lhv.BarrettModel(graph=g)
-    assert lhv.barrett_expectation(no_flip, pair) == 1  # the model's only error
+    assert reference_values(no_flip, pair) == (1, 1)  # the model's only error
 
 
 def test_barrett_non_stabilizer_is_zero():
     g = ig.build_graph([(1, 2), (2, 3)])
     model = lhv.BarrettModel(graph=g)
     pair = ig.MeasurementPair.make({"1": "Z", "2": "X", "3": "X"}, {"1", "2", "3"})
-    assert lhv.barrett_expectation(model, pair) == 0
+    assert reference_values(model, pair) == (0, 0)
 
 
 def test_barrett_analytic_matches_explicit_average():
+    """The two model references agree: the per-case value that the
+    check_model tests compare with, and explicit averaging."""
     rng = random.Random(41)
     rules_by_graph = lhv.load_flip_rules()
     for gid, g in lhv.SMALL_GRAPHS.items():
@@ -298,10 +313,10 @@ def test_barrett_analytic_matches_explicit_average():
             for _ in range(40):
                 letters = {v: rng.choice("IXYZ") for v in g.vertices}
                 mask = frozenset(v for v in g.vertices if rng.random() < 0.6)
-                pair = ig.MeasurementPair.make(letters, mask)
-                assert lhv.barrett_expectation(
-                    model, pair
-                ) == lhv.barrett_expectation_sampled(model, pair)
+                value, sampled = reference_values(
+                    model, ig.MeasurementPair.make(letters, mask)
+                )
+                assert value == sampled
 
 
 def test_flip_rule_neighborhood_validation():
@@ -324,16 +339,6 @@ def test_flip_rule_neighborhood_validation():
         )
     with pytest.raises(ValueError, match="unknown vertex '9'"):
         lhv.BarrettModel(graph=g, flip_rules=(lhv.FlipRule.make("9", {}),))
-
-
-def test_check_model_leaves_rule_masks_uncompiled():
-    # Validation does not compile the scalar path's masks, and the scan
-    # reads only the patterns.
-    rules = tuple(lhv.load_flip_rules()["triangle"])
-    model = lhv.BarrettModel(graph=lhv.SMALL_GRAPHS["triangle"], flip_rules=rules)
-    assert model.flip_rules
-    assert lhv.check_model(model) == []
-    assert "_rule_masks" not in model.__dict__
 
 
 def test_verify_small_graphs_zero_mismatches():
@@ -380,7 +385,7 @@ def test_check_model_matches_letter_scan():
                 model = lhv.BarrettModel(graph=g, flip_rules=flip_rules)
                 expected = []
                 for pair, quantum in cases:
-                    value = lhv.barrett_expectation_sampled(model, pair)
+                    value = barrett_expectation_sampled(model, pair)
                     if value != quantum:
                         expected.append(
                             {
@@ -415,10 +420,11 @@ def scalar_check_model(model):
     """Test-local copy of the per-case check_model loop."""
     mismatches = []
     g = model.graph
+    value = model_values(model)
     for x, z, m in scalar_cases(g):
         expected, negative = pauli._stabilizer(g, x & m)
         quantum = (-1 if negative else 1) if z & m == expected else 0
-        classical = lhv._model_value(model, x, z, m)
+        classical = value(x, z, m)
         if classical != quantum:
             mismatches.append(
                 {
@@ -804,6 +810,7 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
         g = model.graph
         mismatches = lhv.check_model(model)
         counts.append(len(mismatches))
+        value = model_values(model)
         listed = {
             (tuple(r["letters"].items()), tuple(sorted(r["mask"]))): r
             for r in mismatches
@@ -818,7 +825,7 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
                 z = stab_z | z & ~m
             expected, negative = pauli._stabilizer(g, x & m)
             quantum = (-1 if negative else 1) if z & m == expected else 0
-            classical = lhv._model_value(model, x, z, m)
+            classical = value(x, z, m)
             key = (
                 tuple(sorted(pauli.to_letters(g, x, z).items())),
                 tuple(sorted(g.vertices_of(m))),

@@ -97,12 +97,6 @@ def test_subset_matches_generator_product():
         assert signed(g, *pauli.subset_to_pauli(g, subset)) == product
 
 
-def test_pauli_to_subset_rejects_non_stabilizer():
-    path3 = build_graph([(1, 2), (2, 3)])
-    assert pauli.pauli_to_subset(path3, {"1": "Z", "2": "X", "3": "X"}) is None
-    assert pauli.pauli_to_subset(path3, {"1": "Z"}) is None
-
-
 def test_roundtrip_random_cases():
     # 1000 random (graph, subset) pairs with up to 10 vertices.
     rng = random.Random(17)
@@ -110,10 +104,8 @@ def test_roundtrip_random_cases():
         g = random_connected_graph(rng, rng.randrange(3, 11))
         subset = random_subset(rng, g.vertices)
         letters, sign = pauli.subset_to_pauli(g, subset)
-        decomposition = pauli.pauli_to_subset(g, letters)
-        assert decomposition is not None
-        assert decomposition[0] == subset
-        assert decomposition[1] == sign
+        assert pauli.expectation(g, letters) == sign
+        assert {v for v, l in letters.items() if l in ("X", "Y")} == subset
 
 
 def test_to_xz_checks_every_letter_before_an_unknown_vertex():
@@ -134,6 +126,8 @@ def test_expectation_examples():
     path3 = build_graph([(1, 2), (2, 3)])
     assert pauli.expectation(path3, {"1": "Y", "2": "X", "3": "Y"}) == -1
     assert pauli.expectation(path3, {"2": "X"}) == 0
+    assert pauli.expectation(path3, {"1": "Z", "2": "X", "3": "X"}) == 0
+    assert pauli.expectation(path3, {"1": "Z"}) == 0
     assert pauli.expectation(path3, {}) == 1
 
 
@@ -147,7 +141,8 @@ def test_subset_pauli_roundtrip_property(data):
         v for v in g.vertices if data.draw(st.booleans())
     )
     letters, sign = pauli.subset_to_pauli(g, subset)
-    assert pauli.pauli_to_subset(g, letters) == (subset, sign)
+    assert pauli.expectation(g, letters) == sign
+    assert {v for v, l in letters.items() if l in ("X", "Y")} == subset
 
 
 def test_stabilizer_table_matches_scalar_rule():
