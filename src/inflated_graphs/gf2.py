@@ -35,7 +35,7 @@ table that completes it.  Peak memory is about twice the largest table.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -72,35 +72,33 @@ def rank(rows: list[int]) -> int:
     return len(basis)
 
 
-def solve(rows: list[int], rhs: list[int], n_cols: int) -> int | None:
+def solve(rows: Iterable[int], rhs: Iterable[int]) -> int | None:
     """Solve rows·x = rhs over GF(2).
 
     Returns the solution whose free variables are all 0, or None if the
     system is inconsistent.
     """
-    # Augment each row with its rhs bit at position n_cols.
-    col_mask = (1 << n_cols) - 1
-    echelon: dict[int, int] = {}  # pivot column (lowest set bit) -> row
+    # Pivot column (lowest set bit) -> (row, rhs bit); the bit stays beside
+    # its row, so a row is never wider than its highest column.
+    echelon: dict[int, tuple[int, int]] = {}
     for row, b in zip(rows, rhs):
-        row |= b << n_cols
-        while row & col_mask:
-            # The rhs bit sits above every column, so the row's lowest bit
-            # is its lowest column.
+        while row:
             col = (row & -row).bit_length() - 1
             pivot = echelon.get(col)
             if pivot is None:
-                echelon[col] = row
-                row = 0
-            else:
-                row ^= pivot
-        if row:
-            return None  # reduced to 0 = 1
+                echelon[col] = (row, b)
+                break
+            row ^= pivot[0]
+            b ^= pivot[1]
+        else:
+            if b:
+                return None  # reduced to 0 = 1
     # Back-substitute, higher pivots first: every other bit of a row sits
     # above its pivot, so those variables are already fixed (free ones at 0).
     solution = 0
     for col in sorted(echelon, reverse=True):
-        row = echelon[col]
-        if ((row >> n_cols) ^ (row & solution).bit_count()) & 1:
+        row, b = echelon[col]
+        if (b ^ (row & solution).bit_count()) & 1:
             solution |= 1 << col
     return solution
 

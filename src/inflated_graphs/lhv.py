@@ -78,7 +78,7 @@ def build_system(s: MeasurementSet) -> StrategySystem:
 
 def feasible(sys: StrategySystem) -> bool:
     """True iff some deterministic strategy satisfies every row."""
-    return gf2.solve(list(sys.rows), list(sys.rhs), sys.n_variables) is not None
+    return gf2.solve(sys.rows, sys.rhs) is not None
 
 
 def min_violations(sys: StrategySystem) -> int:
@@ -236,18 +236,18 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
 
 # MAX_FLIP_VERTICES is the one size limit of both flip-model scans: every
 # mask and key dtype follows from n.  check_model holds arrays over all 8^n
-# (measurement, mask) cases; search_flip_rules reads only one stabilizer
-# case per row of its GF(2) system, but K7's 23,837 dense rows over 24,017
-# candidates set its peak.  Measured in fresh processes on a 2-core x86_64
-# machine: check_model takes 0.01-0.04 s and peaks at 44 MB RSS on K7 and
-# on the 7-path with and without chords (1,4) and (3,7); search_flip_rules
-# takes 0.02 s and 35-36 MB on those paths and 0.16-0.23 s and 98 MB on
-# K7.  With the limit patched to 8, check_model (uint16 keys) takes
-# 0.13-0.19 s and peaks at 239 MB on the 8-path, the 8-cycle, K8 and the
-# star K1,7, and the search takes 0.07 s and 63 MB on the 8-path and
-# 0.40 s and 113 MB on K1,7.  The limit stays 7: at 8, K8's dense search
-# rows need the system split into connected components first, and the
-# check's 240 MB peak wants a blockwise scan.
+# (measurement, mask) cases; search_flip_rules enumerates only one
+# stabilizer case per row of its GF(2) system, but K7's 23,837 dense rows
+# over 24,017 candidates set its peak.  Measured in fresh processes on a
+# 2-core x86_64 machine (about 29 MB RSS after import): check_model takes
+# 0.01-0.02 s and peaks at 43 MB RSS on K7 and on the 7-path with and
+# without chords (1,4) and (3,7); search_flip_rules takes 0.003-0.005 s
+# and 29 MB on those paths and 0.11 s and 75 MB on K7.  With the limit
+# patched to 8, check_model (uint16 keys) takes 0.10-0.11 s and peaks at
+# 238 MB on the 8-path and the star K1,7, and the search takes 0.01 s and
+# 29 MB on the 8-path and 0.22 s and 97 MB on K1,7.  The limit stays 7: at
+# 8, K8's dense search rows need the system split into connected
+# components first, and the check's 238 MB peak wants a blockwise scan.
 MAX_FLIP_VERTICES = 7
 
 
@@ -263,83 +263,50 @@ def _require_flip_size(g: Graph) -> int:
     return n
 
 
-@cache
-def _case_table(n: int) -> tuple[np.ndarray, ...]:
-    """The graph-free part of :func:`_cases` on n vertices: every (mask m,
-    subset s of m, letters off m), read-only.
-
-    Arrays m, s, x, z_off and position run over the 6^n entries (per
-    vertex: off m with letter I, X, Y or Z, or on m in s or not).  The letters on m are
-    taken as X on s and Z on m - s, so x = s | the X and Y bits off m,
-    z_off = the Y and Z bits off m, and position is the entry's index in
-    the 8^n case order under that choice.  A stabilizer case puts Y, not X,
-    on the vertices of s & z, which moves it by spread[s & z] (indexed by
-    the bitmask).
-    """
-    # Per vertex, its six choices' letter digit in IXYZ and bit in m, s, x
-    # and z_off: I, X, Y, Z off m, then X on s and Z on m - s.
-    dtype = np.min_scalar_type((1 << n) - 1)
-    digit = np.array([0, 1, 2, 3, 1, 3])
-    in_m, in_s, has_x, has_z = np.array(
-        [
-            [0, 0, 0, 0, 1, 1],
-            [0, 0, 0, 0, 1, 0],
-            [0, 1, 1, 0, 1, 0],
-            [0, 0, 1, 1, 0, 0],
-        ],
-        dtype,
-    )
-    digits = np.zeros(1, np.int64)
-    m = s = x = z_off = np.zeros(1, dtype)
-    for i in range(n):  # the first vertex most significant
-        digits = (digits[:, None] * 4 + digit).ravel()
-        m = (m[:, None] | in_m << i).ravel()
-        s = (s[:, None] | in_s << i).ravel()
-        x = (x[:, None] | has_x << i).ravel()
-        z_off = (z_off[:, None] | has_z << i).ravel()
-    position = digits << n | m
-    spread = np.zeros(1 << n, np.int64)
-    for i in range(n):
-        spread[1 << i : 2 << i] = spread[: 1 << i] + (4 ** (n - 1 - i) << n)
-    tables = (m, s, x, z_off, position, spread)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _cases(g: Graph) -> tuple[np.ndarray, ...]:
-    """The rule search's table: one stabilizer case (x, z, m) on g per
+def _cases(g: Graph) -> list[tuple[int, int, int, int, bool]]:
+    """The rule search's cases: one stabilizer case (x, z, m) on g per
     distinct row of the search, in the 8^n case order (measurements over
     IXYZ**n with the first vertex most significant, then masks ascending).
 
     These are the stabilizer cases whose mask m is their measured set
     (x | z) & m and whose letters are I off the union of the closed
     neighbourhoods of m.  Such a case measures exactly the support of the
-    stabilizer element generated by s = x & m, so m = s | stab_z[s] and
-    z & m = stab_z[s]: one entry of :func:`_case_table` per s and letters
-    on that union off m.  Every stabilizer case (x, z, m') has one of them
-    with the same measured set, the same letters on the union and the same
-    sign, no later in case order: mask (x | z) & m', letters set to I off
-    the union.
+    stabilizer element generated by s = x & m, so m = s | z_s and z & m =
+    z_s for (z_s, negative) = ``pauli._stabilizer(g, s)``: one case per s
+    and choice of letters on that union off m.  Every stabilizer case
+    (x, z, m') has one of them with the same measured set, the same letters
+    on the union and the same sign, no later in case order: mask
+    (x | z) & m', letters set to I off the union.
 
-    Returns arrays case (the index in that order), x, z, m (bitmasks over
-    ``g.index``) and negative (the stabilizer sign).
+    Returns sorted tuples (case, x, z, m, negative): the index in that
+    order, the bitmasks over ``g.index`` and the stabilizer sign.  With
+    spread[b] the base-4 number whose digit is 1 at each vertex of b (the
+    first vertex most significant), a measurement's index is
+    spread[x ^ z] + 2 * spread[z]: I, X, Y and Z have (x ^ z, z) =
+    (0, 0), (1, 0), (0, 1) and (1, 1).
     """
     n = _require_flip_size(g)
-    m, s, x, z_off, position, spread = _case_table(n)
-    stab_z, stab_negative = pauli._stabilizer_table(g)
-    union = np.zeros(1 << n, m.dtype)  # closed neighbourhoods of each mask
-    for i, nbrs in enumerate(g.adjacency):
-        union[1 << i : 2 << i] = union[: 1 << i] | (1 << i) | nbrs
-    kept = np.flatnonzero(
-        ((s | stab_z[s]) == m) & (((x | z_off) & ~union[m]) == 0)
-    )
-    s = s[kept]
-    z = stab_z[s]
-    case = position[kept] + spread[s & z]
-    order = np.argsort(case)
-    kept, s, z = kept[order], s[order], z[order]
-    return case[order], x[kept], z | z_off[kept], m[kept], stab_negative[s]
+    spread = [0]
+    union = [0]  # the closed neighbourhoods of each mask
+    for i, closed in enumerate(g.ball_masks(1)):
+        digit = 4 ** (n - 1 - i)
+        spread += [v + digit for v in spread]
+        union += [u | closed for u in union]
+    cases = []
+    for s in range(1 << n):
+        z, negative = pauli._stabilizer(g, s)
+        m = s | z
+        base = spread[s ^ z] + 2 * spread[z]
+        off = union[m] & ~m
+        subsets = [off]  # every subset of off, walked down from off
+        while subsets[-1]:
+            subsets.append((subsets[-1] - 1) & off)
+        for a in subsets:  # x off m
+            for b in subsets:  # z off m
+                case = (base + spread[a ^ b] + 2 * spread[b]) << n | m
+                cases.append((case, s | a, z | b, m, negative))
+    cases.sort()
+    return cases
 
 
 def _key_value(key: int, n: int) -> int:
@@ -382,17 +349,17 @@ def check_model(model: BarrettModel) -> list[dict]:
     ascending.  Each side gives a case a key in the dtype of
     :func:`_check_tables`: the z-exponent left after cancelling z & m in
     bits 0..n-1, and the sign in bit n.
-    The quantum key comes from the stabilizer table of
-    :func:`pauli._stabilizer_table` at x & m.  The model key comes from its
-    own neighbour-parity table built from ``g.adjacency``, never from the
+    The quantum key is that of :func:`pauli._stabilizer` at x & m, taken
+    once for each of the 2^n subsets.  The model key comes from its own
+    neighbour-parity table built from ``g.adjacency``, never from the
     stabilizer rule, so the two stay independent routes; its sign is the
     parity of the rules that fire.  Both read (subset, mask) tables by
     measurement row, so no per-case index array is made.  The graph-free
-    tables are :func:`check_model`'s own (:func:`_check_tables`), never the
-    rule search's.  Returns one record per (measurement, mask) mismatch, in
-    case order; empty means the model reproduces every Pauli measurement on
-    the graph exactly.  Raises ValueError above MAX_FLIP_VERTICES vertices,
-    before it builds any table.
+    tables are :func:`check_model`'s own (:func:`_check_tables`); the rule
+    search builds no table.  Returns one record per (measurement, mask)
+    mismatch, in case order; empty means the model reproduces every Pauli
+    measurement on the graph exactly.  Raises ValueError above
+    MAX_FLIP_VERTICES vertices, before it builds any table.
     """
     g = model.graph
     n = _require_flip_size(g)
@@ -408,8 +375,8 @@ def check_model(model: BarrettModel) -> list[dict]:
         for v, letter in rule.pattern:
             where[g.index[v]] = pauli.LETTERS.index(letter)
         grid[tuple(where)] ^= 1 << g.index[rule.vertex]
-    stab_z, stab_negative = pauli._stabilizer_table(g)
-    packed = stab_z.astype(dtype) | stab_negative.astype(dtype) << n
+    stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
+    packed = np.array([z | negative << n for z, negative in stabilizers], dtype)
     parity = np.zeros(1 << n, dtype)  # neighbour parity of each subset
     for i, nbrs in enumerate(g.adjacency):
         parity[1 << i : 2 << i] = parity[: 1 << i] ^ nbrs
@@ -480,16 +447,17 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     z & closed_i) are the candidate rules, numbered by first appearance,
     and a row's right-hand side is 1 iff its case's sign is negative.  The
     rule set returned is therefore the same in every process, and the same
-    as a scan of all 8^n cases gives.
+    as a scan of all 8^n cases gives.  Nothing is tabulated over all
+    cases: they come from :func:`pauli._stabilizer`, one subset at a time.
     """
     n = len(g.vertices)
-    _, x, z, m, negative = _cases(g)
+    cases = _cases(g)
     closed = g.ball_masks(1)
-    rows, candidates = excerpt_rows(closed, zip(x.tolist(), z.tolist(), m.tolist()))
+    rows, candidates = excerpt_rows(closed, ((x, z, m) for _, x, z, m, _ in cases))
     # The solution does not depend on the row order (its free variables are
     # 0 and its pivots the lowest bits of the row space); rows in reverse
     # case order eliminate in fewer steps.
-    chosen = gf2.solve(list(reversed(rows)), negative[::-1].tolist(), len(candidates))
+    chosen = gf2.solve(rows[::-1], [negative for *_, negative in reversed(cases)])
     if chosen is None:
         return None
     # Each rule's letters, read straight off its candidate's bits; a

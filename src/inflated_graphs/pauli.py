@@ -16,14 +16,12 @@ product of the generators X_v Z_N(v) over v in S) has x = S and z = the
 neighbourhood parity of S, and its sign is (-1)**(|E(S)| - #Y/2), where E(S)
 are the edges inside S and #Y counts the vertices with x = z = 1 (Hein,
 Eisert & Briegel 2004).  :func:`_stabilizer` is the one place this rule
-lives; :func:`_stabilizer_table` applies it to every subset at once.
+lives.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .graph import Graph
 
@@ -75,26 +73,6 @@ def _stabilizer(g: Graph, x: int) -> tuple[int, bool]:
         inner += (nbrs & x).bit_count()
         rest ^= low
     return z, bool((inner // 2 + (x & z).bit_count() // 2) & 1)
-
-
-def _stabilizer_table(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_stabilizer` of every vertex bitmask s at once, as arrays z
-    and negative indexed by s.
-
-    Row s of the (2^n, n) table of the adjacency rows held by s has z as
-    its XOR.  The popcounts of those rows within s sum to twice the edges
-    inside s, and #Y = popcount(s & z) is even (it counts the vertices of
-    odd degree in s), so the sign is bit 1 of their sum.  z has the
-    smallest unsigned dtype that holds a mask.
-    """
-    n = len(g.vertices)
-    dtype = np.min_scalar_type((1 << n) - 1)
-    subsets = np.arange(1 << n, dtype=dtype)[:, None]
-    rows = np.array(g.adjacency, dtype) * ((subsets >> np.arange(n, dtype=dtype)) & 1)
-    z = np.bitwise_xor.reduce(rows, axis=1)
-    twice = np.bitwise_count(rows & subsets).sum(axis=1, dtype=np.int64)
-    twice += np.bitwise_count(subsets[:, 0] & z)
-    return z, (twice & 2).astype(bool)
 
 
 def compile_letters(

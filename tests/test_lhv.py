@@ -455,7 +455,7 @@ def scalar_search_flip_rules(g):
                 row ^= 1 << j
         rows.append(row)
         rhs.append(int(negative))
-    chosen = gf2.solve(rows, rhs, len(candidates))
+    chosen = gf2.solve(rows, rhs)
     if chosen is None:
         return None
     rules = []
@@ -560,9 +560,77 @@ def test_search_cases_are_the_first_case_of_each_row():
             assert first.setdefault(key, case)[4] == negative
             if m == measured and (x | z) & ~union == 0:
                 expected.append(case)
-        got = list(zip(*(table.tolist() for table in lhv._cases(g))))
+        got = lhv._cases(g)
         assert got == expected
         assert got == sorted(first.values())
+
+
+def numpy_table_cases(g):
+    """Test-local copy of the numpy enumeration _cases replaced: a table of
+    all 6^n (mask m, subset s of m, letters off m) entries, filtered to
+    m = s | z_s with letters only on the closed neighbourhoods of m."""
+    n = len(g.vertices)
+    # Per vertex, six choices: I, X, Y, Z off m, then X on s and Z on m - s.
+    dtype = np.min_scalar_type((1 << n) - 1)
+    digit = np.array([0, 1, 2, 3, 1, 3])
+    in_m, in_s, has_x, has_z = np.array(
+        [
+            [0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 0, 1, 0],
+            [0, 1, 1, 0, 1, 0],
+            [0, 0, 1, 1, 0, 0],
+        ],
+        dtype,
+    )
+    digits = np.zeros(1, np.int64)
+    m = s = x = z_off = np.zeros(1, dtype)
+    for i in range(n):  # the first vertex most significant
+        digits = (digits[:, None] * 4 + digit).ravel()
+        m = (m[:, None] | in_m << i).ravel()
+        s = (s[:, None] | in_s << i).ravel()
+        x = (x[:, None] | has_x << i).ravel()
+        z_off = (z_off[:, None] | has_z << i).ravel()
+    position = digits << n | m
+    # A stabilizer case has Y, not X, on s & z: its index moves by the
+    # spread of those bits.
+    spread = np.zeros(1 << n, np.int64)
+    for i in range(n):
+        spread[1 << i : 2 << i] = spread[: 1 << i] + (4 ** (n - 1 - i) << n)
+    stabilizers = [pauli._stabilizer(g, t) for t in range(1 << n)]
+    stab_z = np.array([z for z, _ in stabilizers], dtype)
+    stab_negative = np.array([negative for _, negative in stabilizers], bool)
+    union = np.zeros(1 << n, dtype)
+    for i, nbrs in enumerate(g.adjacency):
+        union[1 << i : 2 << i] = union[: 1 << i] | (1 << i) | nbrs
+    kept = np.flatnonzero(
+        ((s | stab_z[s]) == m) & (((x | z_off) & ~union[m]) == 0)
+    )
+    s = s[kept]
+    z = stab_z[s]
+    case = position[kept] + spread[s & z]
+    order = np.argsort(case)
+    kept, s, z = kept[order], s[order], z[order]
+    tables = case[order], x[kept], z | z_off[kept], m[kept], stab_negative[s]
+    return list(zip(*(table.tolist() for table in tables)))
+
+
+def test_cases_match_numpy_case_table(monkeypatch):
+    """_cases gives the numpy table's cases, order included, on random
+    graphs with 6-7 vertices, K7 and the 7-path, and, with the cap patched
+    to 8, on the star K1,7 and the 8-path."""
+    monkeypatch.setattr(lhv, "MAX_FLIP_VERTICES", 8)
+    rng = random.Random(37)
+    graphs = [random_connected_graph(rng, 6 + k % 2) for k in range(6)]
+    graphs += [
+        ig.build_graph(list(itertools.combinations(range(1, 8), 2))),
+        ig.build_graph([(i, i + 1) for i in range(1, 7)]),
+        ig.build_graph([(1, i) for i in range(2, 9)]),
+        ig.build_graph([(i, i + 1) for i in range(1, 8)]),
+    ]
+    for g in graphs:
+        got = lhv._cases(g)
+        assert got == numpy_table_cases(g)
+        assert {negative for *_, negative in got} == {False, True}
 
 
 def full_table_search(g):
@@ -623,7 +691,7 @@ def full_table_search(g):
         held = np.flatnonzero(measured & (1 << i))
         j = number[key(i, x[held], z[held])]
         rows[held] += np.left_shift(1, j.astype(object))
-    chosen = gf2.solve(rows.tolist(), rhs[distinct].tolist(), order.size)
+    chosen = gf2.solve(rows.tolist(), rhs[distinct].tolist())
     if chosen is None:
         return None
     rules = []
@@ -660,23 +728,16 @@ def test_search_matches_full_case_table_at_six_and_seven_vertices():
     assert 1 <= sum(found[3:]) < 20
 
 
-def test_flip_tables_are_read_only_and_not_shared():
-    """The cached graph-free tables of the search and of check_model refuse
-    writes, and no array of one is, or shares memory with, an array of the
-    other."""
+def test_check_tables_are_read_only_and_cached():
+    """check_model's cached graph-free tables refuse writes."""
     for n in (3, 5):
-        search_tables = lhv._case_table(n)
-        check_tables = lhv._check_tables(n)
-        assert lhv._case_table(n) is search_tables
-        assert lhv._check_tables(n) is check_tables
-        for table in search_tables + check_tables:
+        tables = lhv._check_tables(n)
+        assert lhv._check_tables(n) is tables
+        for table in tables:
             with pytest.raises(ValueError):
                 table[(0,) * table.ndim] = 1
             with pytest.raises(ValueError):
                 table ^= 1
-        for a in search_tables:
-            for b in check_tables:
-                assert a is not b and not np.shares_memory(a, b)
 
 
 def test_check_model_flags_a_mutated_rule():

@@ -145,25 +145,6 @@ def test_subset_pauli_roundtrip_property(data):
     assert {v for v, l in letters.items() if l in ("X", "Y")} == subset
 
 
-def test_stabilizer_table_matches_scalar_rule():
-    """The all-subsets table equals _stabilizer on every subset of random
-    graphs with n <= 7 (and one with n = 9, whose z needs 16 bits)."""
-    rng = random.Random(23)
-    graphs = [random_connected_graph(rng, n) for n in range(2, 8) for _ in range(8)]
-    graphs.append(random_connected_graph(rng, 9))
-    signs = set()
-    for g in graphs:
-        n = len(g.vertices)
-        z, negative = pauli._stabilizer_table(g)
-        assert z.dtype == (np.uint8 if n <= 8 else np.uint16)
-        assert negative.dtype == bool
-        assert list(zip(z.tolist(), negative.tolist())) == [
-            pauli._stabilizer(g, s) for s in range(1 << n)
-        ]
-        signs.update(negative.tolist())
-    assert signs == {False, True}
-
-
 def _letter_tables(tree):
     """String constants spelling two or more Pauli letters ("IXZY") and
     displays (tuples, lists, sets, dict keys) of two or more one-letter
