@@ -51,7 +51,6 @@ from .lhv import (
     verify_small_graphs,
 )
 from .statevector import (
-    Observable,
     StateVector,
     chsh_operator,
     expect,
@@ -105,7 +104,6 @@ __all__ = [
     "min_violations",
     "search_flip_rules",
     "verify_small_graphs",
-    "Observable",
     "StateVector",
     "chsh_operator",
     "expect",

@@ -17,7 +17,7 @@ import time
 from importlib import resources
 
 from . import lhv, statevector
-from .graph import graph_from_json, graph_to_json, inflate, to_dot
+from .graph import build_graph, graph_from_json, graph_to_json, inflate, to_dot
 from .inflate import build_inflated_set
 from .lhv import bell_report, build_system, feasible
 from .paradox import (
@@ -82,8 +82,11 @@ def _emit(report: dict, started: float) -> None:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_inflate(args) -> int:
@@ -126,7 +129,10 @@ def cmd_build(args) -> int:
         return EXIT_PRECONDITION
     s = result.measurement_set
     if args.out:
-        save_measurement_set(s, args.out)
+        try:
+            save_measurement_set(s, args.out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     report = {
         "command": "build",
         "inputs_digest": digest,
@@ -193,11 +199,7 @@ def cmd_reproduce(args) -> int:
         fixture, expected = PAPER_NUMBERS[name]
         _reproduce_fixture(fixture, expected, claims)
     elif name == "chsh4":
-        g = graph_from_json(
-            {"vertices": ["1", "2", "3", "4"],
-             "edges": [["1", "2"], ["2", "3"], ["3", "4"]]}
-        )
-        state = statevector.graph_state(g)
+        state = statevector.graph_state(build_graph([(1, 2), (2, 3), (3, 4)]))
         qm = statevector.expect(
             state, statevector.chsh_operator(math.pi / 2, 3 * math.pi / 2)
         )

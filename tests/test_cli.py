@@ -41,6 +41,15 @@ def test_inflate_triangle(tmp_path, triangle_file, capsys):
     assert dot.count("doublecircle") == 3
 
 
+def test_inflate_unwritable_out_is_input_error(tmp_path, triangle_file, capsys):
+    """A failed write is an input error (exit 2), never exit 1."""
+    out = str(tmp_path / "missing" / "nine")
+    assert main(["inflate", triangle_file, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: cannot write {out}.json: ")
+    assert captured.out == ""
+
+
 def test_inflate_dot_to_stdout(triangle_file, capsys):
     assert main(["inflate", triangle_file, "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("graph G {")
@@ -112,6 +121,15 @@ def test_build_out_writes_the_indented_set(tmp_path, ghz_file, capsys, d):
     base = load_fixture_set("ghz_path3")
     s = build_inflated_set(base, inflate(base.graph, d)).measurement_set
     assert out.read_text() == json.dumps(set_to_json(s), indent=2) + "\n"
+
+
+def test_build_unwritable_out_is_input_error(tmp_path, ghz_file, capsys):
+    """A failed write is an input error (exit 2), never exit 1."""
+    out = str(tmp_path / "missing" / "built.json")
+    assert main(["build", ghz_file, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_build_uncertified_base_exits_3(tmp_path, capsys):
