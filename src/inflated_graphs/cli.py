@@ -1,17 +1,17 @@
 """Command-line interface.
 
 Subcommands: inflate, build, verify, bound, reproduce.  Exit codes:
-0 success/verified, 1 verified-false, 2 input error, 3 precondition failure.
-Reports are JSON with a deterministic "result" section (covered by the
-input digest) and timing kept outside it.
+0 success/verified, 1 verified-false, 2 input or output error, 3 precondition
+failure.  Reports are JSON with a deterministic "result" section (covered by
+the input digest) and timing kept outside it.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
+import os
 import sys
 import time
 from importlib import resources
@@ -48,7 +48,15 @@ class InputError(Exception):
     pass
 
 
+class OutputError(Exception):
+    pass
+
+
 def _read_json(path: str):
+    # Imported here: hashlib loads OpenSSL (about 3.5 MB), and most importers
+    # of this module (load_fixture_set) digest nothing.
+    import hashlib
+
     try:
         with open(path) as fh:
             text = fh.read()
@@ -75,10 +83,33 @@ def load_fixture_set(name: str):
     return set_from_json(json.loads(_fixture_text(name)))
 
 
+def _print(text: str) -> None:
+    """Write text to stdout and flush it; a failed write is an OutputError."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write to stdout: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's final flush of the bytes a failed write left buffered
+    succeeds and does not change the exit status to 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # not backed by a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def _emit(report: dict, started: float) -> None:
     report["timing_seconds"] = round(time.monotonic() - started, 6)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _print(json.dumps(report, indent=2) + "\n")
 
 
 def _write(path: str, text: str) -> None:
@@ -100,7 +131,7 @@ def cmd_inflate(args) -> int:
         _write(args.out + ".json", json.dumps(graph_json, indent=2) + "\n")
         _write(args.out + ".dot", dot)
     elif args.format == "dot":
-        sys.stdout.write(dot)
+        _print(dot)
         return EXIT_OK
     report = {
         "command": "inflate",
@@ -227,9 +258,9 @@ def cmd_reproduce(args) -> int:
             f"unknown reproduction {name!r}; choose from {', '.join(REPRODUCTIONS)}"
         )
     ok = all(passed for _, passed in claims)
-    for label, passed in claims:
-        print(f"{'PASS' if passed else 'FAIL'}  {label}")
-    print(f"# elapsed {time.monotonic() - started:.3f}s")
+    lines = [f"{'PASS' if passed else 'FAIL'}  {label}\n" for label, passed in claims]
+    lines.append(f"# elapsed {time.monotonic() - started:.3f}s\n")
+    _print("".join(lines))
     return EXIT_OK if ok else EXIT_FALSE
 
 
@@ -293,6 +324,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OutputError as exc:
+        _discard_stdout()
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -22,16 +22,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from importlib import resources
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from . import gf2, pauli
 from .graph import Graph, ball, build_graph
 from .paradox import MeasurementSet, excerpt_rows
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # Deterministic strategy systems over GF(2)
@@ -143,6 +145,9 @@ def bell_report(s: MeasurementSet) -> BellReport:
     expectation +1 on the graph state); the classical bound subtracts two
     per unavoidable violation.
     """
+    # Imported here: fractions loads decimal, which nothing else needs.
+    from fractions import Fraction
+
     sys = build_system(s)
     mv = min_violations(sys)
     qm = len(s.pairs)

@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +135,56 @@ def test_build_unwritable_out_is_input_error(tmp_path, ghz_file, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"input error: cannot write {out}: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["inflate", "build", "verify", "bound"])
+def test_inputs_digest_is_the_sha256_of_the_input_file(
+    triangle_file, ghz_file, capsys, command
+):
+    path = triangle_file if command == "inflate" else ghz_file
+    assert main([command, path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    text = Path(path).read_text()
+    assert report["inputs_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce"])
+def test_failed_stdout_write_is_output_error(ghz_file, capsys, monkeypatch, command):
+    """A report that cannot be written exits 2, never 1 ("verified false")."""
+    argv = ["verify", ghz_file] if command == "verify" else ["reproduce", "chain7"]
+
+    def full(text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys.stdout, "write", full)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "output error: cannot write to stdout: [Errno 28] No space left on device\n"
+    )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["verify", "reproduce"])
+def test_stdout_on_a_full_device_exits_2(ghz_file, command):
+    """End to end, with stdout block-buffered as it is by default: the
+    interpreter's final flush of the failed stdout must not turn exit 2 into
+    120, and no traceback is printed."""
+    argv = ["verify", ghz_file] if command == "verify" else ["reproduce", "chain7"]
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "inflated_graphs.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("output error: cannot write to stdout: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_build_uncertified_base_exits_3(tmp_path, capsys):

@@ -1,8 +1,13 @@
 import ast
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import inflated_graphs
+from inflated_graphs.cli import load_fixture_set
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "inflated_graphs"
@@ -18,6 +23,39 @@ def test_inflate_is_the_construction_function():
     # Importing the inflate submodule rebinds the package attribute; the
     # package restores the graph construction function.
     assert inflated_graphs.inflate is inflated_graphs.graph.inflate
+
+
+def test_import_loads_neither_openssl_nor_decimal():
+    """Importing the package and its CLI, as every benchmark worker does for
+    load_fixture_set, loads numpy but not hashlib (OpenSSL) or fractions
+    (decimal): those load only in the functions that use them."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import inflated_graphs, inflated_graphs.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    added = set(
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout.split()
+    )
+    assert {"numpy", "inflated_graphs.cli"} <= added
+    heavy = {"hashlib", "_hashlib", "fractions", "decimal", "_decimal"}
+    assert not added & heavy, sorted(added & heavy)
+
+
+def test_bell_report_ratio_is_a_fraction():
+    rep = inflated_graphs.bell_report(load_fixture_set("chain7"))
+    assert type(rep.ratio) is Fraction
+    assert rep.ratio == Fraction(3, 2)
 
 
 def test_every_library_definition_has_a_caller_outside_the_tests():
