@@ -10,7 +10,12 @@ several information sets, chosen greedily so that each puts its k pivots
 outside the positions covered by the earlier ones where it can; overlap_j
 counts the pivots of form j that it could not.  Forms are added until the
 covered positions hold the span's whole support (the OR of the basis); the
-form after that would cover nothing new, so it is never computed.
+form after that would cover nothing new, so it is never computed.  Each form
+is a Gauss-Jordan pass over the k basis rows packed into one int, w = the
+support's bit length bits per row (:func:`_systematic_forms`): a pivot clears
+its bit from every other row with one shift, mask and multiply on k*w bits.
+The multiply grows with w^2 once w passes about two machine words: at 600
+bits and k = 40 the 16 forms take about 7 ms, 2 % of that 0.35 s search.
 
 In form j every coset vector is the reduced target plus a subset of the
 rows, and its weight on the pivots is the subset's size.  Round w visits
@@ -163,31 +168,43 @@ def _systematic_forms(
     support = 0
     for row in basis:
         support |= row
+    # All k rows of a form live in one int, row i in the w-bit slot at bit
+    # i*w; `ones` has bit 0 of every slot set.
+    w = support.bit_length()
+    mask = (1 << w) - 1
+    slots = [i * w for i in range(len(basis))]
+    ones = sum(1 << shift for shift in slots)
+    packed = sum(row << shift for row, shift in zip(basis, slots))
     forms = []
     covered = 0
-    k = len(basis)
     while support & ~covered:
-        free = ~covered
-        rows = list(basis)
+        free = support & ~covered
+        free_bits = ones * free  # free in every slot
+        m = packed
         reduced = target
         pivots = 0
-        for i in range(k):
-            # The rows from i on are independent and zero on the pivots so
-            # far; prefer the first with a free (uncovered) bit.
-            j = i
-            while j < k and not rows[j] & free:
-                j += 1
-            if j == k:
-                j = i
-            row = rows[j]
-            rows[j] = rows[i]
+        for shift in slots:
+            # The rows from this slot on are independent and zero on the
+            # pivots so far; prefer the first with a free (uncovered) bit,
+            # swapping it into this slot.
+            row = (m >> shift) & mask
+            if not row & free:
+                later = (m & free_bits) >> shift
+                if later:
+                    offset = (later & -later).bit_length() - 1
+                    other = shift + offset - offset % w
+                    swap = row ^ (m >> other) & mask
+                    m ^= (swap << shift) ^ (swap << other)
+                    row ^= swap
             low = row & free or row
             bit = low & -low
-            rows = [r ^ row if r & bit else r for r in rows]
-            rows[i] = row
+            # XOR row into every other slot holding the pivot bit; row is
+            # below 2**w, so the product's terms never overlap or carry.
+            m ^= (((m >> (bit.bit_length() - 1)) & ones) ^ (1 << shift)) * row
             if reduced & bit:
                 reduced ^= row
             pivots |= bit
+        rows = [(m >> shift) & mask for shift in slots]
         forms.append((rows, reduced, (pivots & covered).bit_count()))
         covered |= pivots
     return forms

@@ -53,12 +53,23 @@ class StrategySystem:
     classes that hold pair k.  Its right-hand bit is 1 iff the pair's
     stabilizer sign is -1.  A deterministic strategy reproduces every sign
     iff the system is solvable.  :func:`game_bound` builds one whose
-    excerpts are a binary game's views.
+    excerpts are a binary game's views.  Raises ValueError unless there is
+    one rhs bit per row and every row lies within the variables' bits.
     """
 
     variables: tuple[StrategyVariable, ...]
     rows: tuple[int, ...]
     rhs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.rows) != len(self.rhs):
+            raise ValueError(
+                f"{len(self.rows)} rows but {len(self.rhs)} right-hand bits"
+            )
+        n = len(self.variables)
+        for k, row in enumerate(self.rows):
+            if row >> n:  # also nonzero for a negative row
+                raise ValueError(f"row {k} has a bit outside its {n} variables")
 
     @property
     def n_variables(self) -> int:
@@ -96,14 +107,23 @@ def min_violations(sys: StrategySystem) -> int:
     ValueError ("too large") when that would take more than
     ``gf2.MAX_COSET_STEPS`` subsets.
     """
-    # Transpose by walking each row's set bits.
-    columns = [0] * sys.n_variables
-    for k, row in enumerate(sys.rows):
-        bit = 1 << k
-        while row:
-            low = row & -row
-            columns[low.bit_length() - 1] |= bit
-            row ^= low
+    # Transpose through numpy: unpack the rows' little-endian bytes to a bit
+    # matrix, turn it, and pack each variable's column back into an int.
+    n_rows, n_vars = len(sys.rows), sys.n_variables
+    n_bytes = -(-n_vars // 8)
+    data = b"".join(row.to_bytes(n_bytes, "little") for row in sys.rows)
+    bits = np.unpackbits(
+        np.frombuffer(data, np.uint8).reshape(n_rows, n_bytes),
+        axis=1,
+        count=n_vars,
+        bitorder="little",
+    )
+    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    stride = -(-n_rows // 8)
+    columns = [
+        int.from_bytes(data[j * stride : (j + 1) * stride], "little")
+        for j in range(n_vars)
+    ]
     target = 0
     for k, b in enumerate(sys.rhs):
         if b:

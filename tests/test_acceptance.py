@@ -207,17 +207,15 @@ def test_criterion_8_property_suite():
     # (e) GF(2) feasibility vs direct enumeration, <= 20 variables
     for _ in range(50):
         n_vars = rng.randrange(1, 12)
+        rows = tuple(
+            rng.randrange(1 << n_vars) for _ in range(rng.randrange(1, 8))
+        )
+        rhs = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
+        n_rows = min(len(rows), len(rhs))
         sys = lhv.StrategySystem(
             variables=tuple((f"v{j}", ("X",)) for j in range(n_vars)),
-            rows=tuple(
-                rng.randrange(1 << n_vars) for _ in range(rng.randrange(1, 8))
-            ),
-            rhs=tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8))),
-        )
-        sys = lhv.StrategySystem(
-            variables=sys.variables,
-            rows=sys.rows[: len(sys.rhs)],
-            rhs=sys.rhs[: len(sys.rows)],
+            rows=rows[:n_rows],
+            rhs=rhs[:n_rows],
         )
         assert ig.feasible(sys) == (min_violations_brute_force(sys) == 0)
 

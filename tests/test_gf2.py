@@ -316,6 +316,16 @@ def test_systematic_forms_match_gauss_jordan():
             width = rng.randrange(40, 160)
             k = rng.randrange(0, 25)
         cases.append((random_basis(rng, width, k), rng.getrandbits(width)))
+    # Slot widths (the basis support's bit length) at and past one and two
+    # 64-bit words, k up to 40, and targets wider than the support.
+    for width in (1, 63, 64, 65, 130):
+        for k in sorted({1, min(width, 17), min(width, 40)}):
+            # One vector holds the top bit, so the slots are width bits.
+            top = 1 << (width - 1) | rng.getrandbits(width - 1)
+            basis = random_basis(rng, width - 1, k - 1) + [top]
+            rng.shuffle(basis)
+            cases.append((basis, rng.getrandbits(width)))
+            cases.append((basis, rng.getrandbits(width + 70)))
     # Bases with support of size k, which the first form covers.
     first_covers = []
     for k in (1, 2, 5, 9):

@@ -168,6 +168,13 @@ def test_min_violations_matches_independent_oracles():
         if index < 120 and len(columns) > 1 and rng.random() < 0.3:
             columns[0] = columns[-1]  # two variables in the same rows
         cases.append(system_from_columns(columns, n_rows, rng.getrandbits(n_rows)))
+    # Rows of more than 64 variables (several bytes each, as pipeline's
+    # systems have), no rows, and no variables.
+    for n_vars, n_rows in ((65, 9), (100, 16), (130, 12)):
+        columns = [rng.getrandbits(n_rows) for _ in range(n_vars)]
+        cases.append(system_from_columns(columns, n_rows, rng.getrandbits(n_rows)))
+    cases.append(system_from_columns([0] * 70, 0, 0))
+    cases.append(system_from_columns([], 0, 0))
     # An empty span, all-zero columns, and rhs inside the span.
     cases.append(system_from_columns([], 9, 0b101101001))
     cases.append(system_from_columns([0, 0, 0], 7, 0b1100110))
@@ -187,6 +194,23 @@ def test_min_violations_matches_independent_oracles():
     assert max(rows for _, rows, _ in seen) > 64
     assert max(span for _, _, span in seen) == 20
     assert sum(got == 0 for got, _, _ in seen) >= 3
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, message",
+    [
+        ((1, 1), (1,), "2 rows but 1 right-hand bits"),
+        ((1,), (1, 0), "1 rows but 2 right-hand bits"),
+        ((1, 0b10), (0, 1), "row 1 has a bit outside its 1 variables"),
+        ((-1,), (0,), "row 0 has a bit outside its 1 variables"),
+    ],
+)
+def test_strategy_system_checks_its_shape(rows, rhs, message):
+    # Unchecked, feasible's solve would drop the row that has no rhs bit
+    # while min_violations counted it, and the transpose would drop a bit
+    # past the last variable or fail on it.
+    with pytest.raises(ValueError, match=message):
+        lhv.StrategySystem(variables=(("a", ()),), rows=rows, rhs=rhs)
 
 
 def test_variable_order_does_not_change_bound_or_feasibility():
