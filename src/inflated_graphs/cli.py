@@ -66,6 +66,8 @@ def _read_json(path: str):
         return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} is nested too deeply to parse") from exc
 
 
 def _fixture_text(name: str) -> str:
@@ -126,13 +128,9 @@ def cmd_inflate(args) -> int:
     g = graph_from_json(obj)
     ig = inflate(g, args.d)
     graph_json = graph_to_json(ig.graph)
-    dot = to_dot(ig.graph, ig.base.vertices)
     if args.out:
         _write(args.out + ".json", json.dumps(graph_json, indent=2) + "\n")
-        _write(args.out + ".dot", dot)
-    elif args.format == "dot":
-        _print(dot)
-        return EXIT_OK
+        _write(args.out + ".dot", to_dot(ig.graph, ig.base.vertices))
     report = {
         "command": "inflate",
         "inputs_digest": digest,
@@ -291,7 +289,6 @@ def make_parser() -> argparse.ArgumentParser:
         "--d", type=_positive_int, default=1, help="communication distance"
     )
     p.add_argument("--out", help="output prefix (writes .json and .dot)")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(func=cmd_inflate)
 
     p = sub.add_parser("build", help="inflate a certified base set and add decoys")

@@ -204,7 +204,8 @@ class InflatedGraph:
 
 
 def inflate(g: Graph, d: int) -> InflatedGraph:
-    """Replace every edge of g with a path of 2d fresh chain vertices."""
+    """Replace every edge of g with a path of 2d fresh chain vertices; a
+    chain name that is already taken raises ValueError."""
     if d < 1:
         raise ValueError("inflation distance d must be >= 1")
     edges: list[tuple[str, str]] = []
@@ -217,12 +218,17 @@ def inflate(g: Graph, d: int) -> InflatedGraph:
                 raise ValueError(
                     f"chain vertex {name!r} collides with a base vertex"
                 )
+            if name in chain_index:
+                raise ValueError(
+                    f"chain vertex {name!r} of edge {edge!r} is already a "
+                    f"chain vertex of edge {chain_index[name][0]!r}"
+                )
             chain_index[name] = (edge, r)
         path = [u, *names, v]
         edges.extend(map(edge_key, path, path[1:]))
-    # The labels are strings, each chain name is new and belongs to one
-    # edge, and a chain has at least two vertices: no edge repeats and none
-    # is a loop, so build_graph's checks are skipped.
+    # The labels are strings, no chain name is a base vertex or a chain
+    # vertex of another edge, and a chain has at least two vertices: no
+    # edge repeats and none is a loop, so build_graph's checks are skipped.
     inflated = Graph(
         vertices=tuple(sorted([*g.vertices, *chain_index])),
         edges=frozenset(edges),

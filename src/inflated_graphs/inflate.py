@@ -30,29 +30,14 @@ from .paradox import (
 
 @dataclass(frozen=True)
 class DecoySpec:
-    """A decoy-pair recipe: a power vertex, two of its base neighbors, and
-    two distinct letters the pair shows at the power vertex."""
+    """A decoy-pair recipe: a power vertex, two distinct base neighbors of
+    it, and two distinct letters the pair shows at the power vertex.  Only
+    :func:`_plan_decoys` makes them, and the set they complete is
+    re-verified."""
 
     center: str
     neighbors: tuple[str, str]
     letters: tuple[str, str]
-
-    def validate(self, ig: InflatedGraph) -> None:
-        v1, v2 = self.neighbors
-        if v1 == v2:
-            raise ValueError("decoy neighbors must be distinct")
-        base_nbrs = set(ig.base.neighbors[self.center])
-        for v in self.neighbors:
-            if v not in base_nbrs:
-                raise ValueError(
-                    f"{v!r} is not a base neighbor of {self.center!r}"
-                )
-        s1, s2 = self.letters
-        if s1 == s2:
-            raise ValueError("decoy letters must be distinct")
-        for s in self.letters:
-            if s not in pauli.LETTERS:
-                raise ValueError(f"invalid Pauli letter {s!r}")
 
 
 @dataclass
@@ -120,7 +105,6 @@ def _decoy_pairs(
     Uniform X on chains keeps the pair in the same excerpt class as the rows
     it must cancel even when the center has further chains within distance d.
     """
-    spec.validate(ig)
     g = ig.graph
     b1, b2 = (ig.base.index[v] for v in spec.neighbors)
     shell_x = members[b1] | members[b2]
@@ -167,7 +151,6 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     power = tuple(1 << g.index[v] for v in base.graph.vertices)
     members = _member_masks(ig)
     chain = g.bits_of(ig.chain_index)
-    base_index = base.graph.index
     pairs = []
     odd: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     for p, (x, z, _) in zip(base.pairs, base.pair_bits):
@@ -185,10 +168,10 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
                 p.name,
             )
         )
+        letters = pauli.letters_of(base.graph.vertices, x, z)
         for f in base.graph.vertices_of(x):
             for c in base.graph.neighbors[f]:
-                i = base_index[c]
-                odd[c] ^= {(f, pauli.LETTER_OF_BITS[(x >> i & 1) | (z >> i & 1) << 1])}
+                odd[c] ^= {(f, letters.get(c, "I"))}
 
     decoy_specs = []
     for center in sorted(odd):
@@ -214,7 +197,8 @@ def _plan_decoys(center: str, failing: set[tuple[str, str]]) -> list[DecoySpec]:
     Each decoy pair flips the four cells {b1,b2} x {s1,s2}.  The table
     always has even row and column sums, so (b1,s1), (b1,s2) and (b2,s1)
     are all present: each step removes them and toggles (b2,s2), so the
-    table shrinks by 2 or 4 and peeling terminates.
+    table shrinks by 2 or 4 and peeling terminates.  Every branch in the
+    table is a base neighbor of the center, and b2 != b1, s2 != s1.
     """
     table = set(failing)
     specs = []

@@ -420,7 +420,7 @@ def check_model(model: BarrettModel) -> list[dict]:
     mismatches = []
     for k in np.flatnonzero(differ).tolist():
         row, m = divmod(k, 1 << n)
-        letters = pauli.to_letters(g, int(x[row]), int(z[row]))
+        letters = pauli.letters_of(g.vertices, int(x[row]), int(z[row]))
         mismatches.append(
             {
                 "letters": dict(sorted(letters.items())),
@@ -475,7 +475,6 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     as a scan of all 8^n cases gives.  Nothing is tabulated over all
     cases: they come from :func:`pauli._stabilizer`, one subset at a time.
     """
-    n = len(g.vertices)
     cases = _cases(g)
     closed = g.ball_masks(1)
     rows, candidates = excerpt_rows(closed, ((x, z, m) for _, x, z, m, _ in cases))
@@ -485,20 +484,17 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     chosen = gf2.solve(rows[::-1], [negative for *_, negative in reversed(cases)])
     if chosen is None:
         return None
-    # Each rule's letters, read straight off its candidate's bits; a
-    # pattern lists the closed neighbourhood by vertex name.
+    # Each rule's letters, read off its candidate's bits; a pattern lists
+    # the closed neighbourhood by vertex name, identity included.
     vertices = g.vertices
-    by_name = sorted(range(n), key=vertices.__getitem__)
+    by_name = sorted(zip(vertices, range(len(vertices))))
     rules = []
     for j, bit in enumerate(reversed(format(chosen, "b"))):
         if bit == "1":
             i, cx, cz = candidates[j]
-            letters = tuple(
-                (vertices[k], pauli.LETTER_OF_BITS[(cx >> k & 1) | (cz >> k & 1) << 1])
-                for k in by_name
-                if closed[i] >> k & 1
-            )
-            rules.append(FlipRule(vertices[i], letters))
+            letters = pauli.letters_of(vertices, cx, cz)
+            pattern = [(v, letters.get(v, "I")) for v, k in by_name if closed[i] >> k & 1]
+            rules.append(FlipRule(vertices[i], tuple(pattern)))
     return rules
 
 

@@ -275,7 +275,7 @@ def set_to_json(s: MeasurementSet) -> dict:
     by_name = list(g.vertices) == sorted(g.vertices)
     pairs = []
     for p, (x, z, m) in zip(s.pairs, s.pair_bits):
-        letters = pauli.to_letters(g, x, z)
+        letters = pauli.letters_of(g.vertices, x, z)
         mask = list(g.vertices_of(m))
         if not by_name:
             letters = dict(sorted(letters.items()))

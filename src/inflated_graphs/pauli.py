@@ -8,8 +8,8 @@ triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
 :func:`compile_letters` and :func:`to_xz` turn letters into bits, and
-:func:`to_letters` and :func:`letters_of` turn bits back into letters;
-this module holds the only letter tables.
+:func:`letters_of` turns bits back into letters; this module holds the only
+letter tables.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 from .graph import Graph
 
 LETTERS = ("I", "X", "Y", "Z")
-LETTER_OF_BITS = "IXZY"  # indexed by x + 2 z
 _NON_IDENTITY = ("X", "Y", "Z")
 _LETTER_OF_DIGITS = {"1": {"0": "X", "1": "Y"}, "0": {"1": "Z"}}
 
@@ -113,15 +112,10 @@ def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
     return x, z
 
 
-def to_letters(g: Graph, x: int, z: int) -> dict[str, str]:
-    """Letter assignment of bitmasks over ``g.index``, identity omitted, in
-    vertex order; the inverse of :func:`to_xz`."""
-    return letters_of(g.vertices, x, z)
-
-
 def letters_of(vertices: Sequence[str], x: int, z: int) -> dict[str, str]:
     """Letter assignment of bitmasks over a vertex tuple (bit i is
-    vertices[i]), identity omitted, in that order."""
+    vertices[i]), identity omitted, in that order; over ``g.vertices`` it
+    is the inverse of :func:`to_xz`."""
     # One binary digit string per mask, lowest index first: walking strings
     # beats shifting wide ints once per vertex.
     n = len(vertices)
@@ -141,7 +135,7 @@ def subset_to_pauli(
     the graph-state generators at its vertices) as (letters, sign)."""
     x = g.bits_of(subset)
     z, negative = _stabilizer(g, x)
-    return to_letters(g, x, z), -1 if negative else 1
+    return letters_of(g.vertices, x, z), -1 if negative else 1
 
 
 def expectation(g: Graph, letters: Mapping[str, str]) -> int:

@@ -40,17 +40,14 @@ _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 @dataclass(frozen=True)
 class StateVector:
-    """An n-qubit state as a dense complex amplitude array."""
+    """A state of one qubit per vertex as a dense complex amplitude array."""
 
-    n: int
     amplitudes: np.ndarray
     vertices: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.amplitudes.shape != (1 << self.n,):
+        if self.amplitudes.shape != (1 << len(self.vertices),):
             raise ValueError("amplitude array has the wrong length")
-        if len(self.vertices) != self.n:
-            raise ValueError(f"{len(self.vertices)} vertices for {self.n} qubits")
         norm = float(np.linalg.norm(self.amplitudes))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized (norm {norm})")
@@ -78,7 +75,7 @@ def graph_state(g: Graph) -> StateVector:
         flips = np.bitwise_count(k[: 1 << v] & lower) & 1
         parity = np.concatenate([parity, parity ^ flips])
     amplitudes = (1.0 - 2.0 * parity).astype(complex) / math.sqrt(dim)
-    return StateVector(n=n, amplitudes=amplitudes, vertices=g.vertices)
+    return StateVector(amplitudes=amplitudes, vertices=g.vertices)
 
 
 def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
@@ -108,8 +105,6 @@ def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {value.imag}")
     return float(value.real)
-
-
 
 
 def expect(

@@ -10,8 +10,8 @@ import pytest
 
 from inflated_graphs import cli, gf2
 from inflated_graphs.cli import PAPER_NUMBERS, load_fixture_set, main
-from inflated_graphs.graph import inflate
-from inflated_graphs.inflate import build_inflated_set
+from inflated_graphs.graph import build_graph, inflate
+from inflated_graphs.inflate import build_inflated_set, find_base_set
 from inflated_graphs.paradox import set_to_json
 
 
@@ -55,9 +55,44 @@ def test_inflate_unwritable_out_is_input_error(tmp_path, triangle_file, capsys):
     assert captured.out == ""
 
 
-def test_inflate_dot_to_stdout(triangle_file, capsys):
-    assert main(["inflate", triangle_file, "--format", "dot"]) == 0
-    assert capsys.readouterr().out.startswith("graph G {")
+def test_inflate_has_no_format_option(triangle_file):
+    """--out writes the .dot file (test_inflate_triangle); there is no
+    second route to DOT output."""
+    with pytest.raises(SystemExit) as exc:
+        main(["inflate", triangle_file, "--format", "dot"])
+    assert exc.value.code == 2
+
+
+def test_chain_name_collision_is_refused(tmp_path, capsys):
+    """Edges ("a", "b,c") and ("a,b", "c") share their chain names: inflate
+    exits 2, and build on a certified set over that graph exits 3 (it used
+    to fail an assertion and exit 1)."""
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps({"edges": [["a", "b,c"], ["a,b", "c"]]}))
+    assert main(["inflate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: chain vertex '1@(a,b,c)'")
+    assert captured.out == ""
+    g = build_graph([("a", "b,c"), ("a,b", "c"), ("b,c", "c")])
+    base = tmp_path / "collide_set.json"
+    base.write_text(json.dumps(set_to_json(find_base_set(g))))
+    assert main(["build", str(base)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("precondition failure: chain vertex '1@(a,b,c)'")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "bound", "build", "inflate"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    """json.loads raises RecursionError past the interpreter's recursion
+    limit (1500 levels already pass it); that is an input error (exit 2),
+    not exit 1 with a traceback."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {path} is nested too deeply to parse\n"
+    assert captured.out == ""
 
 
 def test_inflate_bad_json(tmp_path, capsys):

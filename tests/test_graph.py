@@ -220,6 +220,21 @@ def test_inflate_rejects_base_vertex_named_like_a_chain_vertex():
         gr.inflate(g, 1)
 
 
+def test_inflate_rejects_chain_names_shared_by_two_edges():
+    """Edges ("a", "b,c") and ("a,b", "c") would both name their chains
+    "r@(a,b,c)"; merged, the inflated graph would have 6 vertices and 5
+    edges instead of 8 and 6."""
+    g = gr.build_graph([("a", "b,c"), ("a,b", "c")])
+    with pytest.raises(ValueError) as exc:
+        gr.inflate(g, 1)
+    message = str(exc.value)
+    assert "'1@(a,b,c)'" in message
+    assert "('a', 'b,c')" in message and "('a,b', 'c')" in message
+    # Labels that only share a prefix are fine.
+    ig = gr.inflate(gr.build_graph([("a", "b,c"), ("a,b", "d")]), 1)
+    assert (len(ig.graph.vertices), len(ig.graph.edges)) == (8, 6)
+
+
 def test_chain_index_positions():
     g = gr.build_graph([(1, 2)])
     ig = gr.inflate(g, 2)

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inflated_graphs as ig
 from inflated_graphs import pauli, statevector
@@ -71,10 +73,21 @@ def inflated_stabilizer(iginf, subset):
     return pauli.subset_to_pauli(iginf.graph, _members(iginf, subset))
 
 
+def assert_well_formed(spec, base_graph):
+    """What a DecoySpec promises: two distinct base neighbors of its center
+    and two distinct Pauli letters."""
+    v1, v2 = spec.neighbors
+    assert v1 != v2
+    assert {v1, v2} <= set(base_graph.neighbors[spec.center])
+    s1, s2 = spec.letters
+    assert s1 != s2
+    assert {s1, s2} <= set(pauli.LETTERS)
+
+
 def shell_stabilizer(iginf, spec):
     """Product of the inflated generators of the two chosen neighbors, as
     (letters, sign): identity at the center vertex, sign always +1."""
-    spec.validate(iginf)
+    assert_well_formed(spec, iginf.base)
     letters, sign = inflated_stabilizer(iginf, spec.neighbors)
     assert spec.center not in letters
     assert sign == 1
@@ -190,15 +203,19 @@ def test_decoy_pair_shares_shell_submeasurement():
         assert pauli.expectation(iginf.graph, sub) == 1
 
 
-def test_decoy_spec_validation():
-    g = ig.build_graph([(1, 2), (2, 3)])
-    iginf = inflate(g, 1)
-    with pytest.raises(ValueError, match="distinct"):
-        ig.DecoySpec("2", ("1", "1"), ("X", "Y")).validate(iginf)
-    with pytest.raises(ValueError, match="neighbor"):
-        ig.DecoySpec("1", ("2", "3"), ("X", "Y")).validate(iginf)
-    with pytest.raises(ValueError, match="distinct"):
-        ig.DecoySpec("2", ("1", "3"), ("X", "X")).validate(iginf)
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_built_decoy_specs_are_well_formed(data):
+    """_plan_decoys only emits specs with two distinct base neighbors of the
+    center and two distinct letters, on random connected graphs with
+    n = 3..11 at d = 1..3."""
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    g = random_connected_graph(rng, data.draw(st.integers(min_value=3, max_value=11)))
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    result = ig.build_inflated_set(ig.find_base_set(g), inflate(g, d))
+    assert result.certificate.overall
+    for spec in result.decoy_specs:
+        assert_well_formed(spec, g)
 
 
 def test_build_reproduces_chain7_fixture():

@@ -450,10 +450,11 @@ def scalar_check_model(model):
         quantum = (-1 if negative else 1) if z & m == expected else 0
         classical = value(x, z, m)
         if classical != quantum:
+            letters = pauli.letters_of(g.vertices, x, z)
             mismatches.append(
                 {
-                    "letters": dict(sorted(pauli.to_letters(g, x, z).items())),
-                    "mask": sorted(pauli.to_letters(g, m, 0)),
+                    "letters": dict(sorted(letters.items())),
+                    "mask": sorted(g.vertices_of(m)),
                     "quantum": quantum,
                     "model": str(classical),
                 }
@@ -486,7 +487,7 @@ def scalar_search_flip_rules(g):
     for (i, x, z), j in candidates.items():
         if (chosen >> j) & 1:
             v = g.vertices[i]
-            letters = pauli.to_letters(g, x, z)
+            letters = pauli.letters_of(g.vertices, x, z)
             rules.append(
                 lhv.FlipRule.make(
                     v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
@@ -722,7 +723,7 @@ def full_table_search(g):
     for j, k in enumerate(order.tolist()):
         if (chosen >> j) & 1:
             v = g.vertices[k >> 2 * n]
-            letters = pauli.to_letters(g, (k >> n) & low, k & low)
+            letters = pauli.letters_of(g.vertices, (k >> n) & low, k & low)
             rules.append(
                 lhv.FlipRule.make(
                     v, {u: letters.get(u, "I") for u in (v, *g.neighbors[v])}
@@ -912,7 +913,7 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
             quantum = (-1 if negative else 1) if z & m == expected else 0
             classical = value(x, z, m)
             key = (
-                tuple(sorted(pauli.to_letters(g, x, z).items())),
+                tuple(sorted(pauli.letters_of(g.vertices, x, z).items())),
                 tuple(sorted(g.vertices_of(m))),
             )
             record = listed.get(key)

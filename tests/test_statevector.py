@@ -33,9 +33,10 @@ def rotation_matrix(theta):
 def contraction_expectation(state, factors):
     """<psi|O|psi> for O the tensor product of the 2x2 factors (identity on
     absent vertices), never forming a 2^n x 2^n matrix."""
-    psi = state.amplitudes.reshape([2] * state.n)
+    n = len(state.vertices)
+    psi = state.amplitudes.reshape([2] * n)
     for v, mat in factors.items():
-        axis = state.n - 1 - state.vertices.index(v)  # C order: axis 0 is the top bit
+        axis = n - 1 - state.vertices.index(v)  # C order: axis 0 is the top bit
         psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
     value = np.vdot(state.amplitudes, psi.reshape(-1))
     assert abs(value.imag) < 1e-10
@@ -86,12 +87,17 @@ def test_identity_observable():
     assert sv.expect(state, []) == 0.0
 
 
-def test_vertex_tuple_must_have_n_entries():
+def test_amplitudes_must_have_two_to_the_vertex_count_entries():
+    """The qubit count is the number of vertices: 2**len(vertices)
+    amplitudes, no more and no fewer, in a one-dimensional array."""
     amplitudes = np.full(4, 0.5, dtype=complex)
     for vertices in (("1", "2", "3"), ("1",), ()):
-        with pytest.raises(ValueError, match="vertices for 2 qubits"):
-            sv.StateVector(n=2, amplitudes=amplitudes, vertices=vertices)
-    sv.StateVector(n=2, amplitudes=amplitudes, vertices=("1", "2"))
+        with pytest.raises(ValueError, match="wrong length"):
+            sv.StateVector(amplitudes=amplitudes, vertices=vertices)
+    with pytest.raises(ValueError, match="wrong length"):
+        sv.StateVector(amplitudes=amplitudes.reshape(2, 2), vertices=("1", "2"))
+    sv.StateVector(amplitudes=amplitudes, vertices=("1", "2"))
+    sv.StateVector(amplitudes=np.ones(1, dtype=complex), vertices=())
 
 
 def test_exhaustive_cross_check_small():
@@ -234,7 +240,7 @@ def _random_state(rng, g):
     gen = np.random.default_rng(rng.randrange(2**32))
     amplitudes = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
     amplitudes /= np.linalg.norm(amplitudes)
-    return sv.StateVector(n=n, amplitudes=amplitudes, vertices=g.vertices)
+    return sv.StateVector(amplitudes=amplitudes, vertices=g.vertices)
 
 
 def test_pauli_expectation_matches_matrix_contraction():
