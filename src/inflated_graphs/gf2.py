@@ -15,26 +15,39 @@ is a Gauss-Jordan pass over the k basis rows packed into one int, w = the
 support's bit length bits per row (:func:`_systematic_forms`): a pivot clears
 its bit from every other row with one shift, mask and multiply on k*w bits.
 The multiply grows with w^2 once w passes about two machine words: at 600
-bits and k = 40 the 16 forms take about 7 ms, 2 % of that 0.35 s search.
+bits and k = 40 the 15 forms that search builds take about 6.5 ms, 2 % of
+its 0.33 s.
 
 In form j every coset vector is the reduced target plus a subset of the
-rows, and its weight on the pivots is the subset's size.  Round w visits
-every w-subset of every form.  After it, each coset vector not yet seen has
-weight at least w + 1 on every form's pivots, so at least
-sum_j max(0, w + 1 - overlap_j) in all; the search stops once the best
-weight found is at or below that bound, and at the latest after round k,
-when the whole coset has been seen.  One step is one subset visited; a
-round that would take the total past MAX_COSET_STEPS raises ValueError
-("too large") before it starts.
+rows, and its weight on the pivots is the subset's size.  Round w of form j
+visits its w-subsets.  Once form j has done rounds 0..w, each coset vector
+not yet seen has weight at least w + 1 on its pivots, overlap_j of which an
+earlier form may have counted, so at least sum_j max(0, w + 1 - overlap_j)
+in all; the search stops once the best weight found is at or below that
+bound, and at the latest after round k, when the whole coset has been seen.
+
+Information sets are built lazily.  Form j adds nothing to the bound before
+round overlap_j + 1, and its overlap is at least k minus the support
+positions that the earlier forms left uncovered; it is built in the first
+round w at which that least overlap is at most w, so a search that ends
+sooner never builds it.  Its reduced target, its round 0, is visited when
+it is built.  It searches the tables from round max(overlap_j, 1) on, and
+there first catches up on its rounds 1..overlap_j, so that it has done
+rounds 0..w-1 before its term enters the bound.  One step is one subset
+actually visited, catch-up included; a round that would take the total past
+MAX_COSET_STEPS raises ValueError ("too large") before it starts, and the
+"m information sets" of that message counts the sets built so far.
 
 Rounds 1 and up run on numpy tables of uint64 words, 64 bits of a vector to
-a word (:func:`_round_minima`).  The rows of all forms become one array,
-once per search; round w builds the table of the reduced targets XOR every
-w-subset sum from round w-1's with one repeat and one concatenation, and
-takes its least popcount.  Only the newest table is kept, and only while it
-fits MAX_TABLE_WORDS words over all forms together; a deeper round walks
-its leading rows in Python and scans, for each choice, the part of that
-table that completes it.  Peak memory is about twice the largest table.
+a word (:class:`_Tables`).  Level w of a form holds its reduced target XOR
+every w-subset sum of its rows; it is gathered from level w-1 by an index
+plan that depends only on (k, w) (:func:`_plan`), cached across searches up
+to PLAN_CACHE_SUBSETS entries in all.  Forms that join in one round share a
+table.  Only the newest level of each table is kept, and only while the
+levels, with the plan of the newest, fit MAX_TABLE_WORDS words over all
+forms together; a deeper round walks its leading rows in Python and scans,
+for each choice, the part of the deepest level held that completes it.
+Peak memory is about twice the largest table.
 """
 
 from __future__ import annotations
@@ -44,15 +57,21 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# Subsets the coset search may visit.  A random 40-dimensional span reaches
-# it in round 6, after visiting 3.0 M subsets (4 forms) at 120 bits in
-# 0.1 s, or 12.2 M (16 forms) at 600 bits in 0.7 s: 30-60 ns per subset on a
-# 2-core x86_64 machine.
+# Subsets the coset search may visit, catch-up included.  A random
+# 40-dimensional span reaches it in round 7 at 120 bits, after visiting
+# 13.8 M subsets on 3 forms in 0.23 s, and in round 6 at 600 bits, after
+# 11.4 M on 15 forms in 0.33 s: 16-29 ns per subset on a 2-core x86_64
+# machine.
 MAX_COSET_STEPS = 1 << 24
 
 # uint64 words the coset search keeps in its subset-sum tables, over all
 # forms together: 16 MiB.
 MAX_TABLE_WORDS = 1 << 21
+
+# Subsets the round plans kept across searches may hold in all (16 bytes
+# each: 4 MiB); a plan that does not fit is built for its search alone.
+PLAN_CACHE_SUBSETS = 1 << 18
+_PLANS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _insert(basis: dict[int, int], vec: int) -> int:
@@ -118,19 +137,36 @@ def span_min_weight(vectors: list[int], target: int) -> int:
     basis_map: dict[int, int] = {}
     for vec in vectors:
         _insert(basis_map, vec)
-    k = len(basis_map)
-    forms = _systematic_forms(list(basis_map.values()), target)
+    basis = list(basis_map.values())
+    k = len(basis)
+    pending = _systematic_forms(basis, target)
+    forms: list[tuple[list[int], int, int]] = []
+    least = 0  # no form left to build has a smaller overlap
+    tables = _Tables(k, max([target, *basis]).bit_length())
     best = target.bit_count()
     steps = 0
-    minima = None
+    joined = 0  # forms that search the tables
     for w in range(k + 1):
         # After rounds 0..w-1, a coset vector not yet seen has weight >= w
         # on each form's pivots, at most overlap of which an earlier form
-        # already counted.
-        bound = sum(max(0, w - overlap) for *_, overlap in forms)
+        # already counted.  A form of overlap w or more adds nothing yet,
+        # so the next one is built only once its least overlap is <= w
+        # (least is k once no form is left; round k needs no new form).
+        bound = sum(w - overlap for _, _, overlap in forms if overlap < w)
         if best <= bound:
             break
-        steps += len(forms) * math.comb(k, w)
+        built = len(forms)
+        while least <= w < k:
+            rows, reduced, overlap, least = next(pending)
+            forms.append((rows, reduced, overlap))
+        # A form of overlap o searches the tables from round max(o, 1) on;
+        # there it catches up on its rounds 1..o.
+        joining = [form for form in forms if max(form[2], 1) == w]
+        steps += len(forms) - built + joined * math.comb(k, w)
+        if joining:
+            caught_up = sum(math.comb(k, v) for v in range(1, w + 1))
+            steps += len(joining) * caught_up
+        joined += len(joining)
         if steps > MAX_COSET_STEPS:
             raise ValueError(
                 f"instance too large: coset search over a span of dimension "
@@ -138,33 +174,31 @@ def span_min_weight(vectors: list[int], target: int) -> int:
                 f"budget of {MAX_COSET_STEPS} steps in round {w} (best weight "
                 f"found {best}, lower bound reached {bound})"
             )
-        if w == 0:
-            # The empty subset: each form's reduced target on its own.
-            for _, reduced, _ in forms:
-                best = min(best, reduced.bit_count())
-        else:
-            # The word tables start in round 1, so a search that ends in
-            # round 0 converts nothing.
-            if minima is None:
-                minima = _round_minima(forms)
-            best = min(best, next(minima))
+        for _, reduced, _ in forms[built:]:
+            best = min(best, reduced.bit_count())  # the form's round 0
+        if joined and best > bound:
+            best = min(best, tables.search(w, joining))
     return best
 
 
 def _systematic_forms(
     basis: list[int], target: int
-) -> list[tuple[list[int], int, int]]:
+) -> Iterator[tuple[list[int], int, int, int]]:
     """Systematic forms of span(basis) on greedily chosen information sets.
 
-    basis must be linearly independent.  Each form is (rows, reduced,
-    overlap): row i holds the form's i-th pivot and no other, and reduced
-    is the vector of target + span that is zero on every pivot.  A form
-    takes its pivots outside the positions covered by the earlier forms
-    wherever the span allows; overlap counts the pivots it could not place
-    there.  Stops once the span has no position left outside the covered
-    ones: the next form would put every pivot on a covered position and
-    cover nothing new, so it is never computed.
+    basis must be linearly independent.  Yields (rows, reduced, overlap,
+    least) per form, building each only when asked for it: row i holds the
+    form's i-th pivot and no other, and reduced is the vector of target +
+    span that is zero on every pivot.  A form takes its pivots outside the
+    positions covered by the earlier forms wherever the span allows;
+    overlap counts the pivots it could not place there.  least is k minus
+    the positions of the span's support still uncovered after this form, so
+    no later form has a smaller overlap.  Stops once the span has no
+    position left outside the covered ones (least = k): the next form would
+    put every pivot on a covered position and cover nothing new, so it is
+    never computed.
     """
+    k = len(basis)
     support = 0
     for row in basis:
         support |= row
@@ -172,10 +206,9 @@ def _systematic_forms(
     # i*w; `ones` has bit 0 of every slot set.
     w = support.bit_length()
     mask = (1 << w) - 1
-    slots = [i * w for i in range(len(basis))]
+    slots = [i * w for i in range(k)]
     ones = sum(1 << shift for shift in slots)
     packed = sum(row << shift for row, shift in zip(basis, slots))
-    forms = []
     covered = 0
     while support & ~covered:
         free = support & ~covered
@@ -205,59 +238,100 @@ def _systematic_forms(
                 reduced ^= row
             pivots |= bit
         rows = [(m >> shift) & mask for shift in slots]
-        forms.append((rows, reduced, (pivots & covered).bit_count()))
+        overlap = (pivots & covered).bit_count()
         covered |= pivots
-    return forms
+        yield rows, reduced, overlap, k - (support & ~covered).bit_count()
 
 
-def _round_minima(forms: list[tuple[list[int], int, int]]) -> Iterator[int]:
-    """Yield, for w = 1, 2, ..., k, the least weight of reduced XOR the sum
-    of some w rows, over all forms (at least one, as
-    :func:`_systematic_forms` gives them).
+def _plan(k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index plan of round w over k rows: entry s of level w is entry
+    src[s] of level w-1 XOR row rep[s].
 
-    Level w, of shape (forms, C(k, w), words), holds reduced XOR every
-    w-subset sum, ordered by first index: the subsets that start at row i
-    are row i plus each (w-1)-subset that starts after i, the last
-    C(k-1-i, w-1) entries of level w-1.
+    Block i of level w holds row i XOR the C(k-1-i, w-1) subsets of level
+    w-1 that start after i: the last that many of its entries.  A plan is
+    cached, read-only, while the cache stays within PLAN_CACHE_SUBSETS.
     """
-    k = len(forms[0][0])
-    width = max(
-        max(max(rows), reduced).bit_length() for rows, reduced, _ in forms
-    )
-    n_words = max(1, -(-width // 64))
+    plan = _PLANS.get((k, w))
+    if plan is None:
+        counts = [math.comb(k - 1 - i, w - 1) for i in range(k - w + 1)]
+        rep = np.repeat(np.arange(len(counts)), counts)
+        ends = np.cumsum(counts)
+        src = np.arange(len(rep)) + (math.comb(k, w - 1) - ends)[rep]
+        plan = src, rep
+        held = sum(len(cached) for cached, _ in _PLANS.values())
+        if held + len(src) <= PLAN_CACHE_SUBSETS:
+            src.flags.writeable = rep.flags.writeable = False
+            _PLANS[k, w] = plan
+    return plan
 
-    def words(ints: list[int]) -> np.ndarray:
-        data = b"".join(i.to_bytes(8 * n_words, "little") for i in ints)
-        return np.frombuffer(data, "<u8").reshape(len(forms), -1, n_words)
 
-    rows = words([row for form_rows, _, _ in forms for row in form_rows])
-    level = words([reduced for _, reduced, _ in forms])
-    depth = 0
+class _Tables:
+    """Subset-sum tables of the forms that search, on uint64 words.
 
-    def walk(i: int, acc: np.ndarray, left: int) -> int:
+    Forms are held in groups [rows, level, depth]: rows has shape (forms,
+    k, words), and level, of shape (forms, C(k, depth), words), holds each
+    form's reduced target XOR every depth-subset sum of its rows, ordered by
+    first index, so that the subsets that start at row i or later are its
+    last C(k-i, depth) entries.  The forms that join in one round make one
+    group.
+    """
+
+    def __init__(self, k: int, width: int) -> None:
+        self.k = k
+        self.n_words = max(1, -(-width // 64))
+        self.groups: list[list] = []
+
+    def search(self, w: int, joining: list[tuple[list[int], int, int]]) -> int:
+        """Least weight of reduced XOR a w-subset sum over the groups, and
+        over rounds 1..w of the joining forms."""
+        minima = [self.advance(group, w) for group in self.groups]
+        if joining:
+            # Each form's rows, then its reduced target, as one array.
+            ints = [i for form in joining for i in (*form[0], form[1])]
+            size = 8 * self.n_words
+            data = b"".join(i.to_bytes(size, "little") for i in ints)
+            words = np.frombuffer(data, "<u8").reshape(
+                len(joining), -1, self.n_words
+            )
+            new = [words[:, : self.k], words[:, self.k :], 0]
+            self.groups.append(new)
+            minima += [self.advance(new, v) for v in range(1, w + 1)]
+        return int(min(minima))
+
+    def advance(self, group: list, w: int) -> int:
+        """Round w of one group: its level w from level w-1 when that level
+        and its plan (two index words per subset) fit MAX_TABLE_WORDS beside
+        the other groups' levels, otherwise a walk over the deepest level
+        it holds."""
+        rows, level, depth = group
+        size = (level.shape[0] * self.n_words + 2) * math.comb(self.k, w)
+        held = sum(other[1].size for other in self.groups) - level.size
+        if depth == w - 1 and held + size <= MAX_TABLE_WORDS:
+            src, rep = _plan(self.k, w)
+            level = level.take(src, axis=1)
+            level ^= rows.take(rep, axis=1)
+            group[1:] = level, w
+            return np.bitwise_count(level).sum(axis=2).min()
+        start = np.zeros_like(level[:, :1])
+        return self.walk(rows, level, depth, 0, start, w - depth)
+
+    def walk(
+        self,
+        rows: np.ndarray,
+        level: np.ndarray,
+        depth: int,
+        i: int,
+        acc: np.ndarray,
+        left: int,
+    ) -> int:
         # Choose `left` more leading rows from row i on; the level's
         # subsets that start at row i or later complete them.
         if left == 0:
-            tail = level[:, level.shape[1] - math.comb(k - i, depth) :]
+            tail = level[:, level.shape[1] - math.comb(self.k - i, depth) :]
             return np.bitwise_count(tail ^ acc).sum(axis=2).min()
         return min(
-            walk(j + 1, acc ^ rows[:, j : j + 1], left - 1)
-            for j in range(i, k - depth - left + 1)
-        )
-
-    for w in range(1, k + 1):
-        if depth == w - 1 and (
-            len(forms) * n_words * math.comb(k, w) <= MAX_TABLE_WORDS
-        ):
-            # Block i holds row i XOR the C(k-1-i, w-1) subsets of level
-            # w-1 that start after i: the last that many of its entries.
-            counts = [math.comb(k - 1 - i, w - 1) for i in range(k - w + 1)]
-            size = level.shape[1]
-            level = np.concatenate(
-                [level[:, size - c :] for c in counts], axis=1
+            self.walk(
+                rows, level, depth, j + 1, acc ^ rows[:, j : j + 1], left - 1
             )
-            level ^= np.repeat(rows[:, : len(counts)], counts, axis=1)
-            depth = w
-            yield int(np.bitwise_count(level).sum(axis=2).min())
-        else:
-            yield int(walk(0, np.zeros_like(level[:, :1]), w - depth))
+            for j in range(i, self.k - depth - left + 1)
+        )

@@ -102,10 +102,12 @@ def min_violations(sys: StrategySystem) -> int:
     weight.  :func:`gf2.span_min_weight` finds it exactly by an
     information-set search: it visits coset vectors by increasing weight on
     several systematic forms of the span, one round of w-subsets at a time
-    on numpy tables of uint64 words, and stops once the best weight found
-    is at or below the weight every unvisited vector must have.  Raises
-    ValueError ("too large") when that would take more than
-    ``gf2.MAX_COSET_STEPS`` subsets.
+    on numpy tables of uint64 words gathered by cached index plans, and
+    stops once the best weight found is at or below the weight every
+    unvisited vector must have.  A form is built only in the first round in
+    which it could raise that bound, and catches up on its earlier rounds
+    when it starts to search.  Raises ValueError ("too large") when that
+    would take more than ``gf2.MAX_COSET_STEPS`` subsets.
     """
     # Transpose through numpy: unpack the rows' little-endian bytes to a bit
     # matrix, turn it, and pack each variable's column back into an int.

@@ -1,12 +1,17 @@
+import functools
 import itertools
+import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inflated_graphs import gf2
+from inflated_graphs import MeasurementPair, MeasurementSet, gf2, lhv, pauli
+
+from conftest import random_connected_graph
 
 
 def brute_force_solvable(rows, rhs, n_cols):
@@ -129,7 +134,7 @@ def test_span_min_weight_budget_names_search_state():
     with pytest.raises(
         ValueError,
         match=(
-            r"too large: coset search over a span of dimension 100 with 3 "
+            r"too large: coset search over a span of dimension 100 with 2 "
             r"information sets would pass its budget of 16777216 steps in "
             r"round 5 \(best weight found 28, lower bound reached 9\)"
         ),
@@ -165,7 +170,7 @@ def walk_min_weight(vectors, target):
     for vec in vectors:
         gf2._insert(basis, vec)
     k = len(basis)
-    forms = gf2._systematic_forms(list(basis.values()), target)
+    forms = [form[:3] for form in gf2._systematic_forms(list(basis.values()), target)]
     pair_sums = [
         [rows[i] ^ rows[j] for i in range(k) for j in range(i + 1, k)]
         for rows, _, _ in forms
@@ -242,6 +247,155 @@ def test_span_min_weight_matches_subset_walk(monkeypatch):
             assert got == expected, (width, k, table_words)
 
 
+def eager_min_weight(vectors, target):
+    """Test-local copy of the coset search as it was before its information
+    sets became lazy: every form is built before round 0 and searches every
+    round, on one word table over all forms (no step budget, no table cap,
+    so no walk)."""
+    basis = {}
+    for vec in vectors:
+        gf2._insert(basis, vec)
+    k = len(basis)
+    forms = [form[:3] for form in gf2._systematic_forms(list(basis.values()), target)]
+    best = target.bit_count()
+    minima = None
+    for w in range(k + 1):
+        if best <= sum(max(0, w - overlap) for *_, overlap in forms):
+            break
+        if w == 0:
+            for _, reduced, _ in forms:
+                best = min(best, reduced.bit_count())
+        else:
+            if minima is None:
+                minima = eager_round_minima(forms)
+            best = min(best, next(minima))
+    return best
+
+
+def eager_round_minima(forms):
+    k = len(forms[0][0])
+    width = max(max(max(rows), reduced).bit_length() for rows, reduced, _ in forms)
+    n_words = max(1, -(-width // 64))
+
+    def words(ints):
+        data = b"".join(i.to_bytes(8 * n_words, "little") for i in ints)
+        return np.frombuffer(data, "<u8").reshape(len(forms), -1, n_words)
+
+    rows = words([row for form_rows, _, _ in forms for row in form_rows])
+    level = words([reduced for _, reduced, _ in forms])
+    for w in range(1, k + 1):
+        counts = [math.comb(k - 1 - i, w - 1) for i in range(k - w + 1)]
+        size = level.shape[1]
+        level = np.concatenate([level[:, size - c :] for c in counts], axis=1)
+        level ^= np.repeat(rows[:, : len(counts)], counts, axis=1)
+        yield int(np.bitwise_count(level).sum(axis=2).min())
+
+
+def bell_bound_cosets(rng, count):
+    """Cosets of strategy systems shaped like the benchmark's bell_bound
+    jobs: 30-44 distinct stabilizer elements of a random connected graph on
+    9-11 vertices, each measured on every vertex (spans up to 21)."""
+    cases = []
+    for _ in range(count):
+        g = random_connected_graph(rng, rng.randrange(9, 12))
+        n = len(g.vertices)
+        pairs = []
+        for i, bits in enumerate(rng.sample(range(1, 1 << n), rng.randint(30, 44))):
+            subset = frozenset(v for j, v in enumerate(g.vertices) if bits >> j & 1)
+            letters, _ = pauli.subset_to_pauli(g, subset)
+            pairs.append(
+                MeasurementPair.make(letters, frozenset(g.vertices), name=f"S{i}")
+            )
+        system = lhv.build_system(MeasurementSet(graph=g, d=0, pairs=tuple(pairs)))
+        columns = [
+            sum(1 << i for i, row in enumerate(system.rows) if row >> j & 1)
+            for j in range(system.n_variables)
+        ]
+        cases.append((columns, sum(b << i for i, b in enumerate(system.rhs))))
+    return cases
+
+
+def test_lazy_search_matches_eager_search(monkeypatch):
+    # Random cosets at widths around one and two 64-bit words, and systems
+    # shaped like the benchmark's, each with the tables capped at 2^21, 40
+    # and 0 words, so that deeper rounds (all of them at 0) walk.
+    rng = random.Random(27)
+    cases = [
+        (vectors, target)
+        for width in (1, 63, 64, 65, 130)
+        for k in range(17)
+        for vectors, target in coset_cases(rng, width, k)
+    ]
+    cases += bell_bound_cosets(rng, 40)
+
+    # Record, per search, the forms built and the forms that join the
+    # tables in each round, so that the test can check that every built form
+    # of overlap o joins in round max(o, 1) if the search gets there, and
+    # show what it covered.  On spans of dimension 13 or less, each round's
+    # minimum is also checked against an enumeration of the subsets it
+    # covers: w rows of the forms that joined before, 1..w rows of those
+    # that join in it.
+    built, late, joined, members, searched = [], set(), {}, [], []
+    seen = {"no form": 0, "late catch-up": 0, "walk": 0}
+    forms, search, walk = gf2._systematic_forms, gf2._Tables.search, gf2._Tables.walk
+
+    def spy_forms(basis, target):
+        least = 0
+        for form in forms(basis, target):
+            built.append(form)
+            if least >= 2:  # built after round 1
+                late.add(id(form[0]))
+            least = form[3]
+            yield form
+
+    def least_weight(form, sizes):
+        rows, reduced, _ = form
+        return min(
+            functools.reduce(int.__xor__, subset, reduced).bit_count()
+            for size in sizes
+            for subset in itertools.combinations(rows, size)
+        )
+
+    def spy_search(self, w, joining):
+        for rows, _, _ in joining:
+            joined[id(rows)] = w
+            seen["late catch-up"] += id(rows) in late
+        searched.append(w)
+        got = search(self, w, joining)
+        if self.k <= 13:
+            expected = min(
+                [least_weight(form, [w]) for form in members]
+                + [least_weight(form, range(1, w + 1)) for form in joining]
+            )
+            assert got == expected, (w, len(members), len(joining))
+        members.extend(joining)
+        return got
+
+    def spy_walk(self, *args):
+        seen["walk"] += 1
+        return walk(self, *args)
+
+    monkeypatch.setattr(gf2, "_systematic_forms", spy_forms)
+    monkeypatch.setattr(gf2._Tables, "search", spy_search)
+    monkeypatch.setattr(gf2._Tables, "walk", spy_walk)
+    for vectors, target in cases:
+        expected = eager_min_weight(vectors, target)
+        for table_words in (1 << 21, 40, 0):
+            monkeypatch.setattr(gf2, "MAX_TABLE_WORDS", table_words)
+            built.clear()
+            late.clear()
+            joined.clear()
+            members.clear()
+            searched.clear()
+            assert gf2.span_min_weight(vectors, target) == expected
+            last = max(searched, default=0)
+            for rows, _, overlap, _ in built:
+                start = max(overlap, 1)
+                assert joined.get(id(rows)) == (start if start <= last else None)
+            seen["no form"] += not built
+    assert all(seen.values()), seen
+
+
 def test_span_min_weight_wide_search_stays_within_its_tables():
     # A random 600-bit, rank-40 coset runs out of steps in round 6, after
     # rounds 0-5 over 16 information sets; uncapped, the tables of round 5
@@ -254,7 +408,7 @@ def test_span_min_weight_wide_search_stays_within_its_tables():
         with pytest.raises(
             ValueError,
             match=(
-                r"too large: coset search over a span of dimension 40 with 16 "
+                r"too large: coset search over a span of dimension 40 with 15 "
                 r"information sets would pass its budget of 16777216 steps in "
                 r"round 6 \(best weight found 226, lower bound reached 89\)"
             ),
@@ -264,6 +418,33 @@ def test_span_min_weight_wide_search_stays_within_its_tables():
     finally:
         tracemalloc.stop()
     assert peak < 48 << 20, peak
+
+
+def test_round_plan_cache_stays_within_its_cap(monkeypatch):
+    # Searches over spans of dimension up to 100 ask for plans of up to
+    # C(100, 3) subsets, more than the cache may keep in all; it keeps what
+    # fits, read-only, and the searches build the rest for themselves.
+    monkeypatch.setattr(gf2, "_PLANS", {})
+    plan, asked = gf2._plan, set()
+
+    def spy_plan(k, w):
+        asked.add((k, w))
+        return plan(k, w)
+
+    monkeypatch.setattr(gf2, "_plan", spy_plan)
+    rng = random.Random(4)
+    for k in (5, 20, 40, 60, 80, 90, 100):
+        vectors = [rng.getrandbits(2 * k) for _ in range(k)]
+        try:
+            gf2.span_min_weight(vectors, rng.getrandbits(2 * k))
+        except ValueError as exc:  # spans of 60 or more pass the step budget
+            assert "too large" in str(exc)
+        held = sum(len(src) for src, _ in gf2._PLANS.values())
+        assert held <= gf2.PLAN_CACHE_SUBSETS
+    assert sum(math.comb(k, w) for k, w in asked) > gf2.PLAN_CACHE_SUBSETS
+    assert max(k for k, _ in gf2._PLANS) == 100
+    for src, rep in gf2._PLANS.values():
+        assert not src.flags.writeable and not rep.flags.writeable
 
 
 def gauss_jordan_forms(basis, target):
@@ -334,10 +515,15 @@ def test_systematic_forms_match_gauss_jordan():
         first_covers.append((basis, rng.getrandbits(k + 40)))
     form_counts = set()
     for basis, target in cases + first_covers:
-        forms = gf2._systematic_forms(basis, target)
-        assert forms == gauss_jordan_forms(basis, target)
+        forms = list(gf2._systematic_forms(basis, target))
+        assert [form[:3] for form in forms] == gauss_jordan_forms(basis, target)
         form_counts.add(len(forms))
-        for rows, reduced, overlap in forms:
+        # least bounds the next form's overlap from below, and is k after
+        # the last form.
+        for (*_, least), (_, _, overlap, _) in zip(forms, forms[1:]):
+            assert least <= overlap
+        assert [least for *_, least in forms[-1:]] in ([], [len(basis)])
+        for rows, reduced, overlap, _ in forms:
             # Row i holds a pivot bit that no other row holds and on which
             # reduced is zero; reduced stays in target + span.
             for i, row in enumerate(rows):
@@ -350,7 +536,7 @@ def test_systematic_forms_match_gauss_jordan():
             assert gf2.rank(basis + [reduced ^ target]) == len(basis)
             assert 0 <= overlap < len(rows)
     assert set(range(5)) <= form_counts  # 0, 1, 2, 3 and 4 forms all occur
-    assert all(len(gf2._systematic_forms(*case)) == 1 for case in first_covers)
+    assert all(len(list(gf2._systematic_forms(*case))) == 1 for case in first_covers)
 
 
 @given(

@@ -106,3 +106,32 @@ def test_conftest_imports_nothing_it_checks():
     assert modules
     checked = {"lhv", "gf2", "pauli", "paradox"}
     assert not [m for m in modules if checked & set(m.split("."))], modules
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    """Under the project's pytest settings (every warning an error), a
+    failing @given test ends with its falsifying example, not with an
+    INTERNALERROR from the hypothesis plugin's report hook."""
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+            "test_fails.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = result.stdout + result.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "Falsifying example" in out, out
+    assert result.returncode == 1, out
