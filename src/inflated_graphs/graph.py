@@ -4,19 +4,27 @@ Vertices are opaque strings.  Chain vertices created by :func:`inflate` are
 named ``"r@(u,v)"`` where ``(u,v)`` is the base edge oriented from the smaller
 to the larger label and ``r`` counts positions starting next to ``u``.
 
-A vertex set is also an int bitmask over ``Graph.index``.  Everything derived
-from the edges (``neighbors``, the ``adjacency`` rows, the distance balls and
-``is_connected``) is read off one tuple of neighbour index lists, built from
-``edges`` in a single pass.  :meth:`Graph.ball_masks` computes every vertex's
-ball radius by radius, stopping at the fixpoint, and caches it per radius;
-:func:`ball` reads it.
+A vertex set is also an int bitmask over ``Graph.index``.  Names become
+bits through one binary digit string (:meth:`Graph.bits_of`), and bits
+become names through one ``itertools.compress`` over the digits
+(:func:`members`), so neither takes a big-int step per vertex.  Everything
+derived from the edges (``neighbors``, the ``adjacency`` rows, the distance
+balls and ``is_connected``) is read off one tuple of neighbour index lists,
+built from ``edges`` in a single pass.  :meth:`Graph.ball_masks` computes
+every vertex's ball radius by radius, stopping at the fixpoint, and caches
+it per radius; :func:`ball` reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain, compress
+
+# Turns the digits b"0" and b"1" into the bytes 0 and 1: a digit string
+# becomes the selectors of itertools.compress.
+ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -33,7 +41,7 @@ class Graph:
 
     @cached_property
     def index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
     def _neighbour_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -108,25 +116,40 @@ class Graph:
         return len(found) == len(neighbours)
 
     def bits_of(self, vertices: Iterable[str]) -> int:
-        """Bitmask over ``index`` of a vertex collection."""
+        """Bitmask over ``index`` of a vertex collection; ValueError names
+        the first vertex not in the graph.
+
+        Each vertex writes a "1" into a string of binary digits, most
+        significant first, that one ``int(digits, 2)`` then reads: vertex i
+        is digit n - i, after a leading "0" that keeps an empty graph's
+        string readable.
+        """
         index = self.index
-        bits = 0
+        n = len(index)
+        digits = bytearray(b"0") * (n + 1)
         for v in vertices:
-            i = index.get(v)
-            if i is None:
-                raise ValueError(f"unknown vertex {v!r}")
-            bits |= 1 << i
-        return bits
+            try:
+                digits[n - index[v]] = 49  # b"1"
+            except KeyError:
+                raise ValueError(f"unknown vertex {v!r}") from None
+        return int(digits, 2)
 
     def vertices_of(self, bits: int) -> tuple[str, ...]:
-        """The vertices of a bitmask over ``index``, in vertex order; the
-        inverse of :meth:`bits_of`."""
-        digits = format(bits, f"0{len(self.vertices)}b")[::-1]
-        return tuple(v for v, b in zip(self.vertices, digits) if b == "1")
+        """The vertices of a bitmask over ``index``, in vertex order (by
+        :func:`members`); the inverse of :meth:`bits_of`."""
+        return tuple(members(self.vertices, bits))
 
     def require_vertex(self, v: str) -> None:
         if v not in self.index:
             raise ValueError(f"unknown vertex {v!r}")
+
+
+def members(vertices: Sequence[str], bits: int) -> Iterator[str]:
+    """The members of a bitmask over a vertex sequence (bit i is
+    vertices[i]), in sequence order: the mask's binary digits, lowest
+    first, select them in one ``itertools.compress`` pass."""
+    digits = format(bits, f"0{len(vertices)}b")[::-1].encode()
+    return compress(vertices, digits.translate(ZERO_ONE))
 
 
 def _grow_balls(
@@ -165,18 +188,17 @@ def build_graph(
     rejected.  ``vertices`` may add isolated vertices.
     """
     seen: set[tuple[str, str]] = set()
-    vset: set[str] = {str(v) for v in vertices} if vertices is not None else set()
+    vset: set[str] = set(map(str, vertices)) if vertices is not None else set()
     for u, v in edge_list:
         u = str(u)
         v = str(v)
         if u == v:
             raise ValueError(f"self-loop on vertex {u!r}")
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)  # edge_key
         if key in seen:
             raise ValueError(f"duplicate edge {key!r}")
         seen.add(key)
-        vset.add(u)
-        vset.add(v)
+    vset.update(chain.from_iterable(seen))
     return Graph(vertices=tuple(sorted(vset)), edges=frozenset(seen))
 
 

@@ -486,16 +486,22 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     chosen = gf2.solve(rows[::-1], [negative for *_, negative in reversed(cases)])
     if chosen is None:
         return None
-    # Each rule's letters, read off its candidate's bits; a pattern lists
-    # the closed neighbourhood by vertex name, identity included.
+    # Each rule's letters, read off its candidate's bits vertex by vertex
+    # (pauli.LETTERS is indexed by (x ^ z) + 2 z); a pattern lists the
+    # closed neighbourhood by vertex name, identity included.
+    letters = pauli.LETTERS
     vertices = g.vertices
     by_name = sorted(zip(vertices, range(len(vertices))))
     rules = []
     for j, bit in enumerate(reversed(format(chosen, "b"))):
         if bit == "1":
             i, cx, cz = candidates[j]
-            letters = pauli.letters_of(vertices, cx, cz)
-            pattern = [(v, letters.get(v, "I")) for v, k in by_name if closed[i] >> k & 1]
+            low = cx ^ cz  # the low bit of each vertex's letter index
+            pattern = [
+                (v, letters[(low >> k & 1) | (cz >> k & 1) << 1])
+                for v, k in by_name
+                if closed[i] >> k & 1
+            ]
             rules.append(FlipRule(vertices[i], tuple(pattern)))
     return rules
 

@@ -14,7 +14,13 @@ A set passing all three cannot be reproduced by any deterministic classical
 model whose per-vertex outputs see measurement settings up to distance d.
 
 A :class:`MeasurementPair` is stored as (x, z, mask) bitmasks over a vertex
-tuple, and its letters are views derived from them.  A
+tuple, and its letters are views derived from them.  At the set-file
+boundary, :func:`set_from_json` compiles each pair's letters and mask
+straight onto the graph's vertices, writing each vertex as a binary digit
+and reading each mask with one ``int(digits, 2)`` (:func:`_compile`), and
+:func:`set_to_json` reads names back off the bits with
+:func:`pauli.letters_of` and one ``itertools.compress`` per mask
+(:func:`graph.members`).  A
 :class:`MeasurementSet` takes its pairs' bits over ``graph.index`` (moving a
 pair over other vertices onto the graph by name once) and derives from
 them, once per set, its stabilizer signs and its excerpt rows:
@@ -29,12 +35,12 @@ kept out of its JSON form.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from . import pauli
-from .graph import Graph, graph_from_json, graph_to_json
+from .graph import Graph, graph_from_json, graph_to_json, members
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -81,8 +87,7 @@ class MeasurementPair:
 
     @cached_property
     def mask(self) -> frozenset[str]:
-        digits = format(self.m, f"0{len(self.vertices)}b")[::-1]
-        return frozenset(v for v, b in zip(self.vertices, digits) if b == "1")
+        return frozenset(members(self.vertices, self.m))
 
     def bits_on(self, g: Graph) -> tuple[int, int, int]:
         """(x, z, m) over ``g.index``: the stored bits when the pair is over
@@ -120,19 +125,20 @@ def _compile(
     the vertex an "unknown vertex" error names, or None when every vertex is
     in ``index``: the smallest unknown letter vertex
     (:func:`pauli.compile_letters`, which checks every letter first), else
-    the smallest unknown mask vertex."""
+    the smallest unknown mask vertex.  The mask is read as binary digits,
+    as :meth:`Graph.bits_of` reads a vertex collection."""
     x, z, unknown = pauli.compile_letters(letters, index)
     if unknown is not None:
         return x, z, 0, unknown
-    m = 0
+    n = len(index)
+    digits = bytearray(b"0") * (n + 1)
     missing = []
     for v in mask:
-        i = index.get(v)
-        if i is None:
+        try:
+            digits[n - index[v]] = 49  # b"1"
+        except KeyError:
             missing.append(v)
-        else:
-            m |= 1 << i
-    return x, z, m, min(missing) if missing else None
+    return x, z, int(digits, 2), min(missing) if missing else None
 
 
 ExcerptClass = tuple[int, int, int]  # (vertex index, x & B, z & B)
@@ -276,7 +282,7 @@ def set_to_json(s: MeasurementSet) -> dict:
     pairs = []
     for p, (x, z, m) in zip(s.pairs, s.pair_bits):
         letters = pauli.letters_of(g.vertices, x, z)
-        mask = list(g.vertices_of(m))
+        mask = list(members(g.vertices, m))
         if not by_name:
             letters = dict(sorted(letters.items()))
             mask.sort()

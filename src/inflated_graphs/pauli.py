@@ -7,9 +7,10 @@ For arithmetic and storage (measurement pairs keep only their bits) it is a
 triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
-:func:`compile_letters` and :func:`to_xz` turn letters into bits, and
-:func:`letters_of` turns bits back into letters; this module holds the only
-letter tables.
+:func:`compile_letters` and :func:`to_xz` turn letters into bits, writing
+each letter as a binary digit of x and z and reading each mask with one
+``int(digits, 2)``, and :func:`letters_of` turns bits back into letters;
+this module holds the only letter tables.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph
 
-LETTERS = ("I", "X", "Y", "Z")
+LETTERS = ("I", "X", "Y", "Z")  # indexed by (x ^ z) + 2 z
 _NON_IDENTITY = ("X", "Y", "Z")
 _LETTER_OF_DIGITS = {"1": {"0": "X", "1": "Y"}, "0": {"1": "Z"}}
 
@@ -81,25 +82,39 @@ def compile_letters(
     the smallest vertex of a non-identity letter that is not in ``index``,
     or None.  Every letter is checked before it returns, so an invalid
     letter raises ValueError ahead of any unknown vertex, and an identity
-    letter's vertex is never looked up."""
-    x = z = 0
+    letter's vertex is never looked up.
+
+    Each letter writes a "1" into the binary digits of x, z or both, most
+    significant first (as :meth:`Graph.bits_of` does): vertex i is digit
+    n - i, after a leading "0" that keeps an empty index's string readable.
+    One ``int(digits, 2)`` per mask reads them.
+    """
+    n = len(index)
+    xs = bytearray(b"0") * (n + 1)
+    zs = bytearray(xs)
     unknown = []
     for v, l in items:
-        # Tuple membership compares by equality, so an unhashable letter
-        # is rejected with ValueError rather than TypeError.
-        if l in _NON_IDENTITY:
-            i = index.get(v)
-            if i is None:
-                unknown.append(v)
-                continue
-            if l != "Z":
-                x |= 1 << i
-            if l != "X":
-                z |= 1 << i
-        elif l != "I":
+        if l == "I":
+            continue
+        try:
+            i = n - index[v]
+        except KeyError:
+            # Tuple membership compares by equality, so an unhashable
+            # letter is rejected with ValueError rather than TypeError.
+            if l not in _NON_IDENTITY:
+                raise ValueError(f"invalid Pauli letter {l!r}") from None
+            unknown.append(v)
+            continue
+        if l == "X":
+            xs[i] = 49  # b"1"
+        elif l == "Z":
+            zs[i] = 49
+        elif l == "Y":
+            xs[i] = zs[i] = 49
+        else:
             raise ValueError(f"invalid Pauli letter {l!r}")
     # Graph vertices are strings; key=str orders keys of other types too.
-    return x, z, min(unknown, key=str) if unknown else None
+    return int(xs, 2), int(zs, 2), min(unknown, key=str) if unknown else None
 
 
 def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:

@@ -148,3 +148,59 @@ def model_values(model):
         return -1 if negative else 1
 
     return value
+
+
+# The names-to-bits loops that digit strings replaced in the library: one
+# big-int OR per vertex.  The boundary tests swap them in for
+# pauli.compile_letters, paradox._compile and Graph.bits_of, so the entry
+# points around them give the results the library must reproduce; and
+# ``members_by_zip`` is the bits-to-names walk that ``graph.members``
+# replaced.
+
+
+def compile_letters_by_shifts(items, index):
+    x = z = 0
+    unknown = []
+    for v, l in items:
+        if l in ("X", "Y", "Z"):
+            i = index.get(v)
+            if i is None:
+                unknown.append(v)
+                continue
+            if l != "Z":
+                x |= 1 << i
+            if l != "X":
+                z |= 1 << i
+        elif l != "I":
+            raise ValueError(f"invalid Pauli letter {l!r}")
+    return x, z, min(unknown, key=str) if unknown else None
+
+
+def compile_pair_by_shifts(letters, mask, index):
+    x, z, unknown = compile_letters_by_shifts(letters, index)
+    if unknown is not None:
+        return x, z, 0, unknown
+    m = 0
+    missing = []
+    for v in mask:
+        i = index.get(v)
+        if i is None:
+            missing.append(v)
+        else:
+            m |= 1 << i
+    return x, z, m, min(missing) if missing else None
+
+
+def bits_of_by_shifts(g, vertices) -> int:
+    bits = 0
+    for v in vertices:
+        i = g.index.get(v)
+        if i is None:
+            raise ValueError(f"unknown vertex {v!r}")
+        bits |= 1 << i
+    return bits
+
+
+def members_by_zip(vertices, bits) -> tuple:
+    digits = format(bits, f"0{len(vertices)}b")[::-1]
+    return tuple(v for v, b in zip(vertices, digits) if b == "1")

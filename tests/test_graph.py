@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflated_graphs import graph as gr
-from conftest import bfs_ball, random_connected_graph
+from inflated_graphs.paradox import MeasurementPair
+from conftest import (
+    bfs_ball,
+    bits_of_by_shifts,
+    members_by_zip,
+    random_connected_graph,
+)
 
 
 def test_edge_key_orients_smaller_first():
@@ -271,6 +277,26 @@ def test_inflate_equals_build_graph_of_its_chains(data):
     assert ig.graph == expected
     assert ig.graph.vertices == expected.vertices
     assert ig.graph.neighbors == expected.neighbors
+
+
+def test_bits_and_names_round_trip_on_unsorted_vertices():
+    """bits_of, vertices_of and MeasurementPair.mask against the shift and
+    zip-filter walks they replaced, order included, around the word
+    boundaries of the digit strings."""
+    rng = random.Random(28)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 600):
+        names = [f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        g = gr.Graph(vertices=tuple(names), edges=frozenset())
+        subsets = [[], names]
+        subsets += [rng.sample(names, rng.randrange(n + 1)) for _ in range(20)]
+        for subset in subsets:
+            bits = g.bits_of(subset)
+            assert bits == bits_of_by_shifts(g, subset)
+            assert g.vertices_of(bits) == members_by_zip(g.vertices, bits)
+            assert sorted(g.vertices_of(bits)) == sorted(subset)
+            pair = MeasurementPair(g.vertices, 0, 0, bits)
+            assert pair.mask == frozenset(members_by_zip(g.vertices, bits))
 
 
 def test_json_roundtrip(tmp_path):

@@ -8,7 +8,13 @@ import inflated_graphs as ig
 from inflated_graphs import cli, gf2, graph, lhv, paradox, pauli
 from inflated_graphs.cli import load_fixture_set
 from inflated_graphs.graph import inflate
-from conftest import bfs_ball, random_connected_graph
+from conftest import (
+    bfs_ball,
+    bits_of_by_shifts,
+    compile_letters_by_shifts,
+    compile_pair_by_shifts,
+    random_connected_graph,
+)
 
 FIXTURES = ("table1_9cycle", "chain7", "cycle5", "ghz_path3")
 
@@ -390,6 +396,120 @@ def test_malformed_pair_keeps_its_message(tmp_path, capsys, case):
         ig.MeasurementSet(
             graph=g, d=0, pairs=(ig.MeasurementPair.make(letters, mask),)
         )
+
+
+# Letters no compile accepts: one of every JSON type.
+INVALID_LETTERS = ("W", "", "XY", "x", 5, 1.5, True, None, ["X"], {"a": 1})
+
+
+def _boundary_graphs(rng):
+    """Random graphs with n = 0, 1, 2..12 and 600 on shuffled names (some
+    of them digit strings, which int keys can name), and a 5,000-vertex
+    path."""
+    for n in (0, 1, *range(2, 13), 600):
+        names = [str(k) if rng.random() < 0.5 else f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        edges = {graph.edge_key(names[i], names[rng.randrange(i)]) for i in range(1, n)}
+        for _ in range(n // 3 if n > 1 else 0):
+            u, v = rng.sample(names, 2)
+            edges.add(graph.edge_key(u, v))
+        yield graph.build_graph(sorted(edges), vertices=names)
+    yield graph.build_graph([(k, k + 1) for k in range(4999)])
+
+
+def _boundary_pair(rng, g):
+    """Random (letters, mask) on g: identity letters on unknown vertices,
+    now and then an invalid letter, an unknown vertex or an int key, and
+    masks with repeated, unknown and int entries."""
+    vertices = g.vertices
+    chosen = rng.sample(vertices, rng.randrange(len(vertices) + 1))
+    letters = {v: rng.choice("IXYZ") for v in chosen}
+    mask = rng.sample(vertices, rng.randrange(len(vertices) + 1))
+    mask += rng.sample(mask, rng.randrange(len(mask) + 1) // 4)
+    numbers = [int(v) for v in vertices if v.isdigit()] + [9999]
+    for _ in range(rng.randrange(4)):
+        letters[f"u{rng.randrange(5)}"] = "I"
+    if rng.random() < 0.2:
+        letters[f"u{rng.randrange(5)}"] = rng.choice("XYZ")
+    if rng.random() < 0.2:
+        letters[rng.choice(numbers)] = rng.choice("IXYZ")
+    if rng.random() < 0.15:
+        key = rng.choice([*vertices, "u0"]) if vertices else "u0"
+        letters[key] = rng.choice(INVALID_LETTERS)
+    if rng.random() < 0.15:
+        mask += rng.sample(["u1", "u2", "u3"], rng.randrange(1, 4))
+    if rng.random() < 0.2:
+        mask.append(rng.choice(numbers))
+    rng.shuffle(mask)
+    return letters, mask
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _set_bits_by_shifts(obj):
+    """set_from_json's pairs by the shift loops: names read with str(),
+    and every letter of every pair checked before the first unknown vertex
+    is named."""
+    index = {v: i for i, v in enumerate(obj["graph"]["vertices"])}
+    bits = []
+    unknown = None
+    for p in obj["pairs"]:
+        letters = p["letters"]
+        x, z, m, missing = compile_pair_by_shifts(
+            zip(map(str, letters), letters.values()), map(str, p["mask"]), index
+        )
+        if unknown is None:
+            unknown = missing
+        bits.append((x, z, m))
+    if unknown is not None:
+        raise ValueError(f"unknown vertex {unknown!r}")
+    return tuple(bits)
+
+
+def _boundary_outcomes(cases, read_set):
+    """Per case: what read_set, MeasurementPair.make plus MeasurementSet,
+    pauli.to_xz and Graph.bits_of give."""
+    found = []
+    for g, pairs in cases:
+        obj = {
+            "graph": graph.graph_to_json(g),
+            "d": 0,
+            "pairs": [{"letters": letters, "mask": mask} for letters, mask in pairs],
+        }
+        found.append(_outcome(read_set, obj))
+        for letters, mask in pairs:
+            made = lambda: ig.MeasurementSet(
+                graph=g, d=0, pairs=(ig.MeasurementPair.make(letters, mask),)
+            ).pair_bits
+            found.append(_outcome(made))
+            found.append(_outcome(pauli.to_xz, g, letters))
+            found.append(_outcome(g.bits_of, mask))
+    return found
+
+
+def test_digit_compile_matches_the_shift_loops(monkeypatch):
+    rng = random.Random(28)
+    cases = []
+    for g in _boundary_graphs(rng):
+        for _ in range(3 if len(g.vertices) > 1000 else 12):
+            cases.append((g, [_boundary_pair(rng, g) for _ in range(3)]))
+    found = _boundary_outcomes(cases, lambda obj: paradox.set_from_json(obj).pair_bits)
+    with monkeypatch.context() as m:
+        m.setattr(pauli, "compile_letters", compile_letters_by_shifts)
+        m.setattr(paradox, "_compile", compile_pair_by_shifts)
+        m.setattr(graph.Graph, "bits_of", bits_of_by_shifts)
+        expected = _boundary_outcomes(cases, _set_bits_by_shifts)
+    assert found == expected
+    # Bits and both errors all occur.
+    errors = [e for e in found if isinstance(e, str)]
+    assert any("invalid Pauli letter" in e for e in errors)
+    assert any("unknown vertex" in e for e in errors)
+    assert len(errors) < len(found) // 2
 
 
 def test_identity_letter_on_unknown_vertex_is_ignored():
