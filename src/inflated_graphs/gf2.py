@@ -100,12 +100,14 @@ def solve(rows: Iterable[int], rhs: Iterable[int]) -> int | None:
     """Solve rows·x = rhs over GF(2).
 
     Returns the solution whose free variables are all 0, or None if the
-    system is inconsistent.
+    system is inconsistent.  Raises ValueError when rows and rhs have
+    different lengths and the scan reaches the end of the shorter one
+    (a row that reduces to 0 = 1 ends the scan first).
     """
     # Pivot column (lowest set bit) -> (row, rhs bit); the bit stays beside
     # its row, so a row is never wider than its highest column.
     echelon: dict[int, tuple[int, int]] = {}
-    for row, b in zip(rows, rhs):
+    for row, b in zip(rows, rhs, strict=True):
         while row:
             col = (row & -row).bit_length() - 1
             pivot = echelon.get(col)

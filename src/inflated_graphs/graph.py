@@ -21,6 +21,9 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from typing import TypeVar
+
+T = TypeVar("T")
 
 # Turns the digits b"0" and b"1" into the bytes 0 and 1: a digit string
 # becomes the selectors of itertools.compress.
@@ -144,12 +147,12 @@ class Graph:
             raise ValueError(f"unknown vertex {v!r}")
 
 
-def members(vertices: Sequence[str], bits: int) -> Iterator[str]:
-    """The members of a bitmask over a vertex sequence (bit i is
-    vertices[i]), in sequence order: the mask's binary digits, lowest
-    first, select them in one ``itertools.compress`` pass."""
-    digits = format(bits, f"0{len(vertices)}b")[::-1].encode()
-    return compress(vertices, digits.translate(ZERO_ONE))
+def members(items: Sequence[T], bits: int) -> Iterator[T]:
+    """The members of a bitmask over a sequence (bit i is items[i]), such
+    as vertices or candidate rules, in sequence order: the mask's binary
+    digits, lowest first, select them in one ``itertools.compress`` pass."""
+    digits = format(bits, f"0{len(items)}b")[::-1].encode()
+    return compress(items, digits.translate(ZERO_ONE))
 
 
 def _grow_balls(

@@ -24,12 +24,13 @@ import json
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from . import gf2, pauli
-from .graph import Graph, ball, build_graph
+from .graph import Graph, ball, build_graph, members
 from .paradox import MeasurementSet, excerpt_rows
 
 if TYPE_CHECKING:
@@ -262,19 +263,19 @@ def load_flip_rules() -> dict[str, list[FlipRule]]:
 
 
 # MAX_FLIP_VERTICES is the one size limit of both flip-model scans: every
-# mask and key dtype follows from n.  check_model holds arrays over all 8^n
-# (measurement, mask) cases; search_flip_rules enumerates only one
-# stabilizer case per row of its GF(2) system, but K7's 23,837 dense rows
-# over 24,017 candidates set its peak.  Measured in fresh processes on a
-# 2-core x86_64 machine (about 29 MB RSS after import): check_model takes
-# 0.01-0.02 s and peaks at 43 MB RSS on K7 and on the 7-path with and
-# without chords (1,4) and (3,7); search_flip_rules takes 0.003-0.005 s
-# and 29 MB on those paths and 0.11 s and 75 MB on K7.  With the limit
-# patched to 8, check_model (uint16 keys) takes 0.10-0.11 s and peaks at
-# 238 MB on the 8-path and the star K1,7, and the search takes 0.01 s and
-# 29 MB on the 8-path and 0.22 s and 97 MB on K1,7.  The limit stays 7: at
-# 8, K8's dense search rows need the system split into connected
-# components first, and the check's 238 MB peak wants a blockwise scan.
+# mask and key dtype follows from n.  check_model holds one key array over
+# all 8^n (measurement, mask) cases beside its cached tables;
+# search_flip_rules enumerates only one stabilizer case per row of its GF(2)
+# system, but K7's 23,837 dense rows over 24,017 candidates set its peak.
+# Measured in fresh processes on a 2-core x86_64 machine (about 29 MB RSS
+# after import): check_model takes 0.006-0.016 s and peaks at 35 MB RSS on
+# K7 and on the 7-path with and without chords (1,4) and (3,7);
+# search_flip_rules takes 0.004-0.005 s and 28 MB on those paths and
+# 0.12-0.13 s and 74 MB on K7.  With the limit patched to 8, check_model
+# (uint16 keys) takes 0.05-0.09 s and peaks at 125 MB on the 8-path and the
+# star K1,7, and the search takes 0.01 s and 28 MB on the 8-path and
+# 0.23-0.34 s and 96 MB on K1,7.  The limit stays 7: at 8, K8's dense search
+# rows need the system split into connected components first.
 MAX_FLIP_VERTICES = 7
 
 
@@ -336,13 +337,6 @@ def _cases(g: Graph) -> list[tuple[int, int, int, int, bool]]:
     return cases
 
 
-def _key_value(key: int, n: int) -> int:
-    """The expectation a :func:`check_model` key on n vertices stands for."""
-    if key & ((1 << n) - 1):
-        return 0
-    return -1 if key >> n & 1 else 1
-
-
 @cache
 def _check_tables(n: int) -> tuple[np.ndarray, ...]:
     """:func:`check_model`'s graph-free tables on n vertices, read-only, in
@@ -373,20 +367,25 @@ def check_model(model: BarrettModel) -> list[dict]:
 
     Scans all 4^n measurements times 2^n masks, in the order measurements
     over IXYZ**n with the first vertex most significant, then masks
-    ascending.  Each side gives a case a key in the dtype of
-    :func:`_check_tables`: the z-exponent left after cancelling z & m in
-    bits 0..n-1, and the sign in bit n.
-    The quantum key is that of :func:`pauli._stabilizer` at x & m, taken
-    once for each of the 2^n subsets.  The model key comes from its own
-    neighbour-parity table built from ``g.adjacency``, never from the
-    stabilizer rule, so the two stay independent routes; its sign is the
-    parity of the rules that fire.  Both read (subset, mask) tables by
-    measurement row, so no per-case index array is made.  The graph-free
-    tables are :func:`check_model`'s own (:func:`_check_tables`); the rule
-    search builds no table.  Returns one record per (measurement, mask)
-    mismatch, in case order; empty means the model reproduces every Pauli
-    measurement on the graph exactly.  Raises ValueError above
-    MAX_FLIP_VERTICES vertices, before it builds any table.
+    ascending.  A case (x, z, m) is stabilizer-proportional iff z & m is
+    the neighbour parity of its subset s = x & m, and then its quantum value
+    is the sign of :func:`pauli._stabilizer` at s.  The model's z-monomial
+    comes from its own neighbour-parity table built from ``g.adjacency``,
+    never from the stabilizer rule, and its sign is the parity of the rules
+    that fire.  The two 2^n-entry z tables are compared first: they are two
+    routes to one function of the subset, so a difference is a fault of the
+    program, and RuntimeError names the first subset where they differ and
+    both z sets.  Once they agree, a case's two values differ exactly when
+    it is stabilizer-proportional and its signs differ.  So one key per case
+    decides it, in the dtype of :func:`_check_tables`: the z-exponent left
+    after cancelling z & m in bits 0..n-1, and the stabilizer sign XOR the
+    model's in bit n; a mismatch is a key of exactly 1 << n.  The key reads
+    (subset, mask) tables by measurement row, so no per-case index array is
+    made.  The graph-free tables are :func:`check_model`'s own
+    (:func:`_check_tables`); the rule search builds no table.  Returns one
+    record per (measurement, mask) mismatch, in case order; empty means the
+    model reproduces every Pauli measurement on the graph exactly.  Raises
+    ValueError above MAX_FLIP_VERTICES vertices, before it builds any table.
     """
     g = model.graph
     n = _require_flip_size(g)
@@ -394,41 +393,52 @@ def check_model(model: BarrettModel) -> list[dict]:
     dtype = zm.dtype
     # Bit i of flips[L] is set iff an odd number of vertex i's rules match
     # row L: a rule matches the rows whose digits on its pattern are its
-    # letters, one strided slice of the rows laid out as a 4^n grid.
+    # letters, one strided view of the rows laid out as a 4^n grid.  The
+    # trailing Ellipsis keeps a pattern over every vertex a 0-d view, not a
+    # scalar copy, so the XOR lands in the grid.
+    index = g.index
     flips = np.zeros(4**n, dtype)
     grid = flips.reshape((4,) * n)
     for rule in model.flip_rules:
         where = [slice(None)] * n
         for v, letter in rule.pattern:
-            where[g.index[v]] = pauli.LETTERS.index(letter)
-        grid[tuple(where)] ^= 1 << g.index[rule.vertex]
+            where[index[v]] = pauli.LETTERS.index(letter)
+        view = grid[(*where, ...)]
+        view ^= 1 << index[rule.vertex]
     stabilizers = [pauli._stabilizer(g, s) for s in range(1 << n)]
-    packed = np.array([z | negative << n for z, negative in stabilizers], dtype)
-    parity = np.zeros(1 << n, dtype)  # neighbour parity of each subset
-    for i, nbrs in enumerate(g.adjacency):
-        parity[1 << i : 2 << i] = parity[: 1 << i] ^ nbrs
-    quantum = packed[meet][x]
-    quantum ^= zm
-    classical = parity[meet][x]
-    classical ^= zm
-    classical ^= odd[flips]
-    # Keys with low bits stand for 0, so two keys disagree iff they differ
-    # and one of them has none.
-    differ = quantum != classical
-    if not differ.any():
-        return []
+    parity = [0]  # the model's neighbour parity of each subset
+    for nbrs in g.adjacency:
+        parity += [p ^ nbrs for p in parity]
     low = (1 << n) - 1
-    differ &= np.minimum(quantum & low, classical & low) == 0
+    rule_z = [z & low for z, _ in stabilizers]
+    if rule_z != parity:
+        s = next(s for s in range(1 << n) if rule_z[s] != parity[s])
+        a, b = (
+            f"{list(g.vertices_of(bits))} (mask {bits:#b})"
+            for bits in (rule_z[s], parity[s])
+        )
+        raise RuntimeError(
+            f"the stabilizer rule and the model's neighbour parity disagree "
+            f"on subset {list(g.vertices_of(s))}: z {a} against {b}"
+        )
+    # take() gathers these small-int indices several times faster than
+    # fancy indexing does.
+    packed = np.array([z | negative << n for z, negative in stabilizers], dtype)
+    key = packed.take(meet).take(x, axis=0)
+    key ^= zm
+    key ^= odd.take(flips, axis=0)
     mismatches = []
-    for k in np.flatnonzero(differ).tolist():
+    for k in np.flatnonzero(key == 1 << n).tolist():
         row, m = divmod(k, 1 << n)
-        letters = pauli.letters_of(g.vertices, int(x[row]), int(z[row]))
+        rx = int(x[row])
+        quantum = -1 if stabilizers[rx & m][1] else 1
+        letters = pauli.letters_of(g.vertices, rx, int(z[row]))
         mismatches.append(
             {
                 "letters": dict(sorted(letters.items())),
                 "mask": list(g.vertices_of(m)),
-                "quantum": _key_value(int(quantum.flat[k]), n),
-                "model": str(_key_value(int(classical.flat[k]), n)),
+                "quantum": quantum,
+                "model": str(-quantum),
             }
         )
     return mismatches
@@ -479,11 +489,11 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     """
     cases = _cases(g)
     closed = g.ball_masks(1)
-    rows, candidates = excerpt_rows(closed, ((x, z, m) for _, x, z, m, _ in cases))
+    rows, candidates = excerpt_rows(closed, map(itemgetter(1, 2, 3), cases))
     # The solution does not depend on the row order (its free variables are
     # 0 and its pivots the lowest bits of the row space); rows in reverse
     # case order eliminate in fewer steps.
-    chosen = gf2.solve(rows[::-1], [negative for *_, negative in reversed(cases)])
+    chosen = gf2.solve(rows[::-1], map(itemgetter(4), reversed(cases)))
     if chosen is None:
         return None
     # Each rule's letters, read off its candidate's bits vertex by vertex
@@ -493,16 +503,14 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     vertices = g.vertices
     by_name = sorted(zip(vertices, range(len(vertices))))
     rules = []
-    for j, bit in enumerate(reversed(format(chosen, "b"))):
-        if bit == "1":
-            i, cx, cz = candidates[j]
-            low = cx ^ cz  # the low bit of each vertex's letter index
-            pattern = [
-                (v, letters[(low >> k & 1) | (cz >> k & 1) << 1])
-                for v, k in by_name
-                if closed[i] >> k & 1
-            ]
-            rules.append(FlipRule(vertices[i], tuple(pattern)))
+    for i, cx, cz in members(candidates, chosen):
+        low = cx ^ cz  # the low bit of each vertex's letter index
+        pattern = [
+            (v, letters[(low >> k & 1) | (cz >> k & 1) << 1])
+            for v, k in by_name
+            if closed[i] >> k & 1
+        ]
+        rules.append(FlipRule(vertices[i], tuple(pattern)))
     return rules
 
 

@@ -551,6 +551,61 @@ def test_check_model_builds_its_own_tables(monkeypatch):
     assert sum(map(bool, expected)) >= 8
 
 
+def patch_stabilizer(monkeypatch, target, z_bits=0, flip_sign=False):
+    """Make pauli._stabilizer wrong at one subset: its z XOR z_bits, its
+    sign flipped if flip_sign."""
+    real = pauli._stabilizer
+
+    def patched(g, s):
+        z, negative = real(g, s)
+        if s == target:
+            return z ^ z_bits, negative ^ flip_sign
+        return z, negative
+
+    monkeypatch.setattr(pauli, "_stabilizer", patched)
+
+
+def test_check_model_names_a_stabilizer_z_it_cannot_match(monkeypatch):
+    """check_model compares the stabilizer rule's z of every subset with
+    the model's own neighbour parity before it scans a case: a z with one
+    extra bit is a fault of the program, named by its subset."""
+    g = lhv.SMALL_GRAPHS["path4"]
+    rules = tuple(lhv.search_flip_rules(g))
+    # {1, 3} has neighbour parity {4}; the patched rule says {1, 4}.
+    patch_stabilizer(monkeypatch, 0b0101, z_bits=0b0001)
+    message = r"on subset \['1', '3'\]: z \['1', '4'\] .* against \['4'\]"
+    with pytest.raises(RuntimeError, match=message):
+        lhv.check_model(lhv.BarrettModel(graph=g, flip_rules=rules))
+
+
+def test_check_model_names_an_adjacency_row_off_the_graph():
+    """Both routes read g.adjacency, so a cached row that gains the bit of
+    a vertex the graph lacks reaches both; the stabilizer's z keeps only
+    the graph's n bits, the model's parity table keeps it, and the check
+    raises at the first subset holding that row's vertex."""
+    g = ig.build_graph([(1, 2), (2, 3), (3, 4)])
+    adjacency = list(g.adjacency)
+    adjacency[1] |= 1 << len(g.vertices)
+    g.__dict__["adjacency"] = tuple(adjacency)
+    with pytest.raises(RuntimeError, match=r"on subset \['2'\]: z \['1', '3'\]"):
+        lhv.check_model(lhv.BarrettModel(graph=g))
+
+
+def test_check_model_lists_the_cases_of_a_flipped_stabilizer_sign(monkeypatch):
+    """With one subset's stabilizer sign flipped, the exact rule set's
+    model misses every stabilizer case on that subset, and check_model lists
+    exactly the scalar loop's cases under the same patch."""
+    for gid, target in (("path4", 0b0110), ("k4", 0b1011)):
+        g = lhv.SMALL_GRAPHS[gid]
+        model = lhv.BarrettModel(graph=g, flip_rules=tuple(lhv.search_flip_rules(g)))
+        assert lhv.check_model(model) == []
+        with monkeypatch.context() as patch:
+            patch_stabilizer(patch, target, flip_sign=True)
+            expected = scalar_check_model(model)
+            assert expected
+            assert lhv.check_model(model) == expected
+
+
 def stabilizer_row_key(g, x, z, m):
     """Test-local row key of a stabilizer case: its measured set and its
     letters on the union of the measured vertices' closed neighbourhoods,
@@ -824,8 +879,8 @@ def test_search_flip_rules_ignores_hash_seed():
 
 def test_flip_scans_refuse_more_than_seven_vertices():
     # MAX_FLIP_VERTICES is the scans' only size limit.  At 8 vertices
-    # check_model peaks at 239 MB and K8's dense search rows wait for the
-    # system's split into connected components, so both refuse up front.
+    # check_model peaks at about 125 MB, but K8's dense search rows wait for
+    # the system's split into connected components, so both refuse up front.
     assert lhv.MAX_FLIP_VERTICES == 7
     path8 = ig.build_graph([(i, i + 1) for i in range(1, 8)])
     with pytest.raises(ValueError, match="limited to 7 vertices"):
