@@ -40,7 +40,6 @@ from .lhv import (
     FlipRule,
     StrategySystem,
     bell_report,
-    binary_game_bound,
     build_system,
     chsh_game,
     feasible,
@@ -48,7 +47,6 @@ from .lhv import (
     load_flip_rules,
     min_violations,
     search_flip_rules,
-    verify_small_graphs,
 )
 from .statevector import (
     StateVector,
@@ -95,7 +93,6 @@ __all__ = [
     "FlipRule",
     "StrategySystem",
     "bell_report",
-    "binary_game_bound",
     "build_system",
     "chsh_game",
     "feasible",
@@ -103,7 +100,6 @@ __all__ = [
     "load_flip_rules",
     "min_violations",
     "search_flip_rules",
-    "verify_small_graphs",
     "StateVector",
     "chsh_operator",
     "expect",

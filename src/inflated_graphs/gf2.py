@@ -53,7 +53,7 @@ Peak memory is about twice the largest table.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -96,18 +96,19 @@ def rank(rows: list[int]) -> int:
     return len(basis)
 
 
-def solve(rows: Iterable[int], rhs: Iterable[int]) -> int | None:
+def solve(rows: Sequence[int], rhs: Sequence[int]) -> int | None:
     """Solve rows·x = rhs over GF(2).
 
     Returns the solution whose free variables are all 0, or None if the
     system is inconsistent.  Raises ValueError when rows and rhs have
-    different lengths and the scan reaches the end of the shorter one
-    (a row that reduces to 0 = 1 ends the scan first).
+    different lengths.
     """
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand bits")
     # Pivot column (lowest set bit) -> (row, rhs bit); the bit stays beside
     # its row, so a row is never wider than its highest column.
     echelon: dict[int, tuple[int, int]] = {}
-    for row, b in zip(rows, rhs, strict=True):
+    for row, b in zip(rows, rhs):
         while row:
             col = (row & -row).bit_length() - 1
             pivot = echelon.get(col)

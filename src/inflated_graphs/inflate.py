@@ -49,10 +49,6 @@ class BuildResult:
     certificate: ParadoxCertificate
 
     @property
-    def decoy_count(self) -> int:
-        return 2 * len(self.decoy_specs)
-
-    @property
     def iterations(self) -> int:
         """Verification rounds of the completion: the inflated pairs, then
         the pairs with decoys when any were needed."""
@@ -62,7 +58,7 @@ class BuildResult:
         return {
             "pairs": len(self.measurement_set.pairs),
             "decoy_pairs": len(self.decoy_specs),
-            "decoy_measurements": self.decoy_count,
+            "decoy_measurements": 2 * len(self.decoy_specs),
             "iterations": self.iterations,
             "certificate": self.certificate.to_json(),
         }

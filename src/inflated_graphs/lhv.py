@@ -444,33 +444,6 @@ def check_model(model: BarrettModel) -> list[dict]:
     return mismatches
 
 
-def verify_small_graphs() -> dict:
-    """Check the flip-rule model on every connected graph with 3-4 vertices.
-
-    Each graph is scanned over all 4^n measurements times 2^n masks; the
-    report lists any mismatch against the exact quantum expectation.
-    """
-    rules_by_graph = load_flip_rules()
-    report: dict[str, dict] = {}
-    for graph_id, g in SMALL_GRAPHS.items():
-        rules = tuple(rules_by_graph.get(graph_id, ()))
-        model = BarrettModel(graph=g, flip_rules=rules)
-        mismatches = check_model(model)
-        n = len(g.vertices)
-        report[graph_id] = {
-            "vertices": n,
-            "rules": len(rules),
-            "checked": (4**n) * (2**n),
-            "mismatches": mismatches,
-        }
-    report["ok"] = all(
-        not entry["mismatches"]
-        for key, entry in report.items()
-        if key != "ok"
-    )
-    return report
-
-
 def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     """Rediscover a valid flip-rule set for a graph by solving, over GF(2),
     for which (vertex, closed-neighbourhood pattern) corrections make the
@@ -493,7 +466,7 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
     # The solution does not depend on the row order (its free variables are
     # 0 and its pivots the lowest bits of the row space); rows in reverse
     # case order eliminate in fewer steps.
-    chosen = gf2.solve(rows[::-1], map(itemgetter(4), reversed(cases)))
+    chosen = gf2.solve(rows[::-1], [case[4] for case in reversed(cases)])
     if chosen is None:
         return None
     # Each rule's letters, read off its candidate's bits vertex by vertex
@@ -589,8 +562,3 @@ def chsh_game(d: int = 1) -> BinaryGame:
         settings=settings,
         terms=terms,
     )
-
-
-def binary_game_bound() -> int:
-    """Classical bound of the 4-path game at distance 1 (bound 2)."""
-    return game_bound(chsh_game(1))

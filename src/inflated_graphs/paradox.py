@@ -102,11 +102,8 @@ class MeasurementPair:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MeasurementPair):
             return NotImplemented
-        if self.vertices == other.vertices:
-            mine, theirs = (self.x, self.z, self.m), (other.x, other.z, other.m)
-        else:
-            mine, theirs = (self.letters, self.mask), (other.letters, other.mask)
-        return mine == theirs and self.name == other.name
+        mine = (self.letters, self.mask, self.name)
+        return mine == (other.letters, other.mask, other.name)
 
     def __hash__(self) -> int:
         return hash((self.letters, self.mask, self.name))

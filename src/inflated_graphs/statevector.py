@@ -52,9 +52,6 @@ class StateVector:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized (norm {norm})")
 
-    def qubit(self, v: str) -> int:
-        return self.vertices.index(v)
-
 
 def graph_state(g: Graph) -> StateVector:
     """|+>^n with a controlled-Z applied across every edge.
@@ -92,9 +89,10 @@ def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
         bits = _PAULI_BITS.get(l)
         if bits is None:
             raise ValueError(f"invalid Pauli letter {l!r}")
-        if v not in sv.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-        i = sv.qubit(v)
+        try:
+            i = sv.vertices.index(v)
+        except ValueError:
+            raise ValueError(f"unknown vertex {v!r}") from None
         x |= bits[0] << i
         z |= bits[1] << i
         ys += bits[0] & bits[1]

@@ -87,7 +87,7 @@ def test_criterion_5_chsh_four_path():
     state = sv.graph_state(ig.build_graph([(1, 2), (2, 3), (3, 4)]))
     qm = sv.expect(state, sv.chsh_operator(math.pi / 2, 3 * math.pi / 2))
     assert abs(qm - 2 * math.sqrt(2)) < 1e-9
-    bound = ig.binary_game_bound()
+    bound = ig.game_bound(ig.chsh_game(1))
     assert bound == 2
     assert abs(qm / bound - math.sqrt(2)) < 1e-9
     elapsed = time.monotonic() - started
@@ -100,12 +100,13 @@ def test_criterion_5_chsh_four_path():
 
 def test_criterion_6_small_graph_model():
     started = time.monotonic()
-    report = lhv.verify_small_graphs()
-    assert report["ok"] is True
+    rules = lhv.load_flip_rules()
     total = 0
-    for gid in lhv.SMALL_GRAPHS:
-        assert report[gid]["mismatches"] == []
-        total += report[gid]["checked"]
+    for gid, g in lhv.SMALL_GRAPHS.items():
+        model = lhv.BarrettModel(g, tuple(rules.get(gid, ())))
+        assert lhv.check_model(model) == []
+        n = len(g.vertices)
+        total += 4**n * 2**n
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     print(

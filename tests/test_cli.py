@@ -324,6 +324,53 @@ def test_reproduce_all_names(capsys):
         assert "PASS" in out
 
 
+# Every claim line of each reproduction, as printed; only the "# elapsed"
+# line that ends each output is left out.
+REPRODUCTION_CLAIMS = {
+    **{
+        name: "".join(
+            f"PASS  {fixture}: {claim}\n"
+            for claim in (
+                "certificate overall",
+                "no perfect classical strategy",
+                *(f"{key} = {want}" for key, want in expected.items()),
+            )
+        )
+        for name, fixture, expected in (
+            ("table1", "table1_9cycle", {"qm": 10, "bound": 8, "ratio": "5/4"}),
+            ("chain7", "chain7", {"qm": 6, "bound": 4, "ratio": "3/2"}),
+            ("cycle5", "cycle5", {"qm": 16, "bound": 14, "ratio": "8/7"}),
+        )
+    },
+    "chsh4": (
+        "PASS  chsh4: quantum value = 2*sqrt(2)\n"
+        "PASS  chsh4: distance-1 classical bound = 2\n"
+        "PASS  chsh4: ratio = sqrt(2)\n"
+    ),
+    "small-graphs": "".join(
+        f"PASS  small-graphs: {gid} zero mismatches ({cases} cases)\n"
+        for gid, cases in (
+            ("path3", 512),
+            ("triangle", 512),
+            ("path4", 4096),
+            ("star4", 4096),
+            ("cycle4", 4096),
+            ("paw4", 4096),
+            ("diamond4", 4096),
+            ("k4", 4096),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", cli.REPRODUCTIONS)
+def test_reproduce_prints_its_claim_lines(name, capsys):
+    assert main(["reproduce", name]) == 0
+    *claims, elapsed = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(claims) == REPRODUCTION_CLAIMS[name]
+    assert elapsed.startswith("# elapsed ")
+
+
 def test_reproduce_unknown_name_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "nonsense"])

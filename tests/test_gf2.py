@@ -45,10 +45,14 @@ def test_solve_inconsistent():
     assert gf2.solve([0b1, 0b1], [0, 1]) is None
 
 
-@pytest.mark.parametrize("rows, rhs", [([1, 1], [0]), ([1], [0, 1])])
+@pytest.mark.parametrize(
+    "rows, rhs", [([1, 1], [0]), ([1], [0, 1]), ([1, 1, 1], [0, 1])]
+)
 def test_solve_refuses_rows_and_rhs_of_different_lengths(rows, rhs):
-    # Zipped without strict, a short rhs would solve only a prefix of the
-    # rows: [1, 1] with [0] would return 0.
+    # Zipped without a length check, a short rhs would solve only a prefix
+    # of the rows: [1, 1] with [0] would return 0.  The lengths are checked
+    # before any row is reduced, so [1, 1, 1] with [0, 1] does not return
+    # None at its second row, which reduces to 0 = 1.
     with pytest.raises(ValueError):
         gf2.solve(rows, rhs)
 

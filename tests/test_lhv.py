@@ -366,12 +366,10 @@ def test_flip_rule_neighborhood_validation():
 
 
 def test_verify_small_graphs_zero_mismatches():
-    report = lhv.verify_small_graphs()
-    assert report["ok"]
-    for gid in lhv.SMALL_GRAPHS:
-        assert report[gid]["mismatches"] == []
-        n = report[gid]["vertices"]
-        assert report[gid]["checked"] == (4**n) * (2**n)
+    rules = lhv.load_flip_rules()
+    for gid, g in lhv.SMALL_GRAPHS.items():
+        model = lhv.BarrettModel(g, tuple(rules.get(gid, ())))
+        assert lhv.check_model(model) == []
 
 
 def test_triangle_without_flips_fails_only_on_negative_pattern():
@@ -987,7 +985,7 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
 
 
 def test_binary_game_bound_distance_one():
-    assert ig.binary_game_bound() == 2
+    assert ig.game_bound(ig.chsh_game(1)) == 2
 
 
 def test_binary_game_bound_full_information():
