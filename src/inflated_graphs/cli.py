@@ -2,8 +2,10 @@
 
 Subcommands: inflate, build, verify, bound, reproduce.  Exit codes:
 0 success/verified, 1 verified-false, 2 input or output error, 3 precondition
-failure.  Reports are JSON with a deterministic "result" section (covered by
-the input digest) and timing kept outside it.
+failure, 70 a fault of the program (its traceback goes to stderr).  inflate,
+build, verify and bound each print one JSON report, built in :func:`main`:
+the command, the input file's digest, a deterministic "result" section and
+timing kept outside it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+EXIT_FAULT = 70  # BSD's EX_SOFTWARE
 
 FIXTURES = ("table1_9cycle", "chain7", "cycle5", "ghz_path3")
 
@@ -60,6 +63,10 @@ class InputError(Exception):
 
 class OutputError(Exception):
     pass
+
+
+class PreconditionFailure(Exception):
+    """A well-formed input the command cannot work on (exit 3)."""
 
 
 def _read_json(path: str):
@@ -119,11 +126,6 @@ def _discard_stdout() -> None:
         os.close(devnull)
 
 
-def _emit(report: dict, started: float) -> None:
-    report["timing_seconds"] = round(time.monotonic() - started, 6)
-    _print(json.dumps(report, indent=2) + "\n")
-
-
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -132,89 +134,52 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_inflate(args) -> int:
-    started = time.monotonic()
-    obj, digest = _read_json(args.graph)
+def cmd_inflate(obj, args) -> tuple[int, dict]:
     g = graph_from_json(obj)
     ig = inflate(g, args.d)
     graph_json = graph_to_json(ig.graph)
     if args.out:
         _write(args.out + ".json", json.dumps(graph_json, indent=2) + "\n")
         _write(args.out + ".dot", to_dot(ig.graph, ig.base.vertices))
-    report = {
-        "command": "inflate",
-        "inputs_digest": digest,
-        "result": {
-            "d": args.d,
-            "base_vertices": len(g.vertices),
-            "vertices": len(ig.graph.vertices),
-            "edges": len(ig.graph.edges),
-            **({} if args.out else {"graph": graph_json}),
-        },
+    return EXIT_OK, {
+        "d": args.d,
+        "base_vertices": len(g.vertices),
+        "vertices": len(ig.graph.vertices),
+        "edges": len(ig.graph.edges),
+        **({} if args.out else {"graph": graph_json}),
     }
-    _emit(report, started)
-    return EXIT_OK
 
 
-def cmd_build(args) -> int:
-    started = time.monotonic()
-    obj, digest = _read_json(args.base_set)
+def cmd_build(obj, args) -> tuple[int, dict]:
     base = set_from_json(obj)
     try:
-        ig = inflate(base.graph, args.d)
-        result = build_inflated_set(base, ig)
-    except (ValueError, RuntimeError) as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        result = build_inflated_set(base, inflate(base.graph, args.d))
+    except ValueError as exc:
+        raise PreconditionFailure(exc) from exc
     s = result.measurement_set
     if args.out:
         try:
             save_measurement_set(s, args.out)
         except OSError as exc:
             raise InputError(f"cannot write {args.out}: {exc}") from exc
-    report = {
-        "command": "build",
-        "inputs_digest": digest,
-        "result": {
-            "d": args.d,
-            **result.report(),
-            **({} if args.out else {"measurement_set": set_to_json(s)}),
-        },
+    return EXIT_OK, {
+        "d": args.d,
+        **result.report(),
+        **({} if args.out else {"measurement_set": set_to_json(s)}),
     }
-    _emit(report, started)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    started = time.monotonic()
-    obj, digest = _read_json(args.set)
-    s = set_from_json(obj)
-    cert = verify_paradox(s)
-    report = {
-        "command": "verify",
-        "inputs_digest": digest,
-        "result": cert.to_json(),
-    }
-    _emit(report, started)
-    return EXIT_OK if cert.overall else EXIT_FALSE
+def cmd_verify(obj, args) -> tuple[int, dict]:
+    cert = verify_paradox(set_from_json(obj))
+    return EXIT_OK if cert.overall else EXIT_FALSE, cert.to_json()
 
 
-def cmd_bound(args) -> int:
-    started = time.monotonic()
-    obj, digest = _read_json(args.set)
+def cmd_bound(obj, args) -> tuple[int, dict]:
     s = set_from_json(obj)
     try:
-        rep = bell_report(s)
+        return EXIT_OK, bell_report(s).to_json()
     except ValueError as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    report = {
-        "command": "bound",
-        "inputs_digest": digest,
-        "result": rep.to_json(),
-    }
-    _emit(report, started)
-    return EXIT_OK
+        raise PreconditionFailure(exc) from exc
 
 
 def _reproduce_fixture(name: str, expected: dict, claims: list) -> None:
@@ -250,7 +215,7 @@ def cmd_reproduce(args) -> int:
         claims.append(
             ("chsh4: ratio = sqrt(2)", abs(qm / bound - math.sqrt(2)) < 1e-9)
         )
-    elif name == "small-graphs":
+    else:  # "small-graphs"; argparse's choices refuse every other name
         rules = load_flip_rules()
         for gid, g in SMALL_GRAPHS.items():
             mismatches = check_model(BarrettModel(g, tuple(rules.get(gid, ()))))
@@ -261,10 +226,6 @@ def cmd_reproduce(args) -> int:
                     not mismatches,
                 )
             )
-    else:
-        raise InputError(
-            f"unknown reproduction {name!r}; choose from {', '.join(REPRODUCTIONS)}"
-        )
     ok = all(passed for _, passed in claims)
     lines = [f"{'PASS' if passed else 'FAIL'}  {label}\n" for label, passed in claims]
     lines.append(f"# elapsed {time.monotonic() - started:.3f}s\n")
@@ -294,7 +255,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("inflate", help="replace each edge by a chain of 2d vertices")
-    p.add_argument("graph", help="graph JSON file")
+    p.add_argument("input", metavar="graph", help="graph JSON file")
     p.add_argument(
         "--d", type=_positive_int, default=1, help="communication distance"
     )
@@ -302,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inflate)
 
     p = sub.add_parser("build", help="inflate a certified base set and add decoys")
-    p.add_argument("base_set", help="d=0 measurement-set JSON file")
+    p.add_argument("input", metavar="base_set", help="d=0 measurement-set JSON file")
     p.add_argument(
         "--d", type=_positive_int, default=1, help="communication distance"
     )
@@ -310,25 +271,38 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="run the paradox checks on a set")
-    p.add_argument("set", help="measurement-set JSON file")
+    p.add_argument("input", metavar="set", help="measurement-set JSON file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bound", help="exact classical Bell bound of a set")
-    p.add_argument("set", help="measurement-set JSON file")
+    p.add_argument("input", metavar="set", help="measurement-set JSON file")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("reproduce", help="re-run a bundled end-to-end check")
     p.add_argument("name", choices=REPRODUCTIONS)
-    p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.subcommand == "reproduce":
+            return cmd_reproduce(args)
+        started = time.monotonic()
+        obj, digest = _read_json(args.input)
+        code, result = args.func(obj, args)
+        report = {
+            "command": args.subcommand,
+            "inputs_digest": digest,
+            "result": result,
+            "timing_seconds": round(time.monotonic() - started, 6),
+        }
+        _print(json.dumps(report, indent=2) + "\n")
+        return code
+    except PreconditionFailure as exc:
+        print(f"precondition failure: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -336,6 +310,11 @@ def main(argv: list[str] | None = None) -> int:
         _discard_stdout()
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        import traceback  # as hashlib in _read_json: only a fault needs it
+
+        traceback.print_exc()
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

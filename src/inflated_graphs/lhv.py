@@ -285,8 +285,8 @@ def _require_flip_size(g: Graph) -> int:
     if n > MAX_FLIP_VERTICES:
         raise ValueError(
             f"the flip-model scans are limited to {MAX_FLIP_VERTICES} "
-            f"vertices (check_model tabulates all 8^n cases); the graph "
-            f"has {n}"
+            f"vertices (their time and memory grow exponentially with the "
+            f"vertex count); the graph has {n}"
         )
     return n
 

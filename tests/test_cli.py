@@ -388,9 +388,54 @@ def test_reports_are_deterministic(tmp_path, ghz_file, capsys):
 
 
 def test_exit_code_constants():
-    assert (cli.EXIT_OK, cli.EXIT_FALSE, cli.EXIT_INPUT, cli.EXIT_PRECONDITION) == (
-        0,
-        1,
-        2,
-        3,
-    )
+    assert (
+        cli.EXIT_OK,
+        cli.EXIT_FALSE,
+        cli.EXIT_INPUT,
+        cli.EXIT_PRECONDITION,
+        cli.EXIT_FAULT,
+    ) == (0, 1, 2, 3, 70)
+
+
+@pytest.mark.parametrize("command", ["inflate", "build", "verify", "bound"])
+def test_json_commands_share_one_envelope(triangle_file, ghz_file, capsys, command):
+    path = triangle_file if command == "inflate" else ghz_file
+    assert main([command, path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["command", "inputs_digest", "result", "timing_seconds"]
+    assert report["command"] == command
+
+
+# Per command, a library function it calls, as cli imported it, and the
+# arguments that reach it.
+FAULT_SITES = {
+    "inflate": ("inflate", ["inflate", "{graph}"]),
+    "build": ("build_inflated_set", ["build", "{set}"]),
+    "verify": ("verify_paradox", ["verify", "{set}"]),
+    "bound": ("bell_report", ["bound", "{set}"]),
+    "reproduce chain7": ("verify_paradox", ["reproduce", "chain7"]),
+    "reproduce small-graphs": ("check_model", ["reproduce", "small-graphs"]),
+}
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyError])
+@pytest.mark.parametrize("site", sorted(FAULT_SITES))
+def test_program_fault_exits_70(
+    triangle_file, ghz_file, capsys, monkeypatch, site, error
+):
+    """A fault of the program is neither "verified false" (1) nor an input
+    error (2): it exits 70 with its traceback on stderr and prints no
+    report."""
+    name, argv = FAULT_SITES[site]
+
+    def fault(*args, **kwargs):
+        raise error("injected fault")
+
+    monkeypatch.setattr(cli, name, fault)
+    argv = [a.format(graph=triangle_file, set=ghz_file) for a in argv]
+    assert main(argv) == cli.EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert f"{error.__name__}: " in captured.err
+    assert "injected fault" in captured.err

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 
@@ -279,6 +280,53 @@ def test_certificate_soundness_cross_oracle():
         s = load_fixture_set(name)
         assert ig.verify_paradox(s).overall
         assert not ig.feasible(ig.build_system(s))
+
+
+def _multiset(rng, s):
+    """s with its pairs repeated, dropped or listed again as a whole, in
+    random order half the time.  Extra copies come in twos, so unless one
+    count is moved by one, every excerpt class keeps the parity it has in s
+    listed `whole` times: even parity with defined signs and sign product
+    +1 is common."""
+    whole = rng.randint(0, 2)
+    counts = [whole + 2 * rng.randint(0, 1) for _ in s.pairs]
+    if rng.random() < 0.3:
+        k = rng.randrange(len(counts))
+        counts[k] = max(0, counts[k] + rng.choice((-1, 1)))
+    pairs = [p for p, c in zip(s.pairs, counts) for _ in range(c)] or [s.pairs[0]]
+    if rng.random() < 0.5:
+        rng.shuffle(pairs)
+    return ig.MeasurementSet(graph=s.graph, d=s.d, pairs=tuple(pairs))
+
+
+def test_product_phase_matches_the_stabilizer_signs():
+    """Where parity holds and every sign is defined, the signed
+    submeasurements multiply to a stabilizer element proportional to I,
+    which is +I: so the plain product is -I exactly when the signs
+    multiply to -1.  This pits pauli.multiply's phase against
+    pauli._stabilizer's signs, two routes that share no code.  A certified
+    set must also have no perfect classical strategy."""
+    rng = random.Random(31)
+    sources = [load_fixture_set(name) for name in FIXTURES]
+    for i in range(6):
+        base = ig.find_base_set(random_connected_graph(rng, 4 + i % 3))
+        sources.append(base)
+        for d in (1, 2, 3):
+            sources.append(
+                ig.build_inflated_set(base, inflate(base.graph, d)).measurement_set
+            )
+    seen = {True: 0, False: 0}
+    for s in sources:
+        for _ in range(12):
+            m = _multiset(rng, s)
+            cert = ig.verify_paradox(m)
+            if all(cert.parity_ok.values()) and None not in cert.stabilizer_signs:
+                minus = math.prod(cert.stabilizer_signs) == -1
+                assert cert.product_is_minus_one == minus, m.pairs
+                seen[minus] += 1
+            if cert.overall:
+                assert not ig.feasible(ig.build_system(m)), m.pairs
+    assert min(seen.values()) >= 50, seen
 
 
 def test_bundled_fixtures_verify():
