@@ -8,11 +8,11 @@ A vertex set is also an int bitmask over ``Graph.index``.  Names become
 bits through one binary digit string (:meth:`Graph.bits_of`), and bits
 become names through one ``itertools.compress`` over the digits
 (:func:`members`), so neither takes a big-int step per vertex.  Everything
-derived from the edges (``neighbors``, the ``adjacency`` rows, the distance
-balls and ``is_connected``) is read off one tuple of neighbour index lists,
-built from ``edges`` in a single pass.  :meth:`Graph.ball_masks` computes
-every vertex's ball radius by radius, stopping at the fixpoint, and caches
-it per radius; :func:`ball` reads it.
+derived from the edges (``neighbors``, the distance balls and
+``is_connected``) is read off the neighbour index lists and the
+``adjacency`` rows, which one pass over ``edges`` fills together.
+:meth:`Graph.ball_masks` computes every vertex's ball radius by radius,
+stopping at the fixpoint, and caches it per radius; :func:`ball` reads it.
 """
 
 from __future__ import annotations
@@ -47,17 +47,26 @@ class Graph:
         return dict(zip(self.vertices, range(len(self.vertices))))
 
     @cached_property
-    def _neighbour_indices(self) -> tuple[tuple[int, ...], ...]:
-        """The ``index`` of each vertex's neighbours, in vertex order, read
-        from ``edges`` in one pass (in no particular order within a list)."""
+    def _edge_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """``_neighbour_indices`` and ``adjacency``, filled together by one
+        pass over ``edges``."""
         index = self.index
         lists: list[list[int]] = [[] for _ in self.vertices]
+        rows = [0] * len(lists)
         for u, v in self.edges:
             i = index[u]
             j = index[v]
             lists[i].append(j)
             lists[j].append(i)
-        return tuple(map(tuple, lists))
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(map(tuple, lists)), tuple(rows)
+
+    @cached_property
+    def _neighbour_indices(self) -> tuple[tuple[int, ...], ...]:
+        """The ``index`` of each vertex's neighbours, in vertex order (in no
+        particular order within a list)."""
+        return self._edge_tables[0]
 
     @cached_property
     def neighbors(self) -> dict[str, tuple[str, ...]]:
@@ -71,13 +80,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
         """Neighbour bitmask of each vertex, in vertex order, over ``index``."""
-        rows = []
-        for js in self._neighbour_indices:
-            row = 0
-            for j in js:
-                row |= 1 << j
-            rows.append(row)
-        return tuple(rows)
+        return self._edge_tables[1]
 
     @cached_property
     def _ball_masks_by_radius(self) -> dict[int, tuple[int, ...]]:
@@ -187,14 +190,21 @@ def build_graph(
 ) -> Graph:
     """Normalize an edge list into a Graph.
 
-    Vertex labels are coerced to strings.  Self-loops and duplicate edges are
-    rejected.  ``vertices`` may add isolated vertices.
+    Vertex labels are coerced to strings (a label that is one already is
+    kept as it is).  Self-loops and duplicate edges are rejected.
+    ``vertices`` may add isolated vertices.
     """
     seen: set[tuple[str, str]] = set()
-    vset: set[str] = set(map(str, vertices)) if vertices is not None else set()
+    vset: set[str] = (
+        {v if type(v) is str else str(v) for v in vertices}
+        if vertices is not None
+        else set()
+    )
     for u, v in edge_list:
-        u = str(u)
-        v = str(v)
+        if type(u) is not str:
+            u = str(u)
+        if type(v) is not str:
+            v = str(v)
         if u == v:
             raise ValueError(f"self-loop on vertex {u!r}")
         key = (u, v) if u < v else (v, u)  # edge_key
@@ -269,11 +279,18 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: Mapping) -> Graph:
-    """Parse ``{"vertices": [...], "edges": [[u, v], ...]}``; both keys are
-    optional.  Raises ValueError on any other shape."""
+    """Parse ``{"vertices": [...], "edges": [[u, v], ...]}``.  "edges" is
+    required and "vertices" optional (it adds isolated vertices); any other
+    key, or any other shape, raises ValueError.  A measurement-set file or
+    ``{}`` is therefore not read as an empty graph."""
     if not isinstance(obj, Mapping):
         raise ValueError("a graph must be a JSON object")
-    edges = obj.get("edges", [])
+    if "edges" not in obj:
+        raise ValueError("graph has no 'edges' key")
+    for key in obj:
+        if key not in ("vertices", "edges"):
+            raise ValueError(f"graph has an unknown key {key!r}")
+    edges = obj["edges"]
     vertices = obj.get("vertices")
     if not isinstance(edges, (list, tuple)) or not all(
         isinstance(e, (list, tuple)) and len(e) == 2 for e in edges

@@ -91,8 +91,10 @@ class MeasurementPair:
 
     def bits_on(self, g: Graph) -> tuple[int, int, int]:
         """(x, z, m) over ``g.index``: the stored bits when the pair is over
-        g's vertices, else its letters and mask moved onto them by name."""
-        if self.vertices == g.vertices:
+        g's vertices (the same tuple, as the set reader and the builders
+        make it, or an equal one), else its letters and mask moved onto them
+        by name."""
+        if self.vertices is g.vertices or self.vertices == g.vertices:
             return self.x, self.z, self.m
         x, z, m, unknown = _compile(self.letters, self.mask, g.index)
         if unknown is not None:
@@ -310,15 +312,27 @@ def set_from_json(obj: Mapping) -> MeasurementSet:
             '"letters" (an object), "mask" (a list) and an optional "name"'
         )
     graph = graph_from_json(obj["graph"])
+    index = graph.index
     # Letters and masks compile straight onto the graph's vertices.  Every
     # letter of every pair is checked before an unknown vertex is named.
+    # Names are read as their str().  The index holds only strings, so a
+    # pair whose names are all found as given is read in one pass with no
+    # str() copies; a pair with a name not found (or not hashable) is read
+    # again through str(), which also names its unknown vertex.
     pairs = []
     unknown = None
     for p in obj["pairs"]:
         letters = p["letters"]
-        x, z, m, missing = _compile(
-            zip(map(str, letters), letters.values()), map(str, p["mask"]), graph.index
-        )
+        mask = p["mask"]
+        try:
+            x, z, m, missing = _compile(letters.items(), mask, index)
+            found = missing is None
+        except TypeError:  # an unhashable mask entry, or unknown ones of mixed types
+            found = False
+        if not found:
+            x, z, m, missing = _compile(
+                zip(map(str, letters), letters.values()), map(str, mask), index
+            )
         if unknown is None:
             unknown = missing
         pairs.append(MeasurementPair(graph.vertices, x, z, m, p.get("name", "")))

@@ -9,10 +9,13 @@ graph's canonical vertex order) is bit i of the amplitude index.
 The graph state's amplitude at k is (-1)**|E(k)| / sqrt(2**n), with E(k)
 the edges inside the vertex set k: :func:`graph_state` builds the signs in
 one pass per vertex from the CZ phases between it and its lower-indexed
-neighbours.  A Pauli string with bitmasks x, z over the state's vertex order
-is i**#Y X**x Z**z, so it acts on amplitudes by the permutation k -> k ^ x
-and the sign (-1)**popcount(k & z): :func:`pauli_expectation` needs no
-matrices, and :func:`expect` sums it over the terms.  A rotated setting
+neighbours.  Those amplitudes are real, so a graph state is a float64
+array; any other state, such as a random complex one, is a complex array.
+A Pauli string with bitmasks x, z over the state's vertex order is
+i**#Y X**x Z**z, so it acts on amplitudes by the permutation k -> k ^ x and
+the sign (-1)**popcount(k & z): :func:`pauli_expectation` needs no
+matrices, only a gather over a cached index array and one sum, and
+:func:`expect` sums it over the terms.  A rotated setting
 cos(theta/2) Z + sin(theta/2) Y is two such terms.
 
 Independence: this module reads only Pauli action and CZ phases.  It imports
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .graph import Graph
 
-# Largest graph a dense state is built for: 2**14 complex amplitudes.
+# Largest graph a dense state is built for: 2**14 amplitudes.
 CAP = 14
 
 # (x, z) bits of each letter: Y = i X Z.  Kept apart from the stabilizer
@@ -40,7 +44,8 @@ _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 @dataclass(frozen=True)
 class StateVector:
-    """A state of one qubit per vertex as a dense complex amplitude array."""
+    """A state of one qubit per vertex as a dense amplitude array: float64
+    for a graph state, complex for a general one."""
 
     amplitudes: np.ndarray
     vertices: tuple[str, ...]
@@ -53,25 +58,35 @@ class StateVector:
             raise ValueError(f"state is not normalized (norm {norm})")
 
 
+@cache
+def _indices(n: int) -> np.ndarray:
+    """The amplitude indices 0 .. 2**n - 1 in the smallest unsigned dtype
+    that holds them, read-only and cached per qubit count."""
+    k = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    k.flags.writeable = False
+    return k
+
+
 def graph_state(g: Graph) -> StateVector:
     """|+>^n with a controlled-Z applied across every edge.
 
     The CZ phase of amplitude k is the parity of |E(k)|.  Vertex v adds the
     edges to its lower-indexed neighbours, so the parities of the indices
     with top bit v are those below 2**v flipped by popcount(k & lower(v)):
-    one pass per vertex doubles the table.
+    one pass per vertex doubles the table.  The amplitudes are the real
+    numbers +-1/sqrt(2**n), held as float64.
     """
     n = len(g.vertices)
     if n > CAP:
         raise ValueError(f"graph has {n} vertices; cap is {CAP}")
     dim = 1 << n
-    k = np.arange(dim)
+    k = _indices(n)
     parity = np.zeros(1, dtype=np.uint8)
     for v, neighbours in enumerate(g.adjacency):
         lower = neighbours & ((1 << v) - 1)
         flips = np.bitwise_count(k[: 1 << v] & lower) & 1
         parity = np.concatenate([parity, parity ^ flips])
-    amplitudes = (1.0 - 2.0 * parity).astype(complex) / math.sqrt(dim)
+    amplitudes = (1.0 - 2.0 * parity) / math.sqrt(dim)
     return StateVector(amplitudes=amplitudes, vertices=g.vertices)
 
 
@@ -81,8 +96,11 @@ def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
 
     With x, z the letters' bitmasks over the state's vertex order, the
     value is i**#Y * sum_k conj(psi[k]) (-1)**popcount((k ^ x) & z)
-    psi[k ^ x].  "I" letters are allowed; an unknown vertex or letter
-    raises ValueError.
+    psi[k ^ x], for real and complex amplitudes alike.  The terms are one
+    explicit product array, added up by ``np.add.reduce``: a BLAS dot
+    product would leave a rounding residue (such as -8e-18) where the exact
+    value is 0.  "I" letters are allowed; an unknown vertex or letter raises
+    ValueError.
     """
     x = z = ys = 0
     for v, l in letters.items():
@@ -97,9 +115,10 @@ def pauli_expectation(sv: StateVector, letters: Mapping[str, str]) -> float:
         z |= bits[1] << i
         ys += bits[0] & bits[1]
     psi = sv.amplitudes
-    source = np.arange(len(psi)) ^ x
+    source = _indices(len(sv.vertices)) ^ x
     signs = 1.0 - 2.0 * (np.bitwise_count(source & z) & 1)
-    value = (1, 1j, -1, -1j)[ys % 4] * np.vdot(psi, signs * psi[source])
+    total = np.add.reduce(psi.conj() * psi.take(source) * signs)
+    value = (1, 1j, -1, -1j)[ys % 4] * total
     if abs(value.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary part {value.imag}")
     return float(value.real)

@@ -3,6 +3,8 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from inflated_graphs import build_graph
 
 
@@ -28,6 +30,28 @@ def random_connected_graph(rng: random.Random, n: int):
 
 def random_subset(rng: random.Random, items):
     return frozenset(v for v in items if rng.random() < 0.5)
+
+
+def seeded_small_graphs():
+    """30 seeded random connected graphs with n = 2..6, on which the
+    oracles are compared on every Pauli string."""
+    rng = random.Random(61)
+    return [random_connected_graph(rng, 2 + k % 5) for k in range(30)]
+
+
+def neighbour_tables_per_vertex(g):
+    """Each vertex's neighbour indices (a set) and adjacency row, found by
+    scanning every edge for that vertex: the reference for the tables that
+    ``Graph`` fills in one pass over its edges.  It reads only
+    ``g.vertices`` and ``g.edges``."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    sets = []
+    rows = []
+    for v in g.vertices:
+        js = {position[b if a == v else a] for a, b in g.edges if v in (a, b)}
+        sets.append(js)
+        rows.append(sum(1 << j for j in js))
+    return sets, tuple(rows)
 
 
 def bfs_ball(g, v: str, d: int) -> tuple[str, ...]:
@@ -106,6 +130,26 @@ def barrett_expectation_sampled(model, pair) -> Fraction:
 
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def vdot_pauli_expectation(state, letters) -> float:
+    """The evaluation that ``statevector.pauli_expectation`` replaced: the
+    amplitudes as complex numbers, a fancy-indexed gather over int64
+    indices and one ``np.vdot``.  The reference for the real-arithmetic
+    path; it reads the state through its fields only."""
+    x = z = ys = 0
+    for v, letter in letters.items():
+        lx, lz = _LETTER_BITS[letter]
+        i = state.vertices.index(v)
+        x |= lx << i
+        z |= lz << i
+        ys += lx & lz
+    psi = state.amplitudes.astype(complex)
+    source = np.arange(len(psi)) ^ x
+    signs = 1.0 - 2.0 * (np.bitwise_count(source & z) & 1)
+    value = (1, 1j, -1, -1j)[ys % 4] * np.vdot(psi, signs * psi[source])
+    assert abs(value.imag) < 1e-10, value
+    return float(value.real)
 
 
 def model_values(model):

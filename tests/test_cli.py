@@ -105,6 +105,18 @@ def test_inflate_bad_json(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["set", "empty"])
+def test_inflate_of_a_non_graph_is_input_error(tmp_path, capsys, content):
+    """A measurement-set file or {} has no "edges": inflate exits 2 with one
+    input error line, not 0 with an empty graph."""
+    path = tmp_path / "input.json"
+    path.write_text(cli._fixture_text("chain7") if content == "set" else "{}")
+    assert main(["inflate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "input error: graph has no 'edges' key\n"
+    assert captured.out == ""
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["verify", "/does/not/exist.json"]) == 2
 

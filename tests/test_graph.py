@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inflated_graphs import graph as gr
+from inflated_graphs.cli import FIXTURES, _fixture_text, load_fixture_set
 from inflated_graphs.paradox import MeasurementPair
 from conftest import (
     bfs_ball,
     bits_of_by_shifts,
     members_by_zip,
+    neighbour_tables_per_vertex,
     random_connected_graph,
 )
 
@@ -51,6 +53,24 @@ def test_build_graph_rejects_malformed_edges():
         with pytest.raises(ValueError) as excinfo:
             gr.graph_from_json(obj)
         assert str(excinfo.value) == message
+
+
+def test_graph_from_json_requires_edges_and_refuses_other_keys():
+    """"edges" is required and "vertices" optional; any other key is named.
+    A measurement-set file or {} is not an empty graph."""
+    chain7 = json.loads(_fixture_text("chain7"))
+    for obj, message in (
+        ({}, "graph has no 'edges' key"),
+        ({"vertices": ["1", "2"]}, "graph has no 'edges' key"),
+        (chain7, "graph has no 'edges' key"),
+        ({"edges": [], "d": 1}, "graph has an unknown key 'd'"),
+        ({"vertices": [], "edges": [], "name": "x"}, "graph has an unknown key 'name'"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            gr.graph_from_json(obj)
+        assert str(excinfo.value) == message
+    assert gr.graph_from_json({"edges": [[1, 2]]}) == gr.build_graph([(1, 2)])
+    assert gr.graph_from_json({"edges": [], "vertices": ["a"]}).vertices == ("a",)
 
 
 def test_build_graph_isolated_vertices():
@@ -179,6 +199,31 @@ def test_adjacency_and_ball_masks_match_per_vertex_growth():
                 assert g.ball_masks(d) == expected, (g.vertices, d)
         reached = reference_grow(adjacency, 1, 10**9) if g.vertices else 0
         assert g.is_connected == (reached == (1 << len(g.vertices)) - 1)
+
+
+def test_one_pass_tables_match_a_per_vertex_scan():
+    """The neighbour index lists (as sets) and the adjacency rows, filled
+    in one pass over the edges, equal a scan of every edge for each
+    vertex: on random graphs with n = 0, 1 and 2..14, with isolated
+    vertices and an unsorted vertex tuple, on a 600-vertex path and on the
+    fixtures' graphs inflated at d = 1..3."""
+    rng = random.Random(32)
+    graphs = [gr.build_graph([], vertices=range(n)) for n in (0, 1)]
+    for n in range(2, 15):
+        g = random_connected_graph(rng, n)
+        shuffled = [*g.vertices, "isolated", "lone"]
+        rng.shuffle(shuffled)
+        graphs += [g, gr.Graph(vertices=tuple(shuffled), edges=g.edges)]
+    path = gr.build_graph([(k, k + 1) for k in range(599)])
+    assert len(path.vertices) == 600
+    graphs.append(path)
+    for name in FIXTURES:
+        base = load_fixture_set(name).graph
+        graphs += [gr.inflate(base, d).graph for d in (1, 2, 3)]
+    for g in graphs:
+        sets, rows = neighbour_tables_per_vertex(g)
+        assert [set(js) for js in g._neighbour_indices] == sets, g.vertices
+        assert g.adjacency == rows, g.vertices
 
 
 def test_is_connected_grows_one_ball():

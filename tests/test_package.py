@@ -94,7 +94,7 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
 
 def test_conftest_imports_nothing_it_checks():
     """The test oracles in conftest.py stay independent of the paths they
-    check: no import of lhv, gf2, pauli or paradox."""
+    check: no import of lhv, gf2, pauli, paradox, graph or statevector."""
     tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
     modules = []
     for node in ast.walk(tree):
@@ -104,7 +104,7 @@ def test_conftest_imports_nothing_it_checks():
         elif isinstance(node, ast.Import):
             modules.extend(alias.name for alias in node.names)
     assert modules
-    checked = {"lhv", "gf2", "pauli", "paradox"}
+    checked = {"lhv", "gf2", "pauli", "paradox", "graph", "statevector"}
     assert not [m for m in modules if checked & set(m.split("."))], modules
 
 

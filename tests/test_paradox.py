@@ -468,7 +468,9 @@ def _boundary_graphs(rng):
 def _boundary_pair(rng, g):
     """Random (letters, mask) on g: identity letters on unknown vertices,
     now and then an invalid letter, an unknown vertex or an int key, and
-    masks with repeated, unknown and int entries."""
+    masks with repeated, unknown and int entries.  Some pairs mix names:
+    digit-named vertices written as ints, anywhere among the string keys
+    and mask entries, which the reader must read as their str()."""
     vertices = g.vertices
     chosen = rng.sample(vertices, rng.randrange(len(vertices) + 1))
     letters = {v: rng.choice("IXYZ") for v in chosen}
@@ -488,8 +490,16 @@ def _boundary_pair(rng, g):
         mask += rng.sample(["u1", "u2", "u3"], rng.randrange(1, 4))
     if rng.random() < 0.2:
         mask.append(rng.choice(numbers))
+    if rng.random() < 0.1:
+        letters = {_mixed_name(rng, v): l for v, l in letters.items()}
+        mask = [_mixed_name(rng, v) for v in mask]
     rng.shuffle(mask)
     return letters, mask
+
+
+def _mixed_name(rng, v):
+    """A digit-string name as an int half the time; others as they are."""
+    return int(v) if isinstance(v, str) and v.isdigit() and rng.random() < 0.5 else v
 
 
 def _outcome(f, *args):

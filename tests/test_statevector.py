@@ -10,7 +10,12 @@ import pytest
 import inflated_graphs as ig
 from inflated_graphs import lhv, pauli, statevector as sv
 from inflated_graphs.graph import Graph
-from conftest import random_connected_graph, random_subset
+from conftest import (
+    random_connected_graph,
+    random_subset,
+    seeded_small_graphs,
+    vdot_pauli_expectation,
+)
 
 # The per-factor matrix contraction: the reference that pauli_expectation
 # and the Pauli-sum chsh_operator are checked against.  It uses numpy only,
@@ -270,9 +275,31 @@ def test_pauli_expectation_matches_matrix_contraction():
                     }
                     slow = contraction_expectation(state, matrices)
                     assert abs(fast - slow) < 1e-10, (g, letters)
+                    old = vdot_pauli_expectation(state, letters)
+                    assert abs(fast - old) < 1e-12, (g, letters)
                     ys = sum(l == "Y" for l in letters.values())
                     nonzero_y += ys % 2 == 1 and abs(slow) > 1e-3
     assert nonzero_y > 50
+
+
+def test_real_oracle_matches_the_complex_vdot_path():
+    """Graph states are float64, and on every Pauli string of the seeded
+    small graphs pauli_expectation equals the complex-amplitude np.vdot
+    evaluation it replaced.  (The random complex states are compared in
+    test_pauli_expectation_matches_matrix_contraction.)"""
+    strings = 0
+    for g in seeded_small_graphs():
+        state = sv.graph_state(g)
+        assert state.amplitudes.dtype == np.float64
+        for word in itertools.product("IXYZ", repeat=len(g.vertices)):
+            letters = dict(zip(g.vertices, word))
+            got = sv.pauli_expectation(state, letters)
+            assert abs(got - vdot_pauli_expectation(state, letters)) < 1e-12, (
+                g.edges,
+                letters,
+            )
+            strings += 1
+    assert strings > 30_000
 
 
 def _per_edge_graph_state(g):

@@ -12,7 +12,7 @@ import pytest
 import inflated_graphs as ig
 from inflated_graphs import statevector as sv
 from inflated_graphs.cli import FIXTURES, load_fixture_set
-from conftest import random_connected_graph, random_subset
+from conftest import random_connected_graph, random_subset, seeded_small_graphs
 from tableau import GraphTableau
 
 
@@ -25,9 +25,7 @@ def test_tableau_imports_nothing_it_checks():
 
 
 def test_tableau_matches_statevector_on_every_pauli_string():
-    rng = random.Random(61)
-    for k in range(30):
-        g = random_connected_graph(rng, 2 + k % 5)
+    for g in seeded_small_graphs():
         state = sv.graph_state(g)
         tableau = GraphTableau(g.vertices, g.edges)
         for word in itertools.product("IXYZ", repeat=len(g.vertices)):
