@@ -5,10 +5,11 @@ named ``"r@(u,v)"`` where ``(u,v)`` is the base edge oriented from the smaller
 to the larger label and ``r`` counts positions starting next to ``u``.
 
 A vertex set is also an int bitmask over ``Graph.index``.  Names become
-bits through one binary digit string (:meth:`Graph.bits_of`), and bits
-become names through one ``itertools.compress`` over the digits
-(:func:`members`), so neither takes a big-int step per vertex.  Everything
-derived from the edges (``neighbors``, the distance balls and
+bits only through :func:`pauli.compile_pair`, which writes one binary digit
+string per mask, and a mask becomes names through :func:`members`, one
+``itertools.compress`` over its digits (:func:`pauli.letters_of` is the
+other reader, for letters), so neither takes a big-int step per vertex.
+Everything derived from the edges (``neighbors``, the distance balls and
 ``is_connected``) is read off the neighbour index lists and the
 ``adjacency`` rows, which one pass over ``edges`` fills together.
 :meth:`Graph.ball_masks` computes every vertex's ball radius by radius,
@@ -121,30 +122,6 @@ class Graph:
                     found.append(j)
         return len(found) == len(neighbours)
 
-    def bits_of(self, vertices: Iterable[str]) -> int:
-        """Bitmask over ``index`` of a vertex collection; ValueError names
-        the first vertex not in the graph.
-
-        Each vertex writes a "1" into a string of binary digits, most
-        significant first, that one ``int(digits, 2)`` then reads: vertex i
-        is digit n - i, after a leading "0" that keeps an empty graph's
-        string readable.
-        """
-        index = self.index
-        n = len(index)
-        digits = bytearray(b"0") * (n + 1)
-        for v in vertices:
-            try:
-                digits[n - index[v]] = 49  # b"1"
-            except KeyError:
-                raise ValueError(f"unknown vertex {v!r}") from None
-        return int(digits, 2)
-
-    def vertices_of(self, bits: int) -> tuple[str, ...]:
-        """The vertices of a bitmask over ``index``, in vertex order (by
-        :func:`members`); the inverse of :meth:`bits_of`."""
-        return tuple(members(self.vertices, bits))
-
     def require_vertex(self, v: str) -> None:
         if v not in self.index:
             raise ValueError(f"unknown vertex {v!r}")
@@ -219,7 +196,7 @@ def ball(g: Graph, v: str, d: int) -> tuple[str, ...]:
     """Vertices within distance d of v (inclusive), in canonical order: the
     members of v's mask in :meth:`Graph.ball_masks`."""
     g.require_vertex(v)
-    return g.vertices_of(g.ball_masks(d)[g.index[v]])
+    return tuple(members(g.vertices, g.ball_masks(d)[g.index[v]]))
 
 
 def chain_vertex_name(edge: tuple[str, str], r: int) -> str:

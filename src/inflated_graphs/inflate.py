@@ -8,8 +8,10 @@ Every pair is built and stored as (x, z, mask) bitmasks over the inflated
 graph's index; its letters are derived only when the set is written out.
 A base mask is lifted by OR-ing, per base vertex, its power-vertex bit or
 the member mask of its inflated generator (the vertex plus its chain
-vertices at even distance); "X on every chain vertex" is the OR of the
-chain mask.
+vertices at even distance).  The member masks partition the inflated
+vertices, so "X on every chain vertex" ORs in their union without the power
+bits.  Names become bits only in :func:`pauli.compile_pair`, and bits become
+names only through :func:`pauli.letters_of` and :func:`graph.members`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import pauli
-from .graph import Graph, InflatedGraph
+from .graph import Graph, InflatedGraph, members
 from .paradox import (
     MeasurementPair,
     MeasurementSet,
@@ -78,7 +80,8 @@ def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:
     """Per base vertex u, in base index order, the bitmask over the inflated
     graph's index of the vertices whose generators multiply to u's inflated
     generator: u itself plus the chain vertices of u's chains at even
-    distance from u.  The masks of distinct base vertices are disjoint."""
+    distance from u.  Every chain vertex is at even distance from exactly
+    one end of its chain, so the masks partition the inflated vertices."""
     index = ig.graph.index
     masks = [1 << index[u] for u in ig.base.vertices]
     for name, (edge, r) in ig.chain_index.items():
@@ -89,7 +92,7 @@ def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:
 
 
 def _decoy_pairs(
-    ig: InflatedGraph, members: tuple[int, ...], chain: int, spec: DecoySpec
+    ig: InflatedGraph, member_masks: tuple[int, ...], chain: int, spec: DecoySpec
 ) -> tuple[MeasurementPair, MeasurementPair]:
     """Two measurements differing only at the center vertex and sharing the
     shell stabilizer, the product of the two neighbors' inflated
@@ -103,7 +106,7 @@ def _decoy_pairs(
     """
     g = ig.graph
     b1, b2 = (ig.base.index[v] for v in spec.neighbors)
-    shell_x = members[b1] | members[b2]
+    shell_x = member_masks[b1] | member_masks[b2]
     shell_z, negative = pauli._stabilizer(g, shell_x)
     shell = shell_x | shell_z
     assert not (shell >> g.index[spec.center]) & 1  # identity at the center
@@ -145,15 +148,16 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
 
     g = ig.graph
     power = tuple(1 << g.index[v] for v in base.graph.vertices)
-    members = _member_masks(ig)
-    chain = g.bits_of(ig.chain_index)
+    member_masks = _member_masks(ig)
+    # The member masks partition the inflated vertices (_member_masks).
+    chain = _spread(full, member_masks) & ~_spread(full, power)
     pairs = []
     odd: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)
     for p, (x, z, _) in zip(base.pairs, base.pair_bits):
         # Certified with a full mask, the pair is the stabilizer element of
         # the subset x.  Its inflated stabilizer sets the kept vertices; the
         # measurement copies the base letters and puts X on every chain.
-        inflated_x = _spread(x, members)
+        inflated_x = _spread(x, member_masks)
         inflated_z, _ = pauli._stabilizer(g, inflated_x)
         pairs.append(
             MeasurementPair(
@@ -165,7 +169,7 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
             )
         )
         letters = pauli.letters_of(base.graph.vertices, x, z)
-        for f in base.graph.vertices_of(x):
+        for f in members(base.graph.vertices, x):
             for c in base.graph.neighbors[f]:
                 odd[c] ^= {(f, letters.get(c, "I"))}
 
@@ -173,7 +177,7 @@ def build_inflated_set(base: MeasurementSet, ig: InflatedGraph) -> BuildResult:
     for center in sorted(odd):
         for spec in _plan_decoys(center, odd[center]):
             decoy_specs.append(spec)
-            pairs.extend(_decoy_pairs(ig, members, chain, spec))
+            pairs.extend(_decoy_pairs(ig, member_masks, chain, spec))
     built = MeasurementSet(graph=g, d=ig.d, pairs=tuple(pairs))
     certificate = verify_paradox(built)
     if not certificate.overall:

@@ -414,12 +414,12 @@ def check_model(model: BarrettModel) -> list[dict]:
     if rule_z != parity:
         s = next(s for s in range(1 << n) if rule_z[s] != parity[s])
         a, b = (
-            f"{list(g.vertices_of(bits))} (mask {bits:#b})"
+            f"{list(members(g.vertices, bits))} (mask {bits:#b})"
             for bits in (rule_z[s], parity[s])
         )
         raise RuntimeError(
             f"the stabilizer rule and the model's neighbour parity disagree "
-            f"on subset {list(g.vertices_of(s))}: z {a} against {b}"
+            f"on subset {list(members(g.vertices, s))}: z {a} against {b}"
         )
     # take() gathers these small-int indices several times faster than
     # fancy indexing does.
@@ -436,7 +436,7 @@ def check_model(model: BarrettModel) -> list[dict]:
         mismatches.append(
             {
                 "letters": dict(sorted(letters.items())),
-                "mask": list(g.vertices_of(m)),
+                "mask": list(members(g.vertices, m)),
                 "quantum": quantum,
                 "model": str(-quantum),
             }

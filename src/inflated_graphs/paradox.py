@@ -16,11 +16,10 @@ model whose per-vertex outputs see measurement settings up to distance d.
 A :class:`MeasurementPair` is stored as (x, z, mask) bitmasks over a vertex
 tuple, and its letters are views derived from them.  At the set-file
 boundary, :func:`set_from_json` compiles each pair's letters and mask
-straight onto the graph's vertices, writing each vertex as a binary digit
-and reading each mask with one ``int(digits, 2)`` (:func:`_compile`), and
-:func:`set_to_json` reads names back off the bits with
-:func:`pauli.letters_of` and one ``itertools.compress`` per mask
-(:func:`graph.members`).  A
+straight onto the graph's vertices with :func:`pauli.compile_pair`, the
+only writer from names to bits, and :func:`set_to_json` reads names back
+off the bits with the two readers, :func:`pauli.letters_of` and
+:func:`graph.members`.  A
 :class:`MeasurementSet` takes its pairs' bits over ``graph.index`` (moving a
 pair over other vertices onto the graph by name once) and derives from
 them, once per set, its stabilizer signs and its excerpt rows:
@@ -73,7 +72,7 @@ class MeasurementPair:
             v = next(v for v in support if not isinstance(v, str))
             raise ValueError(f"unknown vertex {v!r}") from None
         index = {v: i for i, v in enumerate(vertices)}
-        x, z, m, _ = _compile(letters.items(), mask, index)
+        x, z, m, _ = pauli.compile_pair(letters.items(), mask, index)
         return MeasurementPair(vertices, x, z, m, name)
 
     @cached_property
@@ -96,7 +95,7 @@ class MeasurementPair:
         by name."""
         if self.vertices is g.vertices or self.vertices == g.vertices:
             return self.x, self.z, self.m
-        x, z, m, unknown = _compile(self.letters, self.mask, g.index)
+        x, z, m, unknown = pauli.compile_pair(self.letters, self.mask, g.index)
         if unknown is not None:
             raise ValueError(f"unknown vertex {unknown!r}")
         return x, z, m
@@ -115,29 +114,6 @@ class MeasurementPair:
             f"MeasurementPair.make({self.letters_dict!r}, "
             f"{sorted(self.mask)!r}, name={self.name!r})"
         )
-
-
-def _compile(
-    letters: Iterable[tuple[str, str]], mask: Iterable[str], index: Mapping[str, int]
-) -> tuple[int, int, int, str | None]:
-    """(x, z, m) bitmasks over ``index`` of letter items and a mask, plus
-    the vertex an "unknown vertex" error names, or None when every vertex is
-    in ``index``: the smallest unknown letter vertex
-    (:func:`pauli.compile_letters`, which checks every letter first), else
-    the smallest unknown mask vertex.  The mask is read as binary digits,
-    as :meth:`Graph.bits_of` reads a vertex collection."""
-    x, z, unknown = pauli.compile_letters(letters, index)
-    if unknown is not None:
-        return x, z, 0, unknown
-    n = len(index)
-    digits = bytearray(b"0") * (n + 1)
-    missing = []
-    for v in mask:
-        try:
-            digits[n - index[v]] = 49  # b"1"
-        except KeyError:
-            missing.append(v)
-    return x, z, int(digits, 2), min(missing) if missing else None
 
 
 ExcerptClass = tuple[int, int, int]  # (vertex index, x & B, z & B)
@@ -325,12 +301,12 @@ def set_from_json(obj: Mapping) -> MeasurementSet:
         letters = p["letters"]
         mask = p["mask"]
         try:
-            x, z, m, missing = _compile(letters.items(), mask, index)
+            x, z, m, missing = pauli.compile_pair(letters.items(), mask, index)
             found = missing is None
         except TypeError:  # an unhashable mask entry, or unknown ones of mixed types
             found = False
         if not found:
-            x, z, m, missing = _compile(
+            x, z, m, missing = pauli.compile_pair(
                 zip(map(str, letters), letters.values()), map(str, mask), index
             )
         if unknown is None:

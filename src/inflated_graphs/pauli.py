@@ -7,10 +7,13 @@ For arithmetic and storage (measurement pairs keep only their bits) it is a
 triple (x, z, phase) of ints over ``g.index``: a letter is a pair of bits
 (x, z) with X = (1, 0), Z = (0, 1) and Y = (1, 1) = i X Z, and the string is
 i**phase times the tensor product of its letters, with phase exact mod 4.
-:func:`compile_letters` and :func:`to_xz` turn letters into bits, writing
-each letter as a binary digit of x and z and reading each mask with one
-``int(digits, 2)``, and :func:`letters_of` turns bits back into letters;
-this module holds the only letter tables.
+:func:`compile_pair` is the only writer from names to bits: it turns letters
+and a mask of vertices into (x, z, m), writing each vertex as a binary digit
+and reading each mask with one ``int(digits, 2)``; :func:`to_xz`,
+:func:`subset_to_pauli` and every measurement pair go through it.  The
+readers are :func:`letters_of`, which turns bits back into letters, and
+:func:`graph.members`, which turns a mask back into vertices.  This module
+holds the only letter tables.
 
 The stabilizer element of a graph state generated by a vertex subset S (the
 product of the generators X_v Z_N(v) over v in S) has x = S and z = the
@@ -75,25 +78,29 @@ def _stabilizer(g: Graph, x: int) -> tuple[int, bool]:
     return z, bool((inner // 2 + (x & z).bit_count() // 2) & 1)
 
 
-def compile_letters(
-    items: Iterable[tuple[str, str]], index: Mapping[str, int]
-) -> tuple[int, int, str | None]:
-    """(x, z) bitmasks over ``index`` of letter items (vertex, letter), plus
-    the smallest vertex of a non-identity letter that is not in ``index``,
-    or None.  Every letter is checked before it returns, so an invalid
-    letter raises ValueError ahead of any unknown vertex, and an identity
-    letter's vertex is never looked up.
+def compile_pair(
+    letters: Iterable[tuple[str, str]], mask: Iterable[str], index: Mapping[str, int]
+) -> tuple[int, int, int, str | None]:
+    """(x, z, m) bitmasks over ``index`` of letter items (vertex, letter)
+    and a mask of vertices, plus the vertex an "unknown vertex" error names,
+    or None when every vertex is in ``index``.
 
-    Each letter writes a "1" into the binary digits of x, z or both, most
-    significant first (as :meth:`Graph.bits_of` does): vertex i is digit
-    n - i, after a leading "0" that keeps an empty index's string readable.
-    One ``int(digits, 2)`` per mask reads them.
+    Every letter is checked first, so an invalid letter raises ValueError
+    ahead of any unknown vertex, and an identity letter's vertex is never
+    looked up.  The vertex named is the smallest unknown letter vertex (by
+    ``str``), else the smallest unknown mask vertex; the mask is not read
+    when a letter vertex is unknown.
+
+    This is the one place names become bits.  Each letter or mask entry
+    writes a "1" into a string of binary digits, most significant first:
+    vertex i is digit n - i, after a leading "0" that keeps an empty
+    index's string readable.  One ``int(digits, 2)`` per mask reads them.
     """
     n = len(index)
     xs = bytearray(b"0") * (n + 1)
     zs = bytearray(xs)
     unknown = []
-    for v, l in items:
+    for v, l in letters:
         if l == "I":
             continue
         try:
@@ -113,15 +120,26 @@ def compile_letters(
             xs[i] = zs[i] = 49
         else:
             raise ValueError(f"invalid Pauli letter {l!r}")
-    # Graph vertices are strings; key=str orders keys of other types too.
-    return int(xs, 2), int(zs, 2), min(unknown, key=str) if unknown else None
+    if unknown:
+        # Graph vertices are strings; key=str orders keys of other types too.
+        return int(xs, 2), int(zs, 2), 0, min(unknown, key=str)
+    ms = bytearray(b"0") * (n + 1)
+    missing = []
+    for v in mask:
+        try:
+            ms[n - index[v]] = 49
+        except KeyError:
+            missing.append(v)
+    # Unkeyed: unknown entries of mixed types raise TypeError, which
+    # set_from_json answers by reading the pair again through str().
+    return int(xs, 2), int(zs, 2), int(ms, 2), min(missing) if missing else None
 
 
 def to_xz(g: Graph, letters: Mapping[str, str]) -> tuple[int, int]:
     """Bitmasks of a letter assignment over ``g.index``; ValueError names
     an invalid letter, else the smallest unknown vertex of a non-identity
     letter."""
-    x, z, unknown = compile_letters(letters.items(), g.index)
+    x, z, _, unknown = compile_pair(letters.items(), (), g.index)
     if unknown is not None:
         raise ValueError(f"unknown vertex {unknown!r}")
     return x, z
@@ -147,8 +165,11 @@ def subset_to_pauli(
     g: Graph, subset: frozenset[str] | set[str]
 ) -> tuple[dict[str, str], int]:
     """The stabilizer element generated by a vertex subset (the product of
-    the graph-state generators at its vertices) as (letters, sign)."""
-    x = g.bits_of(subset)
+    the graph-state generators at its vertices) as (letters, sign);
+    ValueError names the smallest vertex not in the graph."""
+    _, _, x, unknown = compile_pair((), subset, g.index)
+    if unknown is not None:
+        raise ValueError(f"unknown vertex {unknown!r}")
     z, negative = _stabilizer(g, x)
     return letters_of(g.vertices, x, z), -1 if negative else 1
 

@@ -53,7 +53,10 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.amplitudes.shape != (1 << len(self.vertices),):
             raise ValueError("amplitude array has the wrong length")
-        norm = float(np.linalg.norm(self.amplitudes))
+        # The plain sum of |psi|**2, as in pauli_expectation: np.linalg.norm's
+        # BLAS dot product runs multi-threaded when BLAS threads are unpinned.
+        a = self.amplitudes
+        norm = math.sqrt(np.add.reduce((a.conj() * a).real))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized (norm {norm})")
 

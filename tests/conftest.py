@@ -195,17 +195,17 @@ def model_values(model):
 
 
 # The names-to-bits loops that digit strings replaced in the library: one
-# big-int OR per vertex.  The boundary tests swap them in for
-# pauli.compile_letters, paradox._compile and Graph.bits_of, so the entry
-# points around them give the results the library must reproduce; and
-# ``members_by_zip`` is the bits-to-names walk that ``graph.members``
-# replaced.
+# big-int OR per vertex.  The boundary tests swap ``compile_pair_by_shifts``
+# in for pauli.compile_pair, the library's one names-to-bits writer, so the
+# entry points around it give the results the library must reproduce;
+# ``bits_of_by_shifts`` is the mask loop on its own, and ``members_by_zip``
+# is the bits-to-names walk that ``graph.members`` replaced.
 
 
-def compile_letters_by_shifts(items, index):
+def compile_pair_by_shifts(letters, mask, index):
     x = z = 0
     unknown = []
-    for v, l in items:
+    for v, l in letters:
         if l in ("X", "Y", "Z"):
             i = index.get(v)
             if i is None:
@@ -217,13 +217,8 @@ def compile_letters_by_shifts(items, index):
                 z |= 1 << i
         elif l != "I":
             raise ValueError(f"invalid Pauli letter {l!r}")
-    return x, z, min(unknown, key=str) if unknown else None
-
-
-def compile_pair_by_shifts(letters, mask, index):
-    x, z, unknown = compile_letters_by_shifts(letters, index)
-    if unknown is not None:
-        return x, z, 0, unknown
+    if unknown:
+        return x, z, 0, min(unknown, key=str)
     m = 0
     missing = []
     for v in mask:

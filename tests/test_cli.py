@@ -1,9 +1,12 @@
+import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -451,3 +454,79 @@ def test_program_fault_exits_70(
     assert captured.err.startswith("Traceback (most recent call last):\n")
     assert f"{error.__name__}: " in captured.err
     assert "injected fault" in captured.err
+
+
+# JSON values of every type, for an edit that gives a value another type.
+_JSON_VALUES = (None, True, False, 0, 2, 1.5, "1", "X", "W", [], ["1"], {}, {"1": "X"})
+
+
+def _edit(rng, obj):
+    """One random edit inside a JSON value: a value set to another JSON
+    type, a key dropped or added, or a list item duplicated."""
+    containers = []
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            containers.append(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            if value:
+                containers.append(value)
+            stack.extend(value)
+    container = rng.choice(containers)
+    if isinstance(container, dict):
+        kinds = ("retype", "drop", "add") if container else ("add",)
+        keys = list(container)
+    else:
+        kinds = ("retype", "duplicate")
+        keys = range(len(container))
+    kind = rng.choice(kinds)
+    if kind == "add":
+        key = rng.choice(("extra", "9", "name", "d"))
+        container[key if key not in container else "extra"] = rng.choice(_JSON_VALUES)
+        return
+    key = rng.choice(keys)
+    if kind == "drop":
+        del container[key]
+    elif kind == "duplicate":
+        container.insert(rng.randrange(len(container) + 1), copy.deepcopy(container[key]))
+    else:
+        old = type(container[key])
+        container[key] = copy.deepcopy(
+            rng.choice([v for v in _JSON_VALUES if type(v) is not old])
+        )
+
+
+def test_edited_inputs_exit_with_the_pinned_codes(tmp_path, capsys):
+    """Fixtures (their graphs for inflate) with one or two random edits
+    exit 0, 1, 2 or 3, never 70: 1 ("verified false") only from verify, and
+    an input error (2) or precondition failure (3) prints no report.  The
+    counts per command and code are pinned, so a change in how any edited
+    input is read shows here."""
+    rng = random.Random(33)
+    path = tmp_path / "edited.json"
+    codes = Counter()
+    for case in range(300):
+        command = rng.choice(("verify", "bound", "build", "inflate"))
+        obj = json.loads(cli._fixture_text(rng.choice(cli.FIXTURES)))
+        if command == "inflate":
+            obj = obj["graph"]
+        for _ in range(rng.randint(1, 2)):
+            _edit(rng, obj)
+        path.write_text(json.dumps(obj))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (case, command, obj, captured.err)
+        assert code != 1 or command == "verify", (case, command, obj)
+        if code in (2, 3):
+            assert captured.out == "", (case, command, obj)
+        codes[command, code] += 1
+    assert codes == Counter(
+        {
+            ("bound", 0): 14, ("bound", 2): 41, ("bound", 3): 9,
+            ("build", 0): 3, ("build", 2): 63, ("build", 3): 18,
+            ("inflate", 0): 23, ("inflate", 2): 48,
+            ("verify", 0): 19, ("verify", 1): 3, ("verify", 2): 59,
+        }
+    )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from inflated_graphs import graph as gr
 from inflated_graphs.cli import FIXTURES, _fixture_text, load_fixture_set
 from inflated_graphs.paradox import MeasurementPair
+from inflated_graphs.pauli import compile_pair
 from conftest import (
     bfs_ball,
     bits_of_by_shifts,
@@ -325,9 +326,9 @@ def test_inflate_equals_build_graph_of_its_chains(data):
 
 
 def test_bits_and_names_round_trip_on_unsorted_vertices():
-    """bits_of, vertices_of and MeasurementPair.mask against the shift and
-    zip-filter walks they replaced, order included, around the word
-    boundaries of the digit strings."""
+    """compile_pair's mask, graph.members and MeasurementPair.mask against
+    the shift and zip-filter walks they replaced, order included, around the
+    word boundaries of the digit strings."""
     rng = random.Random(28)
     for n in (0, 1, 7, 8, 9, 63, 64, 65, 600):
         names = [f"v{k}" for k in range(n)]
@@ -336,10 +337,12 @@ def test_bits_and_names_round_trip_on_unsorted_vertices():
         subsets = [[], names]
         subsets += [rng.sample(names, rng.randrange(n + 1)) for _ in range(20)]
         for subset in subsets:
-            bits = g.bits_of(subset)
+            x, z, bits, unknown = compile_pair((), subset, g.index)
+            assert (x, z, unknown) == (0, 0, None)
             assert bits == bits_of_by_shifts(g, subset)
-            assert g.vertices_of(bits) == members_by_zip(g.vertices, bits)
-            assert sorted(g.vertices_of(bits)) == sorted(subset)
+            found = tuple(gr.members(g.vertices, bits))
+            assert found == members_by_zip(g.vertices, bits)
+            assert sorted(found) == sorted(subset)
             pair = MeasurementPair(g.vertices, 0, 0, bits)
             assert pair.mask == frozenset(members_by_zip(g.vertices, bits))
 

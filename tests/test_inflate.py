@@ -11,7 +11,7 @@ import inflated_graphs as ig
 from inflated_graphs import pauli, statevector
 from inflated_graphs.cli import FIXTURES, _fixture_text, load_fixture_set
 from inflated_graphs.graph import chain_vertex_name, edge_key, inflate
-from conftest import bfs_ball, random_connected_graph
+from conftest import bfs_ball, bits_of_by_shifts, random_connected_graph
 
 # The package attribute "inflate" is the construction function, not the
 # module.
@@ -216,6 +216,27 @@ def test_built_decoy_specs_are_well_formed(data):
     assert result.certificate.overall
     for spec in result.decoy_specs:
         assert_well_formed(spec, g)
+
+
+def test_member_masks_partition_the_inflated_vertices():
+    """The member masks are pairwise disjoint and cover the inflated graph,
+    so their OR without the power bits is the chain mask, named by name."""
+    rng = random.Random(33)
+    cases = [
+        inflate(random_connected_graph(rng, n), d)
+        for n in range(3, 10)
+        for d in (1, 2, 3)
+    ]
+    cases.append(inflate(ig.build_graph(itertools.combinations(range(1, 15), 2)), 3))
+    for iginf in cases:
+        g = iginf.graph
+        union = 0
+        for mask in infl_mod._member_masks(iginf):
+            assert not union & mask
+            union |= mask
+        assert union == (1 << len(g.vertices)) - 1
+        power = bits_of_by_shifts(g, iginf.base.vertices)
+        assert union & ~power == bits_of_by_shifts(g, iginf.chain_index)
 
 
 def test_build_reproduces_chain7_fixture():

@@ -12,12 +12,14 @@ import pytest
 import inflated_graphs as ig
 from conftest import (
     barrett_expectation_sampled,
+    bits_of_by_shifts,
     min_violations_brute_force,
     model_values,
     random_connected_graph,
 )
 from inflated_graphs import gf2, lhv, pauli, statevector
 from inflated_graphs.cli import FIXTURES, load_fixture_set
+from inflated_graphs.graph import members
 
 
 def test_build_system_shape_ghz():
@@ -294,7 +296,7 @@ def reference_values(model, pair):
     """A pair's model expectation by both references: the per-case model
     value and explicit averaging."""
     x, z = pauli.to_xz(model.graph, pair.letters_dict)
-    m = model.graph.bits_of(pair.mask)
+    m = bits_of_by_shifts(model.graph, pair.mask)
     return model_values(model)(x, z, m), barrett_expectation_sampled(model, pair)
 
 
@@ -452,7 +454,7 @@ def scalar_check_model(model):
             mismatches.append(
                 {
                     "letters": dict(sorted(letters.items())),
-                    "mask": sorted(g.vertices_of(m)),
+                    "mask": sorted(members(g.vertices, m)),
                     "quantum": quantum,
                     "model": str(classical),
                 }
@@ -967,7 +969,7 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
             classical = value(x, z, m)
             key = (
                 tuple(sorted(pauli.letters_of(g.vertices, x, z).items())),
-                tuple(sorted(g.vertices_of(m))),
+                tuple(sorted(members(g.vertices, m))),
             )
             record = listed.get(key)
             assert (record is not None) == (classical != quantum)

@@ -84,6 +84,14 @@ def test_subset_to_pauli_examples():
     assert pauli.subset_to_pauli(path3, frozenset()) == ({}, 1)
 
 
+def test_subset_to_pauli_names_the_smallest_unknown_vertex():
+    """A set has no first element: the vertex named is the smallest."""
+    path3 = build_graph([(1, 2), (2, 3)])
+    for subset in ({"9", "1", "5"}, frozenset({"5", "2", "9"}), ["9", "5"]):
+        with pytest.raises(ValueError, match="^unknown vertex '5'$"):
+            pauli.subset_to_pauli(path3, subset)
+
+
 def test_subset_matches_generator_product():
     rng = random.Random(5)
     for _ in range(50):

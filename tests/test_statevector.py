@@ -105,6 +105,24 @@ def test_amplitudes_must_have_two_to_the_vertex_count_entries():
     sv.StateVector(amplitudes=np.ones(1, dtype=complex), vertices=())
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_norm_tolerance_is_1e_12(dtype):
+    """A state whose norm is off by 2e-12 is refused, one off by 5e-13 is
+    accepted, for real and complex amplitudes alike."""
+    gen = np.random.default_rng(71)
+    amplitudes = gen.normal(size=1 << 10).astype(dtype)
+    if dtype is complex:
+        amplitudes += 1j * gen.normal(size=1 << 10)
+    amplitudes /= math.sqrt(np.sum(np.abs(amplitudes) ** 2))
+    vertices = tuple(str(i) for i in range(10))
+    with pytest.raises(ValueError, match=r"^state is not normalized \(norm "):
+        sv.StateVector(amplitudes=amplitudes * (1 + 2e-12), vertices=vertices)
+    with pytest.raises(ValueError, match=r"^state is not normalized \(norm "):
+        sv.StateVector(amplitudes=amplitudes * (1 - 2e-12), vertices=vertices)
+    sv.StateVector(amplitudes=amplitudes * (1 + 5e-13), vertices=vertices)
+    sv.StateVector(amplitudes=amplitudes * (1 - 5e-13), vertices=vertices)
+
+
 def test_exhaustive_cross_check_small():
     # every Pauli string on all graphs up to 4 vertices used elsewhere,
     # plus a 5-vertex random graph
