@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from . import pauli
@@ -68,12 +70,7 @@ class BuildResult:
 
 def _spread(bits: int, table: Sequence[int]) -> int:
     """OR of table[i] over the set bits i of a base-graph bitmask."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= table[low.bit_length() - 1]
-        bits ^= low
-    return out
+    return reduce(or_, members(table, bits), 0)
 
 
 def _member_masks(ig: InflatedGraph) -> tuple[int, ...]:

@@ -141,12 +141,25 @@ def min_violations(sys: StrategySystem) -> int:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Quantum value, exact classical bound, and their ratio for one set."""
+    """Quantum value, exact classical bound, and their ratio for one set:
+    qm_value and min_violations are stored, the bound and ratio derived."""
 
     qm_value: int
-    classical_bound: int
     min_violations: int
-    ratio: Fraction | None
+
+    @property
+    def classical_bound(self) -> int:
+        """qm_value minus two per unavoidable violation."""
+        return self.qm_value - 2 * self.min_violations
+
+    @property
+    def ratio(self) -> Fraction | None:
+        """qm_value / classical_bound, or None when the bound is <= 0."""
+        # Imported here: fractions loads decimal, which nothing else needs.
+        from fractions import Fraction
+
+        bound = self.classical_bound
+        return Fraction(self.qm_value, bound) if bound > 0 else None
 
     def to_json(self) -> dict:
         return {
@@ -164,24 +177,10 @@ class BellReport:
 def bell_report(s: MeasurementSet) -> BellReport:
     """Sum-of-correlators Bell expression for the set.
 
-    The quantum value is the pair count (every signed submeasurement has
-    expectation +1 on the graph state); the classical bound subtracts two
-    per unavoidable violation.
+    The quantum value is the pair count: every signed submeasurement has
+    expectation +1 on the graph state.
     """
-    # Imported here: fractions loads decimal, which nothing else needs.
-    from fractions import Fraction
-
-    sys = build_system(s)
-    mv = min_violations(sys)
-    qm = len(s.pairs)
-    bound = qm - 2 * mv
-    ratio = Fraction(qm, bound) if bound > 0 else None
-    return BellReport(
-        qm_value=qm,
-        classical_bound=bound,
-        min_violations=mv,
-        ratio=ratio,
-    )
+    return BellReport(len(s.pairs), min_violations(build_system(s)))
 
 
 # ---------------------------------------------------------------------------

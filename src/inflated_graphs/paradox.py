@@ -27,8 +27,8 @@ them, once per set, its stabilizer signs and its excerpt rows:
 (vertex, letters on its ball) and gives each pair a row of the classes that
 hold it.  The parity check is the XOR of those rows, the strategy system
 takes them as its rows, and the flip-rule search runs the same function on
-its own cases.  A certificate names its odd excerpt classes as a witness
-kept out of its JSON form.
+its own cases.  A certificate names its odd excerpt classes as a witness,
+kept out of its JSON form, and derives its parity verdict from it.
 """
 
 from __future__ import annotations
@@ -196,21 +196,27 @@ def check_product_minus_one(s: MeasurementSet) -> bool:
 
 @dataclass(frozen=True)
 class ParadoxCertificate:
-    """Per-vertex and per-pair verification record for one measurement set;
-    odd_classes, not in to_json, maps each failing vertex, in vertex order,
-    to the pair indices of its odd excerpt classes in first-appearance
-    order."""
+    """Per-vertex and per-pair verification record for one measurement set.
+    Stored: the vertices, the signs, the product verdict and the witness
+    odd_classes (not in to_json), which maps each failing vertex, in vertex
+    order, to the pair indices of its odd excerpt classes in first-appearance
+    order.  Derived from them: parity_ok and overall."""
 
-    parity_ok: Mapping[str, bool]
+    vertices: tuple[str, ...]
     stabilizer_signs: tuple[int | None, ...]
     product_is_minus_one: bool
     odd_classes: Mapping[str, tuple[tuple[int, ...], ...]]
 
     @property
+    def parity_ok(self) -> dict[str, bool]:
+        """Per vertex, in vertex order: no odd excerpt class there."""
+        return {v: v not in self.odd_classes for v in self.vertices}
+
+    @property
     def overall(self) -> bool:
         return (
-            all(self.parity_ok.values())
-            and all(sign is not None for sign in self.stabilizer_signs)
+            not self.odd_classes
+            and None not in self.stabilizer_signs
             and self.product_is_minus_one
         )
 
@@ -233,19 +239,16 @@ def verify_paradox(s: MeasurementSet) -> ParadoxCertificate:
     for row in rows:
         parity ^= row
     odd: dict[int, list[tuple[int, ...]]] = {}  # vertex index -> odd classes
-    while parity:
-        low = parity & -parity
-        odd.setdefault(classes[low.bit_length() - 1][0], []).append(
-            tuple(k for k, row in enumerate(rows) if row & low)
+    for j in members(range(len(classes)), parity):
+        odd.setdefault(classes[j][0], []).append(
+            tuple(k for k, row in enumerate(rows) if row >> j & 1)
         )
-        parity ^= low
     vertices = s.graph.vertices
-    odd_classes = {vertices[i]: tuple(odd[i]) for i in sorted(odd)}
     return ParadoxCertificate(
-        parity_ok={v: v not in odd_classes for v in vertices},
+        vertices=vertices,
         stabilizer_signs=s.stabilizer_signs,
         product_is_minus_one=check_product_minus_one(s),
-        odd_classes=odd_classes,
+        odd_classes={vertices[i]: tuple(odd[i]) for i in sorted(odd)},
     )
 
 

@@ -318,6 +318,15 @@ def test_bound_fixtures(capsys):
             assert report["result"][key] == want
 
 
+def test_bound_of_the_empty_set_has_no_ratio(tmp_path, capsys):
+    """A bound of 0 has no ratio: the report says null, and exits 0."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"graph": {"edges": []}, "d": 0, "pairs": []}))
+    assert main(["bound", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"] == {"qm": 0, "bound": 0, "min_violations": 0, "ratio": None}
+
+
 def test_bound_over_step_budget_exits_3(ghz_file, monkeypatch, capsys):
     monkeypatch.setattr(gf2, "MAX_COSET_STEPS", 0)
     assert main(["bound", ghz_file]) == 3

@@ -97,6 +97,41 @@ def test_missing_decoy_pair_names_odd_classes():
     }
 
 
+def test_odd_classes_fail_the_verdict_with_defined_signs():
+    """ghz_path3 read at d = 1: every sign is defined and the product is -I,
+    but each vertex now sees its neighbours' letters, and all three have odd
+    excerpt classes.  The odd classes alone must fail the verdict, and
+    parity_ok is False exactly at the vertices that hold them."""
+    s = load_fixture_set("ghz_path3")
+    cert = ig.verify_paradox(ig.MeasurementSet(graph=s.graph, d=1, pairs=s.pairs))
+    assert None not in cert.stabilizer_signs
+    assert cert.product_is_minus_one
+    assert list(cert.odd_classes) == list(s.graph.vertices)
+    assert cert.parity_ok == {v: v not in cert.odd_classes for v in s.graph.vertices}
+    assert not cert.overall
+    assert cert.to_json()["overall"] is False
+
+
+def test_undefined_signs_fail_the_verdict_with_even_parity():
+    """chain7 plus two copies of a pair with no stabilizer sign (X on the
+    first vertex, kept alone).  The copies share one excerpt class and
+    multiply to I, so parity stays even and the product stays -I: the two
+    None signs alone must fail the verdict."""
+    s = load_fixture_set("chain7")
+    v = s.graph.vertices[0]
+    lone_x = ig.MeasurementPair.make({v: "X"}, [v])
+    cert = ig.verify_paradox(
+        ig.MeasurementSet(graph=s.graph, d=s.d, pairs=s.pairs + (lone_x, lone_x))
+    )
+    assert cert.odd_classes == {}
+    assert all(cert.parity_ok.values())
+    assert cert.product_is_minus_one
+    assert cert.stabilizer_signs[-2:] == (None, None)
+    assert None not in cert.stabilizer_signs[:-2]
+    assert not cert.overall
+    assert cert.to_json()["overall"] is False
+
+
 def _reference_classes(s, v):
     """Reference excerpt grouping of vertex v, keyed by letter tuples."""
     groups = {}
