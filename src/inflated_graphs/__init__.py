@@ -36,7 +36,6 @@ from .inflate import (
 from .lhv import (
     BarrettModel,
     BellReport,
-    BinaryGame,
     FlipRule,
     StrategySystem,
     bell_report,
@@ -89,7 +88,6 @@ __all__ = [
     "find_base_set",
     "BarrettModel",
     "BellReport",
-    "BinaryGame",
     "FlipRule",
     "StrategySystem",
     "bell_report",

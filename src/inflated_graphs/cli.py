@@ -207,7 +207,7 @@ def cmd_reproduce(args) -> int:
         qm = statevector.expect(
             state, statevector.chsh_operator(math.pi / 2, 3 * math.pi / 2)
         )
-        bound = game_bound(chsh_game(1))
+        bound = game_bound(*chsh_game(1))
         claims.append(
             ("chsh4: quantum value = 2*sqrt(2)", abs(qm - 2 * math.sqrt(2)) < 1e-9)
         )

@@ -279,13 +279,18 @@ def graph_from_json(obj: Mapping) -> Graph:
 
 
 def to_dot(g: Graph, power_vertices: Iterable[str] = ()) -> str:
-    """DOT export; power vertices are drawn with a double circle."""
+    """DOT export; power vertices are drawn with a double circle.  Each
+    name is a quoted DOT id, with \\ written \\\\ and then " written \\"."""
     powers = set(power_vertices)
+    quoted = {
+        v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        for v in g.vertices
+    }
     lines = ["graph G {"]
     for v in g.vertices:
         shape = "doublecircle" if v in powers else "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
+        lines.append(f"  {quoted[v]} [shape={shape}];")
     for u, v in sorted(g.edges):
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f"  {quoted[u]} -- {quoted[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

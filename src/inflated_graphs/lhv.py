@@ -1,17 +1,16 @@
 """Classical models.
 
-Four classical baselines live here:
+Three classical baselines live here:
 
 * deterministic distance-d strategy feasibility, encoded as a GF(2) linear
   system over per-vertex outputs conditioned on local excerpts,
-* exact Bell bounds via minimum-violation search over that system,
+* exact Bell bounds via minimum-violation search over that system, for a
+  set's stabilizer signs or for a binary game, a set with its own signs,
 * an explicit communication-assisted hidden-variable model (uniform random
   signs on vertices, neighbour products, plus data-driven sign-flip rules)
   that reproduces all Pauli measurements on small graphs: :func:`check_model`
   compares it with the quantum value on every case, and
-  :func:`search_flip_rules` finds its rules,
-* exact bounds of binary games with one round of bounded communication,
-  solved as the same minimum-violation search over (vertex, view) outputs.
+  :func:`search_flip_rules` finds its rules.
 
 The independent references these are tested against (enumeration of every
 strategy, explicit averaging over the hidden signs, a per-case model value)
@@ -25,13 +24,13 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from operator import itemgetter
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from . import gf2, pauli
-from .graph import Graph, ball, build_graph, members
-from .paradox import MeasurementSet, excerpt_rows
+from .graph import Graph, build_graph, members
+from .paradox import MeasurementPair, MeasurementSet, excerpt_rows
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,7 +39,7 @@ if TYPE_CHECKING:
 # Deterministic strategy systems over GF(2)
 # ---------------------------------------------------------------------------
 
-StrategyVariable = tuple[str, tuple[int, ...]]  # (vertex, excerpt class or view)
+StrategyVariable = tuple[str, tuple[int, ...]]  # (vertex, its excerpt (x, z))
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,10 @@ class StrategySystem:
     variable per excerpt class, in first-appearance order, and row k the
     classes that hold pair k.  Its right-hand bit is 1 iff the pair's
     stabilizer sign is -1.  A deterministic strategy reproduces every sign
-    iff the system is solvable.  :func:`game_bound` builds one whose
-    excerpts are a binary game's views.  Raises ValueError unless there is
-    one rhs bit per row and every row lies within the variables' bits.
+    iff the system is solvable.  :func:`game_bound` builds the same one
+    with a binary game's signs in place of the stabilizer signs.  Raises
+    ValueError unless there is one rhs bit per row and every row lies within
+    the variables' bits.
     """
 
     variables: tuple[StrategyVariable, ...]
@@ -77,17 +77,23 @@ class StrategySystem:
         return len(self.variables)
 
 
+def _system(s: MeasurementSet, signs: Sequence[int]) -> StrategySystem:
+    """The system of s's excerpt rows, with right-hand bit 1 iff the pair's
+    sign is negative."""
+    rows, classes = s.excerpt_rows
+    vertices = s.graph.vertices
+    variables = tuple((vertices[i], (x, z)) for i, x, z in classes)
+    rhs = tuple(int(sign < 0) for sign in signs)
+    return StrategySystem(variables=variables, rows=rows, rhs=rhs)
+
+
 def build_system(s: MeasurementSet) -> StrategySystem:
     """Encode a measurement set as a strategy-feasibility system."""
     signs = s.stabilizer_signs
     if None in signs:
         k = signs.index(None)
         raise ValueError(f"pair {s.pairs[k].name or k} has no stabilizer sign")
-    rows, classes = s.excerpt_rows
-    vertices = s.graph.vertices
-    variables = tuple((vertices[i], (x, z)) for i, x, z in classes)
-    rhs = tuple(0 if sign == 1 else 1 for sign in signs)
-    return StrategySystem(variables=variables, rows=rows, rhs=rhs)
+    return _system(s, signs)
 
 
 def feasible(sys: StrategySystem) -> bool:
@@ -162,14 +168,13 @@ class BellReport:
         return Fraction(self.qm_value, bound) if bound > 0 else None
 
     def to_json(self) -> dict:
+        ratio = self.ratio
         return {
             "qm": self.qm_value,
             "bound": self.classical_bound,
             "min_violations": self.min_violations,
             "ratio": (
-                f"{self.ratio.numerator}/{self.ratio.denominator}"
-                if self.ratio is not None
-                else None
+                f"{ratio.numerator}/{ratio.denominator}" if ratio is not None else None
             ),
         }
 
@@ -491,73 +496,46 @@ def search_flip_rules(g: Graph) -> list[FlipRule] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BinaryGame:
-    """A sum of correlators over joint binary settings, with per-vertex
-    visibility of the settings."""
-
-    vertices: tuple[str, ...]
-    visible: tuple[tuple[str, tuple[int, ...]], ...]  # vertex -> input indices
-    settings: tuple[tuple[int, ...], ...]
-    terms: tuple[tuple[int, int, frozenset[str]], ...]  # (coeff, setting, mask)
-
-
-def game_bound(game: BinaryGame) -> int:
-    """Exact maximum over all deterministic communication-assisted
+def game_bound(s: MeasurementSet, signs: Sequence[int]) -> int:
+    """Exact maximum of a binary game over all deterministic distance-d
     strategies, as the Bell bound of a strategy system.
 
-    A strategy fixes each vertex's output on each view (the inputs of a
-    setting the vertex sees), so term (c, k, mask) is one GF(2) row over
-    the (vertex, view) variables of its mask, with right-hand bit c < 0,
-    repeated |c| times.  The maximum is the row count minus twice
+    The game is the set s with one sign per pair: its value is the sum of
+    signs[k] times the product of pair k's kept outputs (a kept vertex that
+    measures I outputs 1).  A vertex's view of a setting is its excerpt, so
+    the system is :func:`build_system`'s, with right-hand bit signs[k] < 0
+    in place of the stabilizer sign's.  A term of weight |c| is that pair
+    listed |c| times.  The maximum is the pair count minus twice
     :func:`min_violations`, which raises ValueError ("too large") past
-    ``gf2.MAX_COSET_STEPS``.
+    ``gf2.MAX_COSET_STEPS``.  Raises ValueError on a sign other than +1 or
+    -1.
     """
-    visible = dict(game.visible)
-    number: dict[StrategyVariable, int] = {}
-    rows: list[int] = []
-    rhs: list[int] = []
-    for coeff, k, mask in game.terms:
-        s = game.settings[k]
-        row = 0
-        for v in game.vertices:
-            if v in mask:
-                view = tuple(s[j] for j in visible[v])
-                row ^= 1 << number.setdefault((v, view), len(number))
-        rows += [row] * abs(coeff)
-        rhs += [int(coeff < 0)] * abs(coeff)
-    system = StrategySystem(tuple(number), tuple(rows), tuple(rhs))
-    return len(rows) - 2 * min_violations(system)
+    for k, sign in enumerate(signs):
+        if sign not in (1, -1):
+            raise ValueError(f"term {k} has sign {sign!r}, not +1 or -1")
+    return len(signs) - 2 * min_violations(_system(s, signs))
 
 
-def chsh_game(d: int = 1) -> BinaryGame:
-    """The 4-path two-setting game: vertex 1 chooses between two rotation
-    angles, vertex 4 between X and Y, vertices 2-3 are fixed; vertex 3's
-    output enters only the second correlator.  Visibility is one round of
-    distance-d communication of the settings along the path.
+def chsh_game(d: int = 1) -> tuple[MeasurementSet, tuple[int, ...]]:
+    """The 4-path two-setting game at distance d, as a measurement set and
+    its signs: vertex 1 chooses between two rotation angles, vertex 4
+    between X and Y, and vertices 2 and 3 always measure X.  Pair k is the
+    term of setting k, with vertex 1's choice k % 2 and vertex 4's k // 2;
+    vertex 3's output enters only the last two.
+
+    The letters only label settings, and only ``excerpt_rows`` reads them:
+    vertex 1's two angles are written X and Y.  The near terms leave vertex
+    3 out of the mask, not out of the letters, so each vertex's excerpt is
+    the settings it sees within distance d, whichever term it is in.
     """
     g = build_graph([(1, 2), (2, 3), (3, 4)])
-    vertices = ("1", "2", "3", "4")
-    visible = []
-    for v in vertices:
-        idxs = []
-        if "1" in ball(g, v, d):
-            idxs.append(0)
-        if "4" in ball(g, v, d):
-            idxs.append(1)
-        visible.append((v, tuple(idxs)))
-    settings = ((0, 0), (1, 0), (0, 1), (1, 1))
-    near = frozenset({"1", "2", "4"})
-    full = frozenset(vertices)
-    terms = (
-        (1, 0, near),
-        (-1, 1, near),
-        (1, 2, full),
-        (1, 3, full),
+    # Bits over g.vertices, vertex "1" at bit 0: every vertex measures X or
+    # Y, so x is all four bits and z holds vertex 1's choice (bit 0) and
+    # vertex 4's (bit 3); a near term's mask leaves out bit 2.
+    pairs = tuple(
+        MeasurementPair(
+            g.vertices, 0b1111, k % 2 | k // 2 << 3, 0b1011 if k < 2 else 0b1111
+        )
+        for k in range(4)
     )
-    return BinaryGame(
-        vertices=vertices,
-        visible=tuple(visible),
-        settings=settings,
-        terms=terms,
-    )
+    return MeasurementSet(g, d, pairs), (1, -1, 1, 1)

@@ -139,11 +139,12 @@ def chsh_operator(
 ) -> tuple[tuple[float, dict[str, str]], ...]:
     """The 4-path Bell operator (vertices "1".."4") as a real Pauli sum.
 
-    Bracket k is the term of setting k in :func:`inflated_graphs.lhv.chsh_game`:
-    vertex 1 measures cos(theta/2) Z + sin(theta/2) Y at theta1 or theta2,
-    vertex 4 measures X or Y, and the two brackets that ignore vertex 3
-    differ by a sign.  Each bracket expands at vertex 1 into a Z and a Y
-    term: 8 terms, bracket by bracket.  At (pi/2, 3*pi/2) the brackets
+    Bracket k has the sign and mask of pair k of
+    :func:`inflated_graphs.lhv.chsh_game`: vertex 1 measures
+    cos(theta/2) Z + sin(theta/2) Y at theta1 or theta2 (the pair's X or Y
+    there), vertex 4 measures X or Y, and the two brackets that ignore
+    vertex 3 differ by a sign.  Each bracket expands at vertex 1 into a Z
+    and a Y term: 8 terms, bracket by bracket.  At (pi/2, 3*pi/2) the brackets
     collapse to sqrt(2) times the stabilizer elements Z1 X2 X4 and
     Y1 X2 X3 Y4, so the graph-state value is 2*sqrt(2).
     """

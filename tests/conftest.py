@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -91,6 +92,36 @@ def min_violations_brute_force(sys) -> int:
         best = min(best, bad)
         if best == 0:
             break
+    return best
+
+
+def game_bound_brute_force(g, d: int, terms) -> int:
+    """Maximum over every deterministic strategy of the sum of sign times
+    the product of the kept outputs, for terms (sign, letters, mask) on g:
+    the reference for ``game_bound``.  Vertex v's output is a free +-1 per
+    view, its letters on ``bfs_ball(v, d)``; a vertex of the mask that
+    measures I (or is not in letters) outputs 1."""
+    keys = []  # per term, the (vertex, view) of each kept vertex
+    for _, letters, mask in terms:
+        keys.append(
+            [
+                (v, tuple(letters.get(u, "I") for u in bfs_ball(g, v, d)))
+                for v in mask
+                if letters.get(v, "I") != "I"
+            ]
+        )
+    views = sorted({key for row in keys for key in row})
+    if len(views) > 16:
+        raise ValueError("instance too large for direct enumeration")
+    best = None
+    for outputs in itertools.product((1, -1), repeat=len(views)):
+        table = dict(zip(views, outputs))
+        value = sum(
+            sign * math.prod(table[key] for key in row)
+            for (sign, _, _), row in zip(terms, keys)
+        )
+        if best is None or value > best:
+            best = value
     return best
 
 

@@ -92,6 +92,41 @@ MUTANTS = (
         "        for cell in ((b1, s1), (b1, s2), (b2, s1)):\n",
         ("tests/test_inflate.py::test_built_decoy_specs_are_well_formed",),
     ),
+    # The strategy system takes a positive sign as its right-hand bit 1, so
+    # game_bound bounds the negated game.  -CHSH has CHSH's bound 2 at
+    # d <= 1, so the d = 1 pins alone would not see it.
+    Mutant(
+        "M12",
+        "src/inflated_graphs/lhv.py",
+        "    rhs = tuple(int(sign < 0) for sign in signs)\n",
+        "    rhs = tuple(int(sign > 0) for sign in signs)\n",
+        ("tests/test_lhv.py::test_game_bound_matches_dict_loop",),
+    ),
+    # verify_paradox ORs the excerpt rows, so every class reads as odd.
+    Mutant(
+        "M13",
+        "src/inflated_graphs/paradox.py",
+        "        parity ^= row\n",
+        "        parity |= row\n",
+        ("tests/test_paradox.py::test_ghz_set_verifies",),
+    ),
+    # _grow_balls stops one radius short of d (for d >= 2).
+    Mutant(
+        "M14",
+        "src/inflated_graphs/graph.py",
+        "    for _ in range(d - 1):\n",
+        "    for _ in range(d - 2):\n",
+        ("tests/test_graph.py::test_ball_masks_match_bfs",),
+    ),
+    # check_model keys its mismatches on a bit above the sign bit, so it
+    # reports none.
+    Mutant(
+        "M15",
+        "src/inflated_graphs/lhv.py",
+        "    for k in np.flatnonzero(key == 1 << n).tolist():\n",
+        "    for k in np.flatnonzero(key == 1 << (n + 1)).tolist():\n",
+        ("tests/test_lhv.py::test_bare_model_mismatches_match_closed_form",),
+    ),
 )
 
 

@@ -87,7 +87,7 @@ def test_criterion_5_chsh_four_path():
     state = sv.graph_state(ig.build_graph([(1, 2), (2, 3), (3, 4)]))
     qm = sv.expect(state, sv.chsh_operator(math.pi / 2, 3 * math.pi / 2))
     assert abs(qm - 2 * math.sqrt(2)) < 1e-9
-    bound = ig.game_bound(ig.chsh_game(1))
+    bound = ig.game_bound(*ig.chsh_game(1))
     assert bound == 2
     assert abs(qm / bound - math.sqrt(2)) < 1e-9
     elapsed = time.monotonic() - started

@@ -247,6 +247,22 @@ def test_build_uncertified_base_exits_3(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
+def test_build_failing_its_reverification_exits_70(ghz_file, capsys, monkeypatch):
+    monkeypatch.setattr(
+        sys.modules[build_inflated_set.__module__], "_plan_decoys", lambda c, f: []
+    )
+    assert main(["build", ghz_file, "--d", "1"]) == cli.EXIT_FAULT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError: constructed set failed re-verification" in captured.err
+    assert "odd excerpt classes: {" in captured.err
+
+
+def test_unknown_fixture_is_input_error():
+    with pytest.raises(cli.InputError, match="unknown fixture 'nope'; choose from"):
+        load_fixture_set("nope")
+
+
 def test_verify_mutated_fixture_exits_1(tmp_path, capsys):
     obj = json.loads(
         json.dumps(set_to_json(load_fixture_set("table1_9cycle")))

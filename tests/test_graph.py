@@ -360,3 +360,16 @@ def test_to_dot_marks_power_vertices():
     assert '"1" [shape=doublecircle];' in dot
     assert '"2" [shape=circle];' in dot
     assert '"1" -- "2";' in dot
+
+
+def test_to_dot_escapes_backslashes_then_quotes():
+    g = gr.build_graph([('a"b', "c\\"), ("c\\", 'd\\"')])
+    assert gr.to_dot(g, power_vertices=['a"b']).splitlines() == [
+        "graph G {",
+        r'  "a\"b" [shape=doublecircle];',
+        r'  "c\\" [shape=circle];',
+        r'  "d\\\"" [shape=circle];',
+        r'  "a\"b" -- "c\\";',
+        r'  "c\\" -- "d\\\"";',
+        "}",
+    ]

@@ -282,6 +282,25 @@ def test_build_requires_certified_full_mask_base():
         )
 
 
+def test_build_refuses_an_inflation_of_another_graph():
+    base = load_fixture_set("ghz_path3")
+    other = inflate(ig.build_graph([(1, 2), (1, 3), (2, 3)]), 1)
+    with pytest.raises(ValueError, match="not built from the base set's graph"):
+        ig.build_inflated_set(base, other)
+
+
+def test_failed_reverification_names_the_odd_classes(monkeypatch):
+    base = load_fixture_set("ghz_path3")
+    iginf = inflate(base.graph, 1)
+    inflated = ig.build_inflated_set(base, iginf).measurement_set.pairs[:4]
+    odd = ig.verify_paradox(ig.MeasurementSet(iginf.graph, 1, inflated)).odd_classes
+    assert odd
+    monkeypatch.setattr(infl_mod, "_plan_decoys", lambda center, failing: [])
+    with pytest.raises(RuntimeError, match="failed re-verification") as info:
+        ig.build_inflated_set(base, iginf)
+    assert str(info.value).endswith(f"; odd excerpt classes: {odd}")
+
+
 def test_find_base_set_on_named_graphs():
     for edges in ([(1, 2), (2, 3)], [(1, 2), (1, 3), (2, 3)], [(1, 2), (1, 3), (1, 4)]):
         g = ig.build_graph(edges)

@@ -13,6 +13,7 @@ import inflated_graphs as ig
 from conftest import (
     barrett_expectation_sampled,
     bits_of_by_shifts,
+    game_bound_brute_force,
     min_violations_brute_force,
     model_values,
     random_connected_graph,
@@ -986,12 +987,10 @@ def test_check_model_is_exact_at_eight_vertices(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_binary_game_bound_distance_one():
-    assert ig.game_bound(ig.chsh_game(1)) == 2
-
-
-def test_binary_game_bound_full_information():
-    assert lhv.game_bound(lhv.chsh_game(3)) == 4
+def test_chsh_game_bound_at_each_distance():
+    # All four terms can be won once vertex 3, which is only in the two
+    # full terms, sees vertex 1's setting: from d = 2, its distance to it.
+    assert [ig.game_bound(*ig.chsh_game(d)) for d in range(5)] == [2, 2, 4, 4, 4]
 
 
 def test_game_bound_refuses_past_its_budget(monkeypatch):
@@ -999,69 +998,61 @@ def test_game_bound_refuses_past_its_budget(monkeypatch):
     # a budget of 0 steps refuses it.
     monkeypatch.setattr(gf2, "MAX_COSET_STEPS", 0)
     with pytest.raises(ValueError, match="too large: coset search"):
-        lhv.game_bound(lhv.chsh_game(3))
+        lhv.game_bound(*lhv.chsh_game(3))
 
 
-def dict_game_bound(game):
-    """Independent oracle: enumerate every deterministic assignment,
-    looking each output up in a dict per vertex."""
-    visible = dict(game.visible)
-    domains = [
-        sorted({tuple(s[i] for i in visible[v]) for s in game.settings})
-        for v in game.vertices
-    ]
-    best = None
-    choice_spaces = [
-        list(itertools.product((1, -1), repeat=len(dom))) for dom in domains
-    ]
-    for assignment in itertools.product(*choice_spaces):
-        tables = [dict(zip(dom, outs)) for dom, outs in zip(domains, assignment)]
-        value = 0
-        for coeff, k, mask in game.terms:
-            s = game.settings[k]
-            product = coeff
-            for i, v in enumerate(game.vertices):
-                if v in mask:
-                    product *= tables[i][tuple(s[j] for j in visible[v])]
-            value += product
-        if best is None or value > best:
-            best = value
-    return best
+def test_game_bound_refuses_signs_other_than_one_and_minus_one():
+    s, _ = lhv.chsh_game(1)
+    for signs, bad in (((1, -1, 2, 1), "term 2 has sign 2"), ((0, 1, 1, 1), "term 0 ")):
+        with pytest.raises(ValueError, match=bad):
+            lhv.game_bound(s, signs)
+    with pytest.raises(ValueError, match="4 rows but 3 right-hand bits"):
+        lhv.game_bound(s, (1, 1, 1))
 
 
 def test_game_bound_matches_dict_loop():
+    """game_bound against an enumeration of every strategy that looks each
+    output up in a dict keyed by (vertex, letters on its BFS ball): random
+    graphs with n <= 4, d = 0..2, random letters, masks and signs, with
+    pairs repeated under either sign."""
     rng = random.Random(17)
-    for _ in range(150):
-        vertices = tuple(f"v{i}" for i in range(rng.randrange(1, 4)))
-        n_inputs = rng.randrange(1, 4)
-        visible = tuple(
-            (v, tuple(sorted(rng.sample(range(n_inputs), rng.randrange(n_inputs + 1)))))
-            for v in vertices
-        )
-        settings = tuple(
-            tuple(rng.randrange(2) for _ in range(n_inputs))
-            for _ in range(rng.randrange(1, 5))
-        )
-        terms = tuple(
+    games = [(lhv.chsh_game(d), d) for d in range(3)]
+    for _ in range(120):
+        n = rng.randrange(1, 5)
+        edges = itertools.combinations(range(1, n + 1), 2)
+        edges = [e for e in edges if rng.random() < 0.5]
+        g = ig.build_graph(edges, vertices=range(1, n + 1))
+        d = rng.randrange(3)
+        # Two letters per vertex, or sometimes I, so that pairs share views.
+        choices = {v: rng.sample("XYZ", 2) for v in g.vertices}
+        distinct = [
             (
-                rng.choice((1, -1, 2, 0, -3)),
-                rng.randrange(len(settings)),
-                frozenset(rng.sample(vertices, rng.randrange(len(vertices) + 1))),
+                {
+                    v: rng.choice(choices[v]) if rng.random() < 0.8 else "I"
+                    for v in g.vertices
+                },
+                [v for v in g.vertices if rng.random() < 0.7],
             )
             for _ in range(rng.randrange(1, 6))
-        )
-        game = lhv.BinaryGame(vertices, visible, settings, terms)
-        assert lhv.game_bound(game) == dict_game_bound(game)
-    for d in (1, 2):
-        assert lhv.game_bound(lhv.chsh_game(d)) == dict_game_bound(lhv.chsh_game(d))
+        ]
+        terms = [pair for pair in distinct for _ in range(rng.randrange(1, 3))]
+        rng.shuffle(terms)
+        pairs = tuple(ig.MeasurementPair.make(letters, mask) for letters, mask in terms)
+        signs = tuple(rng.choice((1, -1)) for _ in terms)
+        games.append(((ig.MeasurementSet(g, d, pairs), signs), d))
+    for (s, signs), d in games:
+        terms = [(c, p.letters_dict, p.mask) for c, p in zip(signs, s.pairs)]
+        assert lhv.game_bound(s, signs) == game_bound_brute_force(s.graph, d, terms)
 
 
 def test_standard_chsh_degenerate_instance():
-    both = frozenset({"A", "B"})
-    game = lhv.BinaryGame(
-        vertices=("A", "B"),
-        visible=(("A", (0,)), ("B", (1,))),
-        settings=((0, 0), (1, 0), (0, 1), (1, 1)),
-        terms=((1, 0, both), (1, 1, both), (1, 2, both), (-1, 3, both)),
+    # Two parties that see only their own settings (d = 0): CHSH's 2.  At
+    # d = 1 each sees both settings and every term can be won.
+    pairs = tuple(
+        ig.MeasurementPair.make({"A": a, "B": b}, ("A", "B"))
+        for a in "XZ"
+        for b in "XZ"
     )
-    assert lhv.game_bound(game) == 2
+    for d, bound in ((0, 2), (1, 4)):
+        s = ig.MeasurementSet(ig.build_graph([("A", "B")]), d, pairs)
+        assert lhv.game_bound(s, (1, 1, 1, -1)) == bound

@@ -280,6 +280,16 @@ def test_excerpt_classes_and_signs_computed_once_per_set(monkeypatch):
     assert calls == {"ball": [(len(s.graph.vertices), s.d)], "sign": len(s.pairs)}
 
 
+def test_pair_repr_evaluates_back_and_equality_is_pairs_only():
+    made = ig.MeasurementPair.make({"2": "Z", "1": "X", "3": "I"}, ["2", "1"], "M1")
+    for p in (made, load_fixture_set("chain7").pairs[0]):
+        back = eval(repr(p), {"MeasurementPair": ig.MeasurementPair})
+        assert back == p and hash(back) == hash(p)
+    assert made.__eq__(made.letters) is NotImplemented
+    assert (made == made.letters) is False
+    assert made != "M1"
+
+
 def test_masks_must_reference_known_vertices():
     g = ig.build_graph([(1, 2)])
     with pytest.raises(ValueError, match="unknown vertex"):

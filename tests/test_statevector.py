@@ -217,26 +217,23 @@ def test_chsh_pauli_sum_matches_rotation_matrices():
 
 def test_chsh_brackets_match_the_game_terms():
     """chsh_operator and lhv.chsh_game write the same Bell expression.
-    Bracket k has the sign and support of the game's term for setting k;
-    its vertex-1 angle is the setting's rotation choice and its vertex-4
-    letter the setting's X/Y choice."""
+    Bracket k has pair k's sign and mask; its vertex-1 angle is the one
+    pair k's vertex-1 letter labels (X the first, Y the second), and its
+    vertex-4 letter is pair k's."""
     theta = (0.3, 1.1)  # distinct, with cos and sin of theta/2 positive
     op = sv.chsh_operator(*theta)
-    game = lhv.chsh_game(1)
-    term_of_setting = {k: (coeff, mask) for coeff, k, mask in game.terms}
-    assert sorted(term_of_setting) == list(range(len(game.settings)))
-    assert len(op) == 2 * len(game.settings)
+    s, signs = lhv.chsh_game(1)
+    assert len(op) == 2 * len(s.pairs) == 2 * len(signs)
     for k, ((cz, z), (cy, y)) in enumerate(zip(op[::2], op[1::2])):
-        coeff, mask = term_of_setting[k]
-        rotation, letter4 = game.settings[k]
-        half = theta[rotation] / 2
+        letters, mask = s.pairs[k].letters_dict, s.pairs[k].mask
+        half = theta["XY".index(letters["1"])] / 2
         assert (cz, cy) == pytest.approx(
-            (coeff * math.cos(half), coeff * math.sin(half)), abs=1e-15
+            (signs[k] * math.cos(half), signs[k] * math.sin(half)), abs=1e-15
         )
         assert set(z) == set(y) == mask
         assert (z["1"], y["1"]) == ("Z", "Y")
-        assert z["4"] == y["4"] == "XY"[letter4]
-        assert all(z[v] == y[v] == "X" for v in mask - {"1", "4"})
+        assert z["4"] == y["4"] == letters["4"]
+        assert all(z[v] == y[v] == letters[v] == "X" for v in mask - {"1", "4"})
 
 
 def test_pauli_expectation_rejects_unknown_letters_and_vertices():
