@@ -993,6 +993,14 @@ def test_chsh_game_bound_at_each_distance():
     assert [ig.game_bound(*ig.chsh_game(d)) for d in range(5)] == [2, 2, 4, 4, 4]
 
 
+def test_binary_game_bound_distance_one():
+    assert ig.game_bound(*ig.chsh_game(1)) == 2
+
+
+def test_binary_game_bound_full_information():
+    assert lhv.game_bound(*lhv.chsh_game(3)) == 4
+
+
 def test_game_bound_refuses_past_its_budget(monkeypatch):
     # chsh_game(3)'s search ends in round 0 on one information set, so only
     # a budget of 0 steps refuses it.
