@@ -2,10 +2,16 @@
 
 Subcommands: inflate, build, verify, bound, reproduce.  Exit codes:
 0 success/verified, 1 verified-false, 2 input or output error, 3 precondition
-failure, 70 a fault of the program (its traceback goes to stderr).  inflate,
-build, verify and bound each print one JSON report, built in :func:`main`:
-the command, the input file's digest, a deterministic "result" section and
-timing kept outside it.
+failure, 70 a fault of the program (its traceback goes to stderr).
+
+:func:`main` runs inflate, build, verify and bound in four stages, and the
+stage that fails picks the code.  A ValueError while reading the file (its
+bytes, as UTF-8 JSON) or parsing it (the command's reader, ``graph_from_json``
+or ``set_from_json``) exits 2.  One while the ``cmd_*`` works on the parsed
+input exits 3: a well-formed input the command cannot work on.  The report
+is one JSON object: the command, the file's digest, a deterministic "result"
+section and timing kept outside it.  A failed write, of ``--out`` or of
+stdout, exits 2; any other exception exits 70.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .inflate import build_inflated_set
 from .lhv import (
     SMALL_GRAPHS,
     BarrettModel,
+    BellReport,
     bell_report,
     build_system,
     check_model,
@@ -31,6 +38,7 @@ from .lhv import (
     feasible,
     game_bound,
     load_flip_rules,
+    min_violations,
 )
 from .paradox import (
     save_measurement_set,
@@ -65,22 +73,20 @@ class OutputError(Exception):
     pass
 
 
-class PreconditionFailure(Exception):
-    """A well-formed input the command cannot work on (exit 3)."""
-
-
 def _read_json(path: str):
     # Imported here: hashlib loads OpenSSL (about 3.5 MB), and most importers
     # of this module (load_fixture_set) digest nothing.
     import hashlib
 
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text), hashlib.sha256(text.encode()).hexdigest()
+        return json.loads(data.decode()), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -134,8 +140,7 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_inflate(obj, args) -> tuple[int, dict]:
-    g = graph_from_json(obj)
+def cmd_inflate(g, args) -> tuple[int, dict]:
     ig = inflate(g, args.d)
     graph_json = graph_to_json(ig.graph)
     if args.out:
@@ -150,12 +155,8 @@ def cmd_inflate(obj, args) -> tuple[int, dict]:
     }
 
 
-def cmd_build(obj, args) -> tuple[int, dict]:
-    base = set_from_json(obj)
-    try:
-        result = build_inflated_set(base, inflate(base.graph, args.d))
-    except ValueError as exc:
-        raise PreconditionFailure(exc) from exc
+def cmd_build(base, args) -> tuple[int, dict]:
+    result = build_inflated_set(base, inflate(base.graph, args.d))
     s = result.measurement_set
     if args.out:
         try:
@@ -169,30 +170,24 @@ def cmd_build(obj, args) -> tuple[int, dict]:
     }
 
 
-def cmd_verify(obj, args) -> tuple[int, dict]:
-    cert = verify_paradox(set_from_json(obj))
+def cmd_verify(s, args) -> tuple[int, dict]:
+    cert = verify_paradox(s)
     return EXIT_OK if cert.overall else EXIT_FALSE, cert.to_json()
 
 
-def cmd_bound(obj, args) -> tuple[int, dict]:
-    s = set_from_json(obj)
-    try:
-        return EXIT_OK, bell_report(s).to_json()
-    except ValueError as exc:
-        raise PreconditionFailure(exc) from exc
+def cmd_bound(s, args) -> tuple[int, dict]:
+    return EXIT_OK, bell_report(s).to_json()
 
 
 def _reproduce_fixture(name: str, expected: dict, claims: list) -> None:
     s = load_fixture_set(name)
     cert = verify_paradox(s)
     claims.append((f"{name}: certificate overall", cert.overall))
-    claims.append(
-        (f"{name}: no perfect classical strategy", not feasible(build_system(s)))
-    )
-    rep = bell_report(s)
+    system = build_system(s)
+    claims.append((f"{name}: no perfect classical strategy", not feasible(system)))
+    got = BellReport(len(s.pairs), min_violations(system)).to_json()
     for key, want in expected.items():
-        got = rep.to_json()[key]
-        claims.append((f"{name}: {key} = {want}", got == want))
+        claims.append((f"{name}: {key} = {want}", got[key] == want))
 
 
 def cmd_reproduce(args) -> int:
@@ -260,7 +255,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--d", type=_positive_int, default=1, help="communication distance"
     )
     p.add_argument("--out", help="output prefix (writes .json and .dot)")
-    p.set_defaults(func=cmd_inflate)
+    p.set_defaults(read=graph_from_json, func=cmd_inflate)
 
     p = sub.add_parser("build", help="inflate a certified base set and add decoys")
     p.add_argument("input", metavar="base_set", help="d=0 measurement-set JSON file")
@@ -268,15 +263,15 @@ def make_parser() -> argparse.ArgumentParser:
         "--d", type=_positive_int, default=1, help="communication distance"
     )
     p.add_argument("--out", help="output measurement-set JSON file")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(read=set_from_json, func=cmd_build)
 
     p = sub.add_parser("verify", help="run the paradox checks on a set")
     p.add_argument("input", metavar="set", help="measurement-set JSON file")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(read=set_from_json, func=cmd_verify)
 
     p = sub.add_parser("bound", help="exact classical Bell bound of a set")
     p.add_argument("input", metavar="set", help="measurement-set JSON file")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(read=set_from_json, func=cmd_bound)
 
     p = sub.add_parser("reproduce", help="re-run a bundled end-to-end check")
     p.add_argument("name", choices=REPRODUCTIONS)
@@ -291,7 +286,12 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_reproduce(args)
         started = time.monotonic()
         obj, digest = _read_json(args.input)
-        code, result = args.func(obj, args)
+        parsed = args.read(obj)
+        try:
+            code, result = args.func(parsed, args)
+        except ValueError as exc:
+            print(f"precondition failure: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
         report = {
             "command": args.subcommand,
             "inputs_digest": digest,
@@ -300,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         }
         _print(json.dumps(report, indent=2) + "\n")
         return code
-    except PreconditionFailure as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -106,15 +106,9 @@ def min_violations(sys: StrategySystem) -> int:
 
     The residual vectors reachable by varying the strategy form the coset
     rhs + span(columns) of the system matrix, so this is the coset's minimum
-    weight.  :func:`gf2.span_min_weight` finds it exactly by an
-    information-set search: it visits coset vectors by increasing weight on
-    several systematic forms of the span, one round of w-subsets at a time
-    on numpy tables of uint64 words gathered by cached index plans, and
-    stops once the best weight found is at or below the weight every
-    unvisited vector must have.  A form is built only in the first round in
-    which it could raise that bound, and catches up on its earlier rounds
-    when it starts to search.  Raises ValueError ("too large") when that
-    would take more than ``gf2.MAX_COSET_STEPS`` subsets.
+    weight, found exactly by :func:`gf2.span_min_weight` (the :mod:`gf2`
+    module docstring describes the search).  Raises ValueError ("too large")
+    when the search would visit more than ``gf2.MAX_COSET_STEPS`` subsets.
     """
     # Transpose through numpy: unpack the rows' little-endian bytes to a bit
     # matrix, turn it, and pack each variable's column back into an int.

@@ -7,15 +7,19 @@ runner copies the repository, without ``.git``, to a temporary directory,
 replaces the entry's old text with its new text there, runs only the
 entry's tests on that copy and requires pytest to exit 1 ("tests failed").
 Exit 0 means the mutant survives; any other code means the tests did not
-run.  An old text that is not in its file exactly once stops the run before
-any mutant is tried, so a refactor updates the entry and never skips it;
-``tests/test_mutants.py`` checks the same on every tier-1 run.
+run.  Tests that run past TIME_LIMIT seconds have their process group
+killed, and the mutant counts as not caught: a mutant that makes a test loop
+forever fails the run instead of stalling it.  An old text that is not in
+its file exactly once stops the run before any mutant is tried, so a
+refactor updates the entry and never skips it; ``tests/test_mutants.py``
+checks the same on every tier-1 run.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIME_LIMIT = 120  # seconds per mutant; each one's tests finish in a few
 
 
 class Mutant(NamedTuple):
@@ -141,8 +146,9 @@ def mutated_text(mutant: Mutant, root: Path = ROOT) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run(mutant: Mutant) -> int:
-    """pytest's exit code on the mutant's tests, in a mutated copy."""
+def run(mutant: Mutant) -> int | None:
+    """pytest's exit code on the mutant's tests, in a mutated copy; None when
+    they run past TIME_LIMIT seconds, after their process group is killed."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(
@@ -153,11 +159,19 @@ def run(mutant: Mutant) -> int:
             ),
         )
         (copy / mutant.path).write_text(mutated_text(mutant, copy))
-        return subprocess.run(
+        with subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
             cwd=copy,
             env={**os.environ, "PYTHONPATH": str(copy / "src")},
-        ).returncode
+            start_new_session=True,
+        ) as proc:
+            try:
+                return proc.wait(timeout=TIME_LIMIT)
+            except subprocess.TimeoutExpired:
+                # The whole group: pytest and any process a test started.
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                return None
 
 
 def main() -> None:
@@ -166,7 +180,10 @@ def main() -> None:
     survivors = []
     for mutant in MUTANTS:
         status = run(mutant)
-        print(f"{mutant.name}: pytest exit {status}", flush=True)
+        if status is None:
+            print(f"{mutant.name}: hung after {TIME_LIMIT} s", flush=True)
+        else:
+            print(f"{mutant.name}: pytest exit {status}", flush=True)
         if status != 1:
             survivors.append(mutant.name)
     if survivors:

@@ -67,14 +67,14 @@ def test_inflate_has_no_format_option(triangle_file):
 
 
 def test_chain_name_collision_is_refused(tmp_path, capsys):
-    """Edges ("a", "b,c") and ("a,b", "c") share their chain names: inflate
-    exits 2, and build on a certified set over that graph exits 3 (it used
-    to fail an assertion and exit 1)."""
+    """Edges ("a", "b,c") and ("a,b", "c") share their chain names: the
+    graph is well formed, so inflate on it and build on a certified set over
+    it both exit 3 (build used to fail an assertion and exit 1)."""
     path = tmp_path / "collide.json"
     path.write_text(json.dumps({"edges": [["a", "b,c"], ["a,b", "c"]]}))
-    assert main(["inflate", str(path)]) == 2
+    assert main(["inflate", str(path)]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("input error: chain vertex '1@(a,b,c)'")
+    assert captured.err.startswith("precondition failure: chain vertex '1@(a,b,c)'")
     assert captured.out == ""
     g = build_graph([("a", "b,c"), ("a,b", "c"), ("b,c", "c")])
     base = tmp_path / "collide_set.json"
@@ -122,6 +122,15 @@ def test_inflate_of_a_non_graph_is_input_error(tmp_path, capsys, content):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["verify", "/does/not/exist.json"]) == 2
+
+
+def test_undecodable_file_is_an_input_error_that_names_it(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {path} is not UTF-8 text: ")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "bound", "build"])
@@ -196,6 +205,18 @@ def test_inputs_digest_is_the_sha256_of_the_input_file(
     report = json.loads(capsys.readouterr().out)
     text = Path(path).read_text()
     assert report["inputs_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_inputs_digest_of_a_crlf_file_is_of_its_bytes(tmp_path, capsys):
+    """The digest is of the file's bytes, not of its text after universal
+    newlines fold CRLF into LF."""
+    lf = cli._fixture_text("chain7").encode()
+    path = tmp_path / "chain7_crlf.json"
+    path.write_bytes(lf.replace(b"\n", b"\r\n"))
+    assert main(["verify", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["inputs_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert report["inputs_digest"] != hashlib.sha256(lf).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["verify", "reproduce"])
@@ -479,6 +500,31 @@ def test_program_fault_exits_70(
     assert captured.err.startswith("Traceback (most recent call last):\n")
     assert f"{error.__name__}: " in captured.err
     assert "injected fault" in captured.err
+
+
+@pytest.mark.parametrize(
+    "stage, code, message",
+    [("read", 2, "input error: boom\n"), ("work", 3, "precondition failure: boom\n")],
+)
+@pytest.mark.parametrize("command", ["inflate", "build", "verify", "bound"])
+def test_the_failing_stage_picks_the_exit_code(
+    triangle_file, ghz_file, capsys, monkeypatch, command, stage, code, message
+):
+    """A ValueError from the command's reader is an input error (2); the
+    same error while the command works on its parsed input is a
+    precondition failure (3).  Neither prints a report."""
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    work, argv = FAULT_SITES[command]
+    reader = "graph_from_json" if command == "inflate" else "set_from_json"
+    monkeypatch.setattr(cli, reader if stage == "read" else work, boom)
+    argv = [a.format(graph=triangle_file, set=ghz_file) for a in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
 
 
 # JSON values of every type, for an edit that gives a value another type.
