@@ -39,52 +39,47 @@ if TYPE_CHECKING:
 # Deterministic strategy systems over GF(2)
 # ---------------------------------------------------------------------------
 
-StrategyVariable = tuple[str, tuple[int, ...]]  # (vertex, its excerpt (x, z))
-
 
 @dataclass(frozen=True)
 class StrategySystem:
     """GF(2) encoding of deterministic distance-d strategies.
 
-    Variable (v, e) is the log-domain output bit of vertex v when its local
-    excerpt is e.  For a measurement set (:func:`build_system`) the
-    variables and rows are those of ``MeasurementSet.excerpt_rows``: one
-    variable per excerpt class, in first-appearance order, and row k the
-    classes that hold pair k.  Its right-hand bit is 1 iff the pair's
-    stabilizer sign is -1.  A deterministic strategy reproduces every sign
-    iff the system is solvable.  :func:`game_bound` builds the same one
-    with a binary game's signs in place of the stabilizer signs.  Raises
-    ValueError unless there is one rhs bit per row and every row lies within
-    the variables' bits.
+    Each variable is the log-domain output bit of one vertex for one value
+    of its local excerpt.  For a measurement set (:func:`build_system`)
+    variable j is excerpt class j of ``MeasurementSet.excerpt_rows``, which
+    names the classes, and row k is the classes that hold pair k.  Its
+    right-hand bit is 1 iff the pair's stabilizer sign is -1.  A
+    deterministic strategy reproduces every sign iff the system is
+    solvable.  :func:`game_bound` builds the same one with a binary game's
+    signs in place of the stabilizer signs.  Raises ValueError unless there
+    is one rhs bit, the int 0 or 1, per row and every row lies within the
+    n_variables bits.
     """
 
-    variables: tuple[StrategyVariable, ...]
     rows: tuple[int, ...]
     rhs: tuple[int, ...]
+    n_variables: int
 
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.rhs):
             raise ValueError(
                 f"{len(self.rows)} rows but {len(self.rhs)} right-hand bits"
             )
-        n = len(self.variables)
+        for k, b in enumerate(self.rhs):
+            if not isinstance(b, int) or b not in (0, 1):
+                raise ValueError(f"right-hand bit {k} is {b!r}, not 0 or 1")
+        n = self.n_variables
         for k, row in enumerate(self.rows):
             if row >> n:  # also nonzero for a negative row
                 raise ValueError(f"row {k} has a bit outside its {n} variables")
-
-    @property
-    def n_variables(self) -> int:
-        return len(self.variables)
 
 
 def _system(s: MeasurementSet, signs: Sequence[int]) -> StrategySystem:
     """The system of s's excerpt rows, with right-hand bit 1 iff the pair's
     sign is negative."""
     rows, classes = s.excerpt_rows
-    vertices = s.graph.vertices
-    variables = tuple((vertices[i], (x, z)) for i, x, z in classes)
     rhs = tuple(int(sign < 0) for sign in signs)
-    return StrategySystem(variables=variables, rows=rows, rhs=rhs)
+    return StrategySystem(rows=rows, rhs=rhs, n_variables=len(classes))
 
 
 def build_system(s: MeasurementSet) -> StrategySystem:

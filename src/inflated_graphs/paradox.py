@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import pauli
@@ -200,12 +200,13 @@ class ParadoxCertificate:
     Stored: the vertices, the signs, the product verdict and the witness
     odd_classes (not in to_json), which maps each failing vertex, in vertex
     order, to the pair indices of its odd excerpt classes in first-appearance
-    order.  Derived from them: parity_ok and overall."""
+    order.  Derived from them: parity_ok and overall.  The witness is
+    compared but not hashed, since a dict has no hash."""
 
     vertices: tuple[str, ...]
     stabilizer_signs: tuple[int | None, ...]
     product_is_minus_one: bool
-    odd_classes: Mapping[str, tuple[tuple[int, ...], ...]]
+    odd_classes: Mapping[str, tuple[tuple[int, ...], ...]] = field(hash=False)
 
     @property
     def parity_ok(self) -> dict[str, bool]:

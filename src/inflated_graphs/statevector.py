@@ -42,10 +42,11 @@ CAP = 14
 _PAULI_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """A state of one qubit per vertex as a dense amplitude array: float64
-    for a graph state, complex for a general one."""
+    for a graph state, complex for a general one.  Compared and hashed by
+    identity: the array has no single truth value to compare by."""
 
     amplitudes: np.ndarray
     vertices: tuple[str, ...]

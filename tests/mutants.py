@@ -132,6 +132,17 @@ MUTANTS = (
         "    for k in np.flatnonzero(key == 1 << (n + 1)).tolist():\n",
         ("tests/test_lhv.py::test_bare_model_mismatches_match_closed_form",),
     ),
+    # StrategySystem accepts any right-hand entry, so rhs (2, 1) on rows
+    # (1, 1) is infeasible yet has no violation.
+    Mutant(
+        "M16",
+        "src/inflated_graphs/lhv.py",
+        "        for k, b in enumerate(self.rhs):\n"
+        "            if not isinstance(b, int) or b not in (0, 1):\n"
+        '                raise ValueError(f"right-hand bit {k} is {b!r}, not 0 or 1")\n',
+        "",
+        ("tests/test_lhv.py::test_strategy_system_checks_its_shape",),
+    ),
 )
 
 

@@ -214,9 +214,7 @@ def test_criterion_8_property_suite():
         rhs = tuple(rng.randrange(2) for _ in range(rng.randrange(1, 8)))
         n_rows = min(len(rows), len(rhs))
         sys = lhv.StrategySystem(
-            variables=tuple((f"v{j}", ("X",)) for j in range(n_vars)),
-            rows=rows[:n_rows],
-            rhs=rhs[:n_rows],
+            rows=rows[:n_rows], rhs=rhs[:n_rows], n_variables=n_vars
         )
         assert ig.feasible(sys) == (min_violations_brute_force(sys) == 0)
 

@@ -75,9 +75,9 @@ def test_min_violations_agrees_with_brute_force():
         n_vars = rng.randrange(1, 10)
         n_rows = rng.randrange(1, 8)
         sys = lhv.StrategySystem(
-            variables=tuple((f"v{j}", ("X",)) for j in range(n_vars)),
             rows=tuple(rng.randrange(1 << n_vars) for _ in range(n_rows)),
             rhs=tuple(rng.randrange(2) for _ in range(n_rows)),
+            n_variables=n_vars,
         )
         direct = min_violations_brute_force(sys)
         assert ig.min_violations(sys) == direct
@@ -89,11 +89,7 @@ def test_min_violations_on_degenerate_rows():
     # with rhs 1 (each a forced violation), variables in no row, and more
     # variables than rows.
     def system(n_vars, rows, rhs):
-        return lhv.StrategySystem(
-            variables=tuple((f"v{j}", ("X",)) for j in range(n_vars)),
-            rows=tuple(rows),
-            rhs=tuple(rhs),
-        )
+        return lhv.StrategySystem(rows=tuple(rows), rhs=tuple(rhs), n_variables=n_vars)
 
     # Hand-built, with their minimum violations.
     assert ig.min_violations(system(3, [0, 0, 0], [1, 1, 0])) == 2
@@ -121,12 +117,12 @@ def system_from_columns(columns, n_rows, rhs):
     """Strategy system whose variable j has column columns[j] (bit k set
     iff row k holds the variable)."""
     return lhv.StrategySystem(
-        variables=tuple((f"v{j}", ("X",)) for j in range(len(columns))),
         rows=tuple(
             sum(((col >> k) & 1) << j for j, col in enumerate(columns))
             for k in range(n_rows)
         ),
         rhs=tuple((rhs >> k) & 1 for k in range(n_rows)),
+        n_variables=len(columns),
     )
 
 
@@ -206,14 +202,20 @@ def test_min_violations_matches_independent_oracles():
         ((1,), (1, 0), "1 rows but 2 right-hand bits"),
         ((1, 0b10), (0, 1), "row 1 has a bit outside its 1 variables"),
         ((-1,), (0,), "row 0 has a bit outside its 1 variables"),
+        ((1, 1), (2, 1), "right-hand bit 0 is 2, not 0 or 1"),
+        ((1, 1), (1, -1), "right-hand bit 1 is -1, not 0 or 1"),
+        ((1, 1), (1.0, 1), "right-hand bit 0 is 1.0, not 0 or 1"),
     ],
 )
 def test_strategy_system_checks_its_shape(rows, rhs, message):
     # Unchecked, feasible's solve would drop the row that has no rhs bit
     # while min_violations counted it, and the transpose would drop a bit
-    # past the last variable or fail on it.
+    # past the last variable or fail on it.  An rhs entry such as 2 or -1
+    # stays nonzero under solve's XORs, so rows (1, 1) were infeasible, while
+    # min_violations read it as bit 1 and found no violation; a float 1.0
+    # passed an equality test and made solve's XOR raise TypeError.
     with pytest.raises(ValueError, match=message):
-        lhv.StrategySystem(variables=(("a", ()),), rows=rows, rhs=rhs)
+        lhv.StrategySystem(rows=rows, rhs=rhs, n_variables=1)
 
 
 def test_variable_order_does_not_change_bound_or_feasibility():
@@ -237,8 +239,9 @@ def test_variable_order_does_not_change_bound_or_feasibility():
             sum(1 << position[j] for j in range(sys.n_variables) if row >> j & 1)
             for row in sys.rows
         )
-        variables = tuple(sys.variables[j] for j in order)
-        shuffled = lhv.StrategySystem(variables, rows, sys.rhs)
+        shuffled = lhv.StrategySystem(
+            rows=rows, rhs=sys.rhs, n_variables=sys.n_variables
+        )
         assert ig.min_violations(shuffled) == ig.min_violations(sys)
         assert ig.feasible(shuffled) == ig.feasible(sys)
         verdicts.add(ig.feasible(sys))
@@ -248,9 +251,9 @@ def test_variable_order_does_not_change_bound_or_feasibility():
 def test_min_violations_budget(monkeypatch):
     def independent_system(k):
         return lhv.StrategySystem(
-            variables=tuple((f"v{j}", ("X",)) for j in range(k)),
             rows=tuple(1 << j for j in range(k)),
             rhs=tuple(1 for _ in range(k)),
+            n_variables=k,
         )
 
     # Span dimension 31 was refused by the old dimension cap; the coset

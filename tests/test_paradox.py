@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -112,6 +113,18 @@ def test_odd_classes_fail_the_verdict_with_defined_signs():
     assert cert.to_json()["overall"] is False
 
 
+def test_equal_certificates_hash_equal():
+    """The odd_classes witness is a dict: it takes part in equality but not
+    in the hash, so a certificate can be hashed at all."""
+    s = load_fixture_set("ghz_path3")
+    s = ig.MeasurementSet(graph=s.graph, d=1, pairs=s.pairs)
+    cert, again = ig.verify_paradox(s), ig.verify_paradox(s)
+    assert cert.odd_classes and cert.odd_classes is not again.odd_classes
+    assert cert == again and hash(cert) == hash(again)
+    assert len({cert, again}) == 1
+    assert dataclasses.replace(cert, odd_classes={}) != cert
+
+
 def test_undefined_signs_fail_the_verdict_with_even_parity():
     """chain7 plus two copies of a pair with no stabilizer sign (X on the
     first vertex, kept alone).  The copies share one excerpt class and
@@ -154,15 +167,15 @@ def _reference_system(s):
     ]
     if 0 in signs:
         return None
-    variables = []
+    n_variables = 0
     rows = [0] * len(s.pairs)
     for v in s.graph.vertices:
-        for excerpt, ks in _reference_classes(s, v).items():
+        for ks in _reference_classes(s, v).values():
             for k in ks:
-                rows[k] |= 1 << len(variables)
-            variables.append((v, excerpt))
+                rows[k] |= 1 << n_variables
+            n_variables += 1
     rhs = tuple(int(sign == -1) for sign in signs)
-    return lhv.StrategySystem(tuple(variables), tuple(rows), rhs)
+    return lhv.StrategySystem(rows=tuple(rows), rhs=rhs, n_variables=n_variables)
 
 
 def _mutate(rng, s):
@@ -209,11 +222,12 @@ def test_excerpt_classes_match_letter_reference():
                 ig.build_system(s)
             continue
         system = ig.build_system(s)
-        # Variable (v, key) labels the column of the pairs in that class.
-        for j, (v, key) in enumerate(system.variables):
+        # Variable j is the set's class j: its column holds that class's pairs.
+        _, classes = s.excerpt_rows
+        assert system.n_variables == len(classes) == expected.n_variables
+        for j, (i, x, z) in enumerate(classes):
             column = [k for k, row in enumerate(system.rows) if row >> j & 1]
-            assert column == grouped[v][key]
-        assert system.n_variables == expected.n_variables
+            assert column == grouped[s.graph.vertices[i]][(x, z)]
         assert system.rhs == expected.rhs
         assert gf2.rank(list(system.rows)) == gf2.rank(list(expected.rows))
         assert ig.feasible(system) == ig.feasible(expected)

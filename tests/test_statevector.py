@@ -77,6 +77,18 @@ def test_norm_and_generator_fixed_points():
             assert abs(sv.pauli_expectation(state, gen) - 1.0) < 1e-10
 
 
+def test_state_vectors_compare_and_hash_by_identity():
+    # A field-wise __eq__ would compare the arrays and ask for the truth
+    # value of the elementwise result, and a field-wise __hash__ would hash
+    # the array: both raise.
+    g = ig.build_graph([(1, 2), (2, 3)])
+    state = sv.graph_state(g)
+    copy = sv.StateVector(state.amplitudes.copy(), state.vertices)
+    assert state == state and state != copy
+    assert hash(state) == hash(state)
+    assert len({state, copy, state}) == 2
+
+
 def test_cap_rejection():
     g = Graph(vertices=tuple(str(i) for i in range(15)), edges=frozenset())
     with pytest.raises(ValueError, match="cap"):
